@@ -1,39 +1,10 @@
 GO ?= go
 
-.PHONY: verify fmt vet staticcheck deprecation-guard build test race cover bench-fanout bench-resilience bench-replication bench-session bench-route bench-overload bench-world bench-boot bench-watch bench-smoke
+.PHONY: verify fmt vet staticcheck build test race cover loc bench-fanout bench-resilience bench-replication bench-session bench-route bench-overload bench-world bench-boot bench-watch bench-smoke
 
-## verify: the full CI gate — formatting, vet, the v2-API deprecation
-## guard, build, tests under -race (twice, so flaky tests surface). CI
-## additionally runs staticcheck.
-verify: fmt vet deprecation-guard build race
-
-## deprecation-guard: the v2 client API (SearchV2/GeocodeV2/... with
-## CallOptions) is the only surface this repository may use. The v1
-## wrappers exist solely for external source compatibility: they are
-## defined in internal/client/legacy.go and pinned byte-identical to v2 by
-## tests (which therefore keep calling them — tests are exempt). Any other
-## call site in internal/, cmd/, or examples/ fails the build here.
-## Three passes, because some v1 names are ambiguous with other types:
-##  1. names unique to the client wrappers, greppable repo-wide;
-##  2. DiscoverCtx, excluding discovery.Client's own method (used via the
-##     `disc` field);
-##  3. the bare v1 names (Search/Geocode/Route/Localize/Discover/Info) on
-##     a `c.` receiver in the packages where `c` is conventionally the
-##     client — a heuristic: a bare-name call on an unconventionally-named
-##     receiver can slip past this pass (staticcheck's SA1019 would catch
-##     it but is disabled, see staticcheck.conf).
-LEGACY_CLIENT_METHODS := SearchCtx|SearchFanout|SearchFanoutCtx|GeocodeCtx|ReverseGeocode|ReverseGeocodeCtx|LocalizeCtx|RouteCtx|GetTilePNG|GetTilePNGCtx|InfoCtx
-deprecation-guard:
-	@out=$$(grep -rnE '\.($(LEGACY_CLIENT_METHODS))\(' internal cmd examples \
-		--include='*.go' --exclude='*_test.go' --exclude=legacy.go || true); \
-	out2=$$(grep -rnE '\.DiscoverCtx\(' cmd examples internal/core internal/client \
-		--include='*.go' --exclude='*_test.go' --exclude=legacy.go | grep -v 'disc\.DiscoverCtx' || true); \
-	out3=$$(grep -rnE '\bc\.(Search|Geocode|Route|Localize|Discover|Info)\(' \
-		cmd examples internal/core internal/client \
-		--include='*.go' --exclude='*_test.go' --exclude=legacy.go || true); \
-	if [ -n "$$out$$out2$$out3" ]; then \
-		echo "deprecated v1 client API called outside internal/client/legacy.go:"; \
-		echo "$$out"; echo "$$out2"; echo "$$out3"; exit 1; fi
+## verify: the full CI gate — formatting, vet, build, tests under -race
+## (twice, so flaky tests surface). CI additionally runs staticcheck.
+verify: fmt vet build race
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -61,6 +32,12 @@ race:
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
+
+## loc: non-test and test Go line counts outside bench/ — the trajectory
+## the design diet (ROADMAP aim 2) is measured on.
+loc:
+	@echo "non-test: $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "test:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 
 ## bench-fanout: the E13 sequential-vs-concurrent fan-out comparison.
 bench-fanout:

@@ -146,12 +146,12 @@ func BenchmarkAblation_FederationScale(b *testing.B) {
 			store := world.Stores[0]
 			entrance := store.Correspondences[len(store.Correspondences)-1].World
 			product := store.Products[0]
-			c.Search(product, entrance, 10) // warm caches
+			c.SearchV2(context.Background(), product, entrance, 10) // warm caches
 			req0 := c.RequestCount()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := c.Search(product, entrance, 10); len(got) == 0 {
+				if got := c.SearchV2(context.Background(), product, entrance, 10); len(got) == 0 {
 					b.Fatal("no results")
 				}
 			}

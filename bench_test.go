@@ -6,6 +6,7 @@
 package openflame
 
 import (
+	"context"
 	"fmt"
 	"image/color"
 	"math/rand"
@@ -79,8 +80,8 @@ func warmClient(b *testing.B, f *fixtures) *client.Client {
 	b.Helper()
 	c := f.fed.NewClient()
 	entrance := storeEntrance(f.world.Stores[0])
-	c.Discover(entrance)
-	c.Search(f.world.Stores[0].Products[0], entrance, 5)
+	c.DiscoverV2(context.Background(), entrance)
+	c.SearchV2(context.Background(), f.world.Stores[0].Products[0], entrance, 5)
 	return c
 }
 
@@ -156,7 +157,7 @@ func BenchmarkE2_FederatedSearch(b *testing.B) {
 	query := f.world.Stores[0].Products[0]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if got := c.Search(query, near, 10); len(got) == 0 {
+		if got := c.SearchV2(context.Background(), query, near, 10); len(got) == 0 {
 			b.Fatal("no results")
 		}
 	}
@@ -168,7 +169,7 @@ func BenchmarkE2_FederatedGeocode(b *testing.B) {
 	address := f.world.Stores[0].Products[0] + " shelf, " + f.world.Stores[0].Map.Name
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Geocode(address); err != nil {
+		if _, err := c.GeocodeV2(context.Background(), address); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -180,7 +181,7 @@ func BenchmarkE2_FederatedRoute(b *testing.B) {
 	to := storeEntrance(f.world.Stores[0])
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Route(cityCorner, to); err != nil {
+		if _, err := c.RouteV2(context.Background(), cityCorner, to); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,7 +197,7 @@ func BenchmarkE2_FederatedLocalize(b *testing.B) {
 	coarse := storeEntrance(store)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Localize(coarse, []loc.Cue{cue}, coarse, 35); !ok {
+		if _, ok := c.LocalizeV2(context.Background(), coarse, []loc.Cue{cue}, coarse, 35); !ok {
 			b.Fatal("no fix")
 		}
 	}
@@ -206,14 +207,14 @@ func BenchmarkE2_FederatedTile(b *testing.B) {
 	f := getFixtures(b)
 	c := warmClient(b, f)
 	entrance := storeEntrance(f.world.Stores[0])
-	anns := c.Discover(entrance)
+	anns := c.DiscoverV2(context.Background(), entrance)
 	if len(anns) == 0 {
 		b.Fatal("nothing discovered")
 	}
 	coord := tiles.FromLatLng(entrance, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.GetTilePNG(anns[0].URL, coord.Z, coord.X, coord.Y); err != nil {
+		if _, err := c.TilePNGV2(context.Background(), anns[0].URL, coord.Z, coord.X, coord.Y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,7 +320,7 @@ func BenchmarkE5_RouteStitch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		route, err := c.Route(cityCorner, to)
+		route, err := c.RouteV2(context.Background(), cityCorner, to)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -352,7 +353,7 @@ func BenchmarkE6_FederatedSearch(b *testing.B) {
 		b.Run(fmt.Sprintf("servers=%d", k), func(b *testing.B) {
 			var recallSum float64
 			for i := 0; i < b.N; i++ {
-				got := c.SearchFanout(query, near, 10, k)
+				got := c.SearchV2(context.Background(), query, near, 10, client.WithMaxServers(k))
 				hit := 0
 				for _, r := range got {
 					if truth[r.Name+r.Position.String()] {
@@ -390,7 +391,7 @@ func BenchmarkE7_Localization(b *testing.B) {
 		if !ok {
 			continue
 		}
-		fix, ok := c.Localize(*gpsCue.GPS, []loc.Cue{cue}, *gpsCue.GPS, gps.IndoorSigmaMeters)
+		fix, ok := c.LocalizeV2(context.Background(), *gpsCue.GPS, []loc.Cue{cue}, *gpsCue.GPS, gps.IndoorSigmaMeters)
 		if !ok {
 			continue
 		}
@@ -447,7 +448,7 @@ func BenchmarkE9_Overlap(b *testing.B) {
 		// Points scattered around the storefront, inside and outside.
 		p := geo.Offset(entrance, rng.Float64()*30, rng.Float64()*360)
 		names := map[string]bool{}
-		for _, a := range c.Discover(p) {
+		for _, a := range c.DiscoverV2(context.Background(), p) {
 			names[a.Name] = true
 		}
 		total++
@@ -493,11 +494,11 @@ func BenchmarkE10_Auth(b *testing.B) {
 			c.User, c.App = "alice@cmu.edu", "nav"
 			_ = h
 			entrance := storeEntrance(store)
-			c.Discover(entrance)
+			c.DiscoverV2(context.Background(), entrance)
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if got := c.Search(store.Products[0], entrance, 5); len(got) == 0 {
+				if got := c.SearchV2(context.Background(), store.Products[0], entrance, 5); len(got) == 0 {
 					b.Fatal("no results")
 				}
 			}

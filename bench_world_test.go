@@ -1,13 +1,14 @@
-// E20: memory-lean world storage — the columnar node layout and binary
-// snapshot v2 measured against what they replaced: a pointer-per-node map
-// with per-node tag strings, and the v1 gob snapshot decode. The
-// benchmarks run at smoke scale (a ~4.9k-node city) so `make bench-smoke`
-// keeps them compiling; TestE20BenchArtifact rebuilds the measurements on
-// a city-scale world (≥1M nodes at the default 590 blocks), writes
-// BENCH_world.json, and enforces the floors the design claims: columnar
-// bytes/node ≥4× leaner than the pointer layout, snapshot v2 load ≥5×
-// faster than the v1 gob decode, and byte-identical serving parity
-// between v1-loaded, v2-loaded, and mmap-loaded worlds.
+// E20: memory-lean world storage — the columnar node layout measured
+// against what it replaced, a pointer-per-node map with per-node tag
+// strings, plus snapshot v2 load times (streamed and mmapped; the v1 gob
+// decode they were first measured against was removed in PR 18, its
+// numbers stay in EXPERIMENTS.md). The benchmarks run at smoke scale (a
+// ~4.9k-node city) so `make bench-smoke` keeps them compiling;
+// TestE20BenchArtifact rebuilds the measurements on a city-scale world
+// (≥1M nodes at the default 590 blocks), writes BENCH_world.json, and
+// enforces the floors the design claims: columnar bytes/node ≥4× leaner
+// than the pointer layout, and byte-identical serving parity between the
+// generated, v2-loaded, and mmap-loaded worlds.
 package openflame
 
 import (
@@ -41,7 +42,6 @@ const e20SmokeBlocks = 40
 var e20 struct {
 	once     sync.Once
 	m        *osm.Map
-	v1       []byte // v1 (gob) snapshot of m
 	v2       []byte // v2 (columnar) snapshot of m
 	snapPath string // v2 snapshot on disk, for the mmap path
 	se       *search.Searcher
@@ -63,14 +63,11 @@ func e20City(blocks int) *osm.Map {
 func e20Fixtures() {
 	e20.once.Do(func() {
 		e20.m = e20City(e20SmokeBlocks)
-		var v1, v2 bytes.Buffer
-		if err := e20.m.WriteSnapshotVersionsV1(&v1, nil); err != nil {
-			panic(err)
-		}
+		var v2 bytes.Buffer
 		if err := e20.m.WriteSnapshotVersions(&v2, nil); err != nil {
 			panic(err)
 		}
-		e20.v1, e20.v2 = v1.Bytes(), v2.Bytes()
+		e20.v2 = v2.Bytes()
 		f, err := os.CreateTemp("", "e20-*.snap")
 		if err != nil {
 			panic(err)
@@ -94,21 +91,6 @@ func e20Fixtures() {
 			e20.pairs[i] = [2]int64{ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]}
 		}
 	})
-}
-
-func benchE20LoadV1(b *testing.B) {
-	e20Fixtures()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, _, err := osm.ReadSnapshotVersions(bytes.NewReader(e20.v1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if m.NodeCount() != e20.m.NodeCount() {
-			b.Fatalf("v1 load: %d nodes", m.NodeCount())
-		}
-	}
 }
 
 func benchE20LoadV2(b *testing.B) {
@@ -142,7 +124,6 @@ func benchE20LoadV2Mapped(b *testing.B) {
 }
 
 func BenchmarkE20_SnapshotLoad(b *testing.B) {
-	b.Run("v1-gob", benchE20LoadV1)
 	b.Run("v2", benchE20LoadV2)
 	b.Run("v2-mmap", benchE20LoadV2Mapped)
 }
@@ -256,7 +237,7 @@ func e20XMLDigest(t *testing.T, m *osm.Map) [32]byte {
 
 // TestE20BenchArtifact writes BENCH_world.json (when BENCH_WORLD_JSON
 // names the output path; `make bench-world` sets it) and enforces the
-// memory and load-speed floors on a city-scale world. BENCH_WORLD_BLOCKS
+// memory floor on a city-scale world. BENCH_WORLD_BLOCKS
 // overrides the grid size (default 590 ≈ 1.05M nodes) for quicker local
 // runs. Skipped in the ordinary test run: the full build takes minutes
 // and timing assertions belong in dedicated bench invocations.
@@ -280,10 +261,7 @@ func TestE20BenchArtifact(t *testing.T) {
 	nodes, ways := m.NodeCount(), m.WayCount()
 	t.Logf("E20: generated %d-block city: %d nodes, %d ways in %.0fms", blocks, nodes, ways, genMs)
 
-	var v1buf, v2buf bytes.Buffer
-	if err := m.WriteSnapshotVersionsV1(&v1buf, nil); err != nil {
-		t.Fatal(err)
-	}
+	var v2buf bytes.Buffer
 	if err := m.WriteSnapshotVersions(&v2buf, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -292,33 +270,33 @@ func TestE20BenchArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Parity: the same world loaded through the v1 decode, the v2 reader,
-	// and the mmap file path must serve byte-identical results and
-	// serialize to byte-identical canonical XML.
+	// Parity: the same world loaded through the streamed v2 reader and the
+	// mmap file path must serve byte-identical results and serialize to
+	// byte-identical canonical XML.
 	parity := true
 	{
-		mV1, _, err := osm.ReadSnapshotVersions(bytes.NewReader(v1buf.Bytes()))
+		mV2, _, err := osm.ReadSnapshotVersions(bytes.NewReader(v2buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		mV2, _, err := osm.LoadSnapshotFile(snapPath)
+		mMap, _, err := osm.LoadSnapshotFile(snapPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d1, d2, dm := e20XMLDigest(t, m), e20XMLDigest(t, mV1), e20XMLDigest(t, mV2); d1 != d2 || d1 != dm {
+		if d1, d2, dm := e20XMLDigest(t, m), e20XMLDigest(t, mV2), e20XMLDigest(t, mMap); d1 != d2 || d1 != dm {
 			parity = false
-			t.Errorf("canonical XML diverges between generated / v1-loaded / v2-loaded worlds")
+			t.Errorf("canonical XML diverges between generated / v2-loaded / mmap-loaded worlds")
 		}
 		sig := e20ServingSignature(m)
-		if s := e20ServingSignature(mV1); s != sig {
-			parity = false
-			t.Errorf("v1-loaded world serves different results than the generated world")
-		}
 		if s := e20ServingSignature(mV2); s != sig {
 			parity = false
-			t.Errorf("v2-loaded (mmap) world serves different results than the generated world")
+			t.Errorf("v2-loaded world serves different results than the generated world")
 		}
-		t.Logf("E20: parity across v1/v2/mmap loads: %v (mmap=%v)", parity, mV2.Mapped())
+		if s := e20ServingSignature(mMap); s != sig {
+			parity = false
+			t.Errorf("mmap-loaded world serves different results than the generated world")
+		}
+		t.Logf("E20: parity across v2/mmap loads: %v (mmap=%v)", parity, mMap.Mapped())
 	}
 
 	// Memory: the measured live-heap cost of each representation, loaded
@@ -348,7 +326,7 @@ func TestE20BenchArtifact(t *testing.T) {
 	// benchE20* body measures the city-scale world.
 	e20.once.Do(func() {}) // claim the once; fields are set directly below
 	e20.m = m
-	e20.v1, e20.v2 = v1buf.Bytes(), v2buf.Bytes()
+	e20.v2 = v2buf.Bytes()
 	e20.snapPath = snapPath
 	idxStart := time.Now()
 	st := store.New(m)
@@ -382,7 +360,6 @@ func TestE20BenchArtifact(t *testing.T) {
 			AllocsPerOp: r.AllocsPerOp(),
 		}
 	}
-	loadV1 := measure("load/v1-gob", benchE20LoadV1)
 	loadV2 := measure("load/v2", benchE20LoadV2)
 	loadMmap := measure("load/v2-mmap", benchE20LoadV2Mapped)
 	srch := measure("serve/search", benchE20Search)
@@ -395,15 +372,12 @@ func TestE20BenchArtifact(t *testing.T) {
 		Nodes           int      `json:"nodes"`
 		Ways            int      `json:"ways"`
 		GenMs           float64  `json:"gen_ms"`
-		V1SnapshotBytes int      `json:"v1_snapshot_bytes"`
 		V2SnapshotBytes int      `json:"v2_snapshot_bytes"`
 		ColumnarBytes   uint64   `json:"columnar_heap_bytes"`
 		PointerBytes    uint64   `json:"pointer_heap_bytes"`
 		BytesPerNodeCol float64  `json:"bytes_per_node_columnar"`
 		BytesPerNodePtr float64  `json:"bytes_per_node_pointer"`
 		MemoryRatio     float64  `json:"memory_ratio"`
-		LoadSpeedup     float64  `json:"load_speedup_v2"`
-		LoadSpeedupMmap float64  `json:"load_speedup_v2_mmap"`
 		IndexBuildMs    float64  `json:"index_build_ms"`
 		ColdSearchMs    float64  `json:"cold_search_ms"`
 		ParityByteExact bool     `json:"parity_byte_exact"`
@@ -414,19 +388,16 @@ func TestE20BenchArtifact(t *testing.T) {
 		Nodes:           nodes,
 		Ways:            ways,
 		GenMs:           genMs,
-		V1SnapshotBytes: v1buf.Len(),
 		V2SnapshotBytes: v2buf.Len(),
 		ColumnarBytes:   columnarBytes,
 		PointerBytes:    pointerBytes,
 		BytesPerNodeCol: bpnCol,
 		BytesPerNodePtr: bpnPtr,
 		MemoryRatio:     memRatio,
-		LoadSpeedup:     loadV1.NsPerOp / loadV2.NsPerOp,
-		LoadSpeedupMmap: loadV1.NsPerOp / loadMmap.NsPerOp,
 		IndexBuildMs:    idxMs,
 		ColdSearchMs:    coldSearchMs,
 		ParityByteExact: parity,
-		Results:         []result{loadV1, loadV2, loadMmap, srch, geoc, route},
+		Results:         []result{loadV2, loadMmap, srch, geoc, route},
 	}
 	data, err := json.MarshalIndent(artifact, "", "  ")
 	if err != nil {
@@ -435,14 +406,11 @@ func TestE20BenchArtifact(t *testing.T) {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("E20: %.1f B/node columnar vs %.1f B/node pointer (%.1fx); v2 load %.1fx, mmap %.1fx vs v1 gob; search %.0fµs geocode %.0fµs route %.0fµs",
+	t.Logf("E20: %.1f B/node columnar vs %.1f B/node pointer (%.1fx); v2 load %.0fms, mmap %.2fms; search %.0fµs geocode %.0fµs route %.0fµs",
 		bpnCol, bpnPtr, memRatio,
-		artifact.LoadSpeedup, artifact.LoadSpeedupMmap,
+		loadV2.NsPerOp/1e6, loadMmap.NsPerOp/1e6,
 		srch.NsPerOp/1e3, geoc.NsPerOp/1e3, route.NsPerOp/1e3)
 	if memRatio < 4 {
 		t.Errorf("columnar layout only %.2fx leaner than the pointer layout, want ≥4x", memRatio)
-	}
-	if artifact.LoadSpeedup < 5 {
-		t.Errorf("v2 load only %.2fx faster than the v1 gob decode, want ≥5x", artifact.LoadSpeedup)
 	}
 }

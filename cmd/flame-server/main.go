@@ -18,7 +18,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -41,15 +40,11 @@ import (
 type options struct {
 	mapPath           string
 	snapshotPath      string
-	snapshotV1        bool
-	noPersistedIndex  bool
 	addr              string
 	name              string
 	publicURL         string
-	useCH             bool
 	minLevel          int
 	maxLevel          int
-	queryCache        bool
 	queryCacheEntries int
 	registerURL       string
 	replicaSet        string
@@ -71,8 +66,8 @@ type options struct {
 	watchPing         time.Duration
 }
 
-// defaultQueryCacheEntries sizes the query result cache when -query-cache
-// is on and the operator gives no explicit size.
+// defaultQueryCacheEntries sizes the query result cache when the operator
+// gives no explicit size.
 const defaultQueryCacheEntries = 4096
 
 func newFlagSet(name string) (*flag.FlagSet, *options) {
@@ -80,17 +75,13 @@ func newFlagSet(name string) (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.StringVar(&o.mapPath, "map", "", "OSM XML map file (required unless -snapshot exists)")
 	fs.StringVar(&o.snapshotPath, "snapshot", "", "binary snapshot path: loaded instead of -map when it exists (restoring per-node change versions), rewritten on shutdown — so a restarted replica resumes versioning above its persisted history")
-	fs.BoolVar(&o.snapshotV1, "snapshot-v1", false, "write the shutdown snapshot in the legacy v1 (gob) format for v1-era readers; loading accepts both formats regardless")
-	fs.BoolVar(&o.noPersistedIndex, "no-persisted-index", false, "rollback switch for the persisted serving index: ignore index sections in the loaded snapshot (forcing the full index rebuild) and write none on shutdown")
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.name, "name", "", "server name (default: map name)")
 	fs.StringVar(&o.publicURL, "public-url", "", "URL to advertise in DNS (default http://<addr>)")
-	fs.BoolVar(&o.useCH, "ch", true, "preprocess routing with contraction hierarchies (built in the background; -ch=false serves bidirectional Dijkstra only)")
 	fs.IntVar(&o.minLevel, "min-level", discovery.DefaultMinLevel, "coarsest registration cell level")
 	fs.IntVar(&o.maxLevel, "max-level", discovery.DefaultMaxLevel, "finest registration cell level")
-	fs.BoolVar(&o.queryCache, "query-cache", true, "memoize query results per map generation")
 	fs.IntVar(&o.queryCacheEntries, "query-cache-entries", defaultQueryCacheEntries,
-		"query cache capacity (entries, LRU-evicted)")
+		"query result cache capacity (entries per map generation, LRU-evicted; 0 = no cache)")
 	fs.StringVar(&o.registerURL, "register", "", "flame-dns registry admin URL (e.g. http://127.0.0.1:5301): announce on startup, deregister on SIGTERM")
 	fs.StringVar(&o.replicaSet, "replica-set", "", "replica-set id to register under (requires -register); siblings share load and fail over for each other")
 	fs.DurationVar(&o.reannounce, "reannounce", 0, "re-announce to the registry on this interval (requires -register): renews the registration lease when the registry enforces one, so a member that dies silently is evicted instead of advertised forever (0 = announce once)")
@@ -165,30 +156,16 @@ func (o *options) peerList() []string {
 	return out
 }
 
-// cacheEntries resolves the two query-cache flags into the mapserver
-// config knob: the entry count when caching is on, zero (disabled) when
-// -query-cache=false.
-func (o *options) cacheEntries() int {
-	if !o.queryCache || o.queryCacheEntries <= 0 {
-		return 0
-	}
-	return o.queryCacheEntries
-}
-
 // loadMap reads the served map: the binary snapshot when -snapshot names
-// an existing file (recovering persisted node versions and, unless
-// -no-persisted-index, the persisted serving index), else the OSM XML.
+// an existing file (recovering persisted node versions and the persisted
+// serving index), else the OSM XML.
 func (o *options) loadMap() (*osm.Map, map[osm.NodeID]uint64, *osm.IndexData, error) {
 	if o.snapshotPath != "" {
-		// LoadSnapshotFileIndexed memory-maps v2 snapshots where the
+		// LoadSnapshotFileIndexed memory-maps the snapshot where the
 		// platform allows, aliasing the columns — and any persisted index —
-		// zero-copy instead of reading them onto the heap; v1 snapshots
-		// take the buffered-decode path.
+		// zero-copy instead of reading them onto the heap.
 		m, vers, idx, err := osm.LoadSnapshotFileIndexed(o.snapshotPath)
 		if err == nil {
-			if o.noPersistedIndex {
-				idx = nil
-			}
 			return m, vers, idx, nil
 		}
 		if !errors.Is(err, os.ErrNotExist) {
@@ -240,10 +217,10 @@ func (o *options) buildServer() (*mapserver.Server, *osm.Map, error) {
 		Name:              o.name,
 		Map:               m,
 		Store:             buildStore(m, idx),
-		UseCH:             o.useCH,
+		UseCH:             true,
 		MinLevel:          o.minLevel,
 		MaxLevel:          o.maxLevel,
-		QueryCacheEntries: o.cacheEntries(),
+		QueryCacheEntries: o.queryCacheEntries,
 		ConsistencyWait:   o.consistencyWait,
 		MaxInFlight:       o.inFlightBound(),
 		MaxQueue:          o.maxQueue,
@@ -274,17 +251,9 @@ func (o *options) saveSnapshot(srv *mapserver.Server, m *osm.Map) error {
 		return err
 	}
 	// Persist the serving indexes alongside the map so the next boot
-	// attaches instead of rebuilding; -snapshot-v1 has no section format to
-	// carry them and -no-persisted-index is the explicit rollback.
-	write := func(w io.Writer, vers map[osm.NodeID]uint64) error {
-		return m.WriteSnapshotVersionsIndexed(w, vers, srv.Store().PersistedIndex())
-	}
-	if o.snapshotV1 {
-		write = m.WriteSnapshotVersionsV1
-	} else if o.noPersistedIndex {
-		write = m.WriteSnapshotVersions
-	}
-	if err := write(f, srv.Store().NodeVersions()); err != nil {
+	// attaches instead of rebuilding.
+	st := srv.Store()
+	if err := m.WriteSnapshotVersionsIndexed(f, st.NodeVersions(), st.PersistedIndex()); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -324,16 +293,14 @@ func main() {
 	url := o.advertiseURL()
 	info := srv.Info()
 	fmt.Printf("map server %q: %d nodes, %d coverage cells\n", srv.Name(), m.NodeCount(), len(info.Coverage))
-	if o.useCH {
-		// The hierarchy builds in the background and swaps in atomically;
-		// boot is never gated on it — routing falls back to bidirectional
-		// Dijkstra until the swap.
-		go func() {
-			if err := srv.WaitCH(context.Background()); err == nil {
-				log.Printf("contraction hierarchies active")
-			}
-		}()
-	}
+	// The hierarchy builds in the background and swaps in atomically; boot
+	// is never gated on it — routing falls back to bidirectional Dijkstra
+	// until the swap.
+	go func() {
+		if err := srv.WaitCH(context.Background()); err == nil {
+			log.Printf("contraction hierarchies active")
+		}
+	}()
 	if o.registerURL == "" {
 		fmt.Println("install these records in your spatial DNS zone:")
 		ann := discovery.Announcement{Name: info.Name, URL: url, Services: info.Services, Technologies: info.Technologies}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,7 +19,7 @@ func TestFlagDefaultsAndRoundTrip(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if o.addr != ":8080" || o.mapPath != "" || !o.useCH {
+	if o.addr != ":8080" || o.mapPath != "" {
 		t.Fatalf("defaults changed: %+v", o)
 	}
 	if o.minLevel != discovery.DefaultMinLevel || o.maxLevel != discovery.DefaultMaxLevel {
@@ -28,12 +29,12 @@ func TestFlagDefaultsAndRoundTrip(t *testing.T) {
 	fs, o = newFlagSet("flame-server")
 	err := fs.Parse([]string{
 		"-map", "city.osm.xml", "-addr", ":9090", "-name", "my-map",
-		"-public-url", "http://example:9090", "-ch=false", "-min-level", "10", "-max-level", "18",
+		"-public-url", "http://example:9090", "-min-level", "10", "-max-level", "18",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.mapPath != "city.osm.xml" || o.addr != ":9090" || o.name != "my-map" || o.useCH {
+	if o.mapPath != "city.osm.xml" || o.addr != ":9090" || o.name != "my-map" {
 		t.Fatalf("flags lost: %+v", o)
 	}
 	if o.minLevel != 10 || o.maxLevel != 18 {
@@ -92,47 +93,38 @@ func TestBuildServerMissingMapFails(t *testing.T) {
 	}
 }
 
+// TestFlagSurface pins the size of the CLI surface: a flag is a second path
+// somebody has to test, so adding one should be a deliberate act.
+func TestFlagSurface(t *testing.T) {
+	fs, _ := newFlagSet("flame-server")
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 26 {
+		t.Fatalf("flame-server has %d flags, want 26", n)
+	}
+}
+
 func TestQueryCacheFlags(t *testing.T) {
 	fs, o := newFlagSet("flame-server")
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if !o.queryCache || o.queryCacheEntries != defaultQueryCacheEntries {
-		t.Fatalf("cache flag defaults changed: %+v", o)
-	}
-	if got := o.cacheEntries(); got != defaultQueryCacheEntries {
-		t.Fatalf("default cacheEntries = %d", got)
+	if o.queryCacheEntries != defaultQueryCacheEntries {
+		t.Fatalf("cache flag default changed: %+v", o)
 	}
 
 	fs, o = newFlagSet("flame-server")
 	if err := fs.Parse([]string{"-query-cache-entries", "128"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.cacheEntries(); got != 128 {
-		t.Fatalf("cacheEntries = %d, want 128", got)
-	}
-
-	// -query-cache=false disables regardless of the size knob.
-	fs, o = newFlagSet("flame-server")
-	if err := fs.Parse([]string{"-query-cache=false", "-query-cache-entries", "128"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := o.cacheEntries(); got != 0 {
-		t.Fatalf("disabled cacheEntries = %d, want 0", got)
-	}
-
-	// A non-positive size also disables.
-	fs, o = newFlagSet("flame-server")
-	if err := fs.Parse([]string{"-query-cache-entries", "0"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := o.cacheEntries(); got != 0 {
-		t.Fatalf("zero-entry cacheEntries = %d, want 0", got)
+	if o.queryCacheEntries != 128 {
+		t.Fatalf("queryCacheEntries = %d, want 128", o.queryCacheEntries)
 	}
 }
 
 // TestBuildServerWiresQueryCache smoke-tests that the flags reach the
-// running server: with the cache on, a repeated query hits.
+// running server: with the cache on, a repeated query hits; a size of zero
+// turns it off.
 func TestBuildServerWiresQueryCache(t *testing.T) {
 	w := worldgen.GenWorld(worldgen.DefaultWorldParams())
 	path := filepath.Join(t.TempDir(), "city.osm.xml")
@@ -161,7 +153,7 @@ func TestBuildServerWiresQueryCache(t *testing.T) {
 	}
 
 	fs, o = newFlagSet("flame-server")
-	if err := fs.Parse([]string{"-map", path, "-query-cache=false"}); err != nil {
+	if err := fs.Parse([]string{"-map", path, "-query-cache-entries", "0"}); err != nil {
 		t.Fatal(err)
 	}
 	srv, _, err = o.buildServer()

@@ -10,42 +10,9 @@
 // experiment harness reproducing the paper's architecture comparison is in
 // bench_test.go, indexed by experiment ID in EXPERIMENTS.md.
 //
-// # API v2 migration
-//
-// The client surface is v2: ONE ctx-first method per service with
-// variadic per-call options, replacing the Foo/FooCtx/FooFanout/
-// FooFanoutCtx wrapper triplets of v1. Migrate call sites mechanically:
-//
-//	c.Search(q, near, n)              →  c.SearchV2(ctx, q, near, n)
-//	c.SearchCtx(ctx, q, near, n)      →  c.SearchV2(ctx, q, near, n)
-//	c.SearchFanout(q, near, n, k)     →  c.SearchV2(ctx, q, near, n, client.WithMaxServers(k))
-//	c.GeocodeCtx(ctx, addr)           →  c.GeocodeV2(ctx, addr)
-//	c.ReverseGeocode(ll, m)           →  c.ReverseGeocodeV2(ctx, ll, m)
-//	c.LocalizeCtx(ctx, at, cues, ...) →  c.LocalizeV2(ctx, at, cues, ...)
-//	c.RouteCtx(ctx, from, to)         →  c.RouteV2(ctx, from, to)
-//	c.Discover / c.DiscoverCtx        →  c.DiscoverV2(ctx, ll)
-//	c.Info / c.InfoCtx                →  c.InfoV2(ctx, url)
-//	c.GetTilePNG / c.GetTilePNGCtx    →  c.TilePNGV2(ctx, url, z, x, y)
-//	(poll loop over SearchV2)         →  c.WatchV2(ctx, q, near, n)
-//
-// WatchV2 is new in v2 with no v1 counterpart: it subscribes to the query
-// instead of answering it once, delivering an initial result set and then
-// pushed deltas across replica failover and origin restarts (DESIGN.md
-// §11, experiment E22).
-//
-// Options: WithMaxServers bounds how many replica groups answer,
-// WithTimeout overrides the per-server timeout for one call (0 lifts it),
-// WithNoBatch disables /v1/batch coalescing for one call, and
-// WithConsistency(ConsistencySession) / WithSession(s) run the call under
-// session consistency — reads carry per-replica-set high-water marks, a
-// lagging replica refuses (HTTP 412 stale-replica) instead of serving
-// state older than the session has observed, and the query plan fails
-// over to a caught-up sibling (monotonic reads + read-your-writes across
-// replica failover; see DESIGN.md §6 and experiment E17).
-//
-// The v1 wrappers still compile (internal/client/legacy.go) and are
-// pinned byte-identical to v2-with-default-options, but they are
-// deprecated: new code must use v2, and `make deprecation-guard` (part of
-// `make verify` and CI) rejects any non-test v1 call inside this
-// repository.
+// The client surface (internal/client) is one ctx-first method per service
+// — SearchV2, GeocodeV2, ReverseGeocodeV2, LocalizeV2, RouteV2, DiscoverV2,
+// InfoV2, TilePNGV2, and the standing-query WatchV2 — taking variadic
+// per-call options (WithMaxServers, WithTimeout, WithNoBatch,
+// WithConsistency, WithSession; DESIGN.md §6 and §11).
 package openflame

@@ -1,6 +1,7 @@
 package openflame
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -80,13 +81,13 @@ func BenchmarkE13_FanoutLatency(b *testing.B) {
 				}
 				c.SearchRadiusMeters = 100 // small covering: measure fan-out, not covering enumeration
 				// Prime discovery and connections once.
-				if got := c.Search("hit", pos, 2*servers); len(got) == 0 {
+				if got := c.SearchV2(context.Background(), "hit", pos, 2*servers); len(got) == 0 {
 					b.Fatal("no results")
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if got := c.Search("hit", pos, 2*servers); len(got) == 0 {
+					if got := c.SearchV2(context.Background(), "hit", pos, 2*servers); len(got) == 0 {
 						b.Fatal("no results")
 					}
 				}

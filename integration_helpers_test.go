@@ -1,6 +1,7 @@
 package openflame
 
 import (
+	"context"
 	"testing"
 
 	"openflame/internal/align"
@@ -26,11 +27,11 @@ func federatedAnswer(t *testing.T, world *worldgen.World) (routeCost float64, hi
 	store := world.Stores[0]
 	product := store.Products[len(store.Products)-1]
 	entrance := store.Correspondences[len(store.Correspondences)-1].World
-	results := c.Search(product, entrance, 10)
+	results := c.SearchV2(context.Background(), product, entrance, 10)
 	if len(results) == 0 {
 		t.Fatal("federated search empty")
 	}
-	route, err := c.Route(integrationCorner, results[0].Position)
+	route, err := c.RouteV2(context.Background(), integrationCorner, results[0].Position)
 	if err != nil {
 		t.Fatal(err)
 	}

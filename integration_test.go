@@ -96,7 +96,7 @@ func TestFullStackOverRealSockets(t *testing.T) {
 	entrance := store.Correspondences[len(store.Correspondences)-1].World
 
 	// Discovery over the wire.
-	anns := c.Discover(entrance)
+	anns := c.DiscoverV2(context.Background(), entrance)
 	names := map[string]bool{}
 	for _, a := range anns {
 		names[a.Name] = true
@@ -107,14 +107,14 @@ func TestFullStackOverRealSockets(t *testing.T) {
 
 	// Federated search.
 	product := store.Products[0]
-	results := c.Search(product, entrance, 5)
+	results := c.SearchV2(context.Background(), product, entrance, 5)
 	if len(results) == 0 || !strings.Contains(results[0].Name, product) {
 		t.Fatalf("search = %v", results)
 	}
 
 	// Stitched route street → shelf.
 	from := geo.LatLng{Lat: 40.4400, Lng: -79.9990}
-	route, err := c.Route(from, results[0].Position)
+	route, err := c.RouteV2(context.Background(), from, results[0].Position)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestFullStackOverRealSockets(t *testing.T) {
 	// And caching kept the load sane: another client action should add few
 	// root queries (the delegation is cached).
 	before := rootSrv.QueryCount()
-	c.Search(product, entrance, 5)
+	c.SearchV2(context.Background(), product, entrance, 5)
 	if rootSrv.QueryCount() > before {
 		t.Fatalf("root server re-queried despite cache: %d -> %d", before, rootSrv.QueryCount())
 	}

@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -20,12 +21,12 @@ func TestGeocodeBatchedMatchesPerCall(t *testing.T) {
 	store := w.Stores[0]
 	address := store.Products[0] + " shelf, " + store.Map.Name
 
-	want, err := c.Geocode(address)
+	want, err := c.GeocodeV2(context.Background(), address)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perCall := c.RequestCount()
-	got, err := cb.Geocode(address)
+	got, err := cb.GeocodeV2(context.Background(), address)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestGeocodeBatchedMatchesPerCall(t *testing.T) {
 		t.Fatalf("batched geocode used %d requests, per-call used %d", batched, perCall)
 	}
 	// A second identical geocode must not re-probe batch capability.
-	if _, err := cb.Geocode(address); err != nil {
+	if _, err := cb.GeocodeV2(context.Background(), address); err != nil {
 		t.Fatal(err)
 	}
 	if d := cb.RequestCount() - batched; d != batched {
@@ -76,11 +77,11 @@ func TestGeocodeBatchFallsBackToLegacyServer(t *testing.T) {
 
 	store := w.Stores[0]
 	address := store.Products[0] + " shelf, " + store.Map.Name
-	want, err := c.Geocode(address)
+	want, err := c.GeocodeV2(context.Background(), address)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cb.Geocode(address)
+	got, err := cb.GeocodeV2(context.Background(), address)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestGeocodeBatchFallsBackToLegacyServer(t *testing.T) {
 		t.Fatalf("batch endpoint probed %d times, want 1", batchProbes.Load())
 	}
 	// The 404 was remembered: a second geocode goes straight per-call.
-	if _, err := cb.Geocode(address); err != nil {
+	if _, err := cb.GeocodeV2(context.Background(), address); err != nil {
 		t.Fatal(err)
 	}
 	if batchProbes.Load() != 1 {
@@ -108,18 +109,18 @@ func TestRouteBatchedMatchesPerCall(t *testing.T) {
 
 	store := w.Stores[0]
 	from := trueEntrance(store)
-	shelf, err := c.Geocode(store.Products[0] + " shelf, " + store.Map.Name)
+	shelf, err := c.GeocodeV2(context.Background(), store.Products[0]+" shelf, "+store.Map.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	before := c.RequestCount()
-	want, err := c.Route(from, shelf.Position)
+	want, err := c.RouteV2(context.Background(), from, shelf.Position)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perCall := c.RequestCount() - before
-	got, err := cb.Route(from, shelf.Position)
+	got, err := cb.RouteV2(context.Background(), from, shelf.Position)
 	if err != nil {
 		t.Fatal(err)
 	}

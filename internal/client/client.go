@@ -38,12 +38,10 @@ import (
 // end-to-end latency tracks the slowest responding server, not the sum of
 // all of them.
 //
-// The v2 surface is one ctx-first method per service — SearchV2, GeocodeV2,
+// The surface is one ctx-first method per service — SearchV2, GeocodeV2,
 // ReverseGeocodeV2, LocalizeV2, RouteV2, DiscoverV2, InfoV2, TilePNGV2 —
 // taking variadic CallOptions (WithMaxServers, WithTimeout, WithNoBatch,
-// WithConsistency, WithSession; see options.go). The v1 wrapper triplets
-// live in legacy.go, deprecated, each delegating to its v2 core with
-// default options.
+// WithConsistency, WithSession; see options.go).
 type Client struct {
 	disc *discovery.Client
 	http *http.Client

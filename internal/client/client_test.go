@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func TestSearchFindsProductAcrossFederation(t *testing.T) {
 	store := w.Stores[0]
 	product := store.Products[0]
 	near := geo.Offset(trueEntrance(store), 60, 180) // on the street outside
-	results := c.Search(product, near, 10)
+	results := c.SearchV2(context.Background(), product, near, 10)
 	if len(results) == 0 {
 		t.Fatalf("product %q not found near the store", product)
 	}
@@ -52,7 +53,7 @@ func TestSearchOutdoorPOI(t *testing.T) {
 	store := w.Stores[0]
 	near := trueEntrance(store)
 	// The store itself is a POI on the world map.
-	results := c.Search(store.Map.Name, near, 10)
+	results := c.SearchV2(context.Background(), store.Map.Name, near, 10)
 	if len(results) == 0 {
 		t.Fatalf("store %q not found", store.Map.Name)
 	}
@@ -63,7 +64,7 @@ func TestSearchFarFromStoresFindsNothingIndoor(t *testing.T) {
 	product := w.Stores[0].Products[0]
 	// A corner of the city with no store nearby.
 	far := geo.LatLng{Lat: 40.4400, Lng: -79.9990}
-	for _, r := range c.Search(product, far, 10) {
+	for _, r := range c.SearchV2(context.Background(), product, far, 10) {
 		if r.Source != "world-map" && r.DistanceMeters < 100 {
 			t.Fatalf("unexpected nearby indoor hit: %+v", r)
 		}
@@ -77,7 +78,7 @@ func TestGeocodeHierarchicalAddress(t *testing.T) {
 	// "roasted seaweed shelf, Corner Grocery" — head resolved by the
 	// store's map, tail by the world provider (§5.2).
 	address := product + " shelf, " + store.Map.Name
-	got, err := c.Geocode(address)
+	got, err := c.GeocodeV2(context.Background(), address)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,17 +93,17 @@ func TestGeocodeHierarchicalAddress(t *testing.T) {
 
 func TestGeocodeWorldFallback(t *testing.T) {
 	_, _, c := worldFixture(t)
-	got, err := c.Geocode("2nd Street")
+	got, err := c.GeocodeV2(context.Background(), "2nd Street")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Name == "" {
 		t.Fatalf("geocode = %+v", got)
 	}
-	if _, err := c.Geocode(""); err == nil {
+	if _, err := c.GeocodeV2(context.Background(), ""); err == nil {
 		t.Fatal("empty address accepted")
 	}
-	if _, err := c.Geocode("xyzzy nowhere"); err == nil {
+	if _, err := c.GeocodeV2(context.Background(), "xyzzy nowhere"); err == nil {
 		t.Fatal("unresolvable address succeeded")
 	}
 }
@@ -110,7 +111,7 @@ func TestGeocodeWorldFallback(t *testing.T) {
 func TestReverseGeocode(t *testing.T) {
 	_, w, c := worldFixture(t)
 	store := w.Stores[0]
-	got, ok := c.ReverseGeocode(trueEntrance(store), 100)
+	got, ok := c.ReverseGeocodeV2(context.Background(), trueEntrance(store), 100)
 	if !ok {
 		t.Fatal("reverse geocode found nothing")
 	}
@@ -133,7 +134,7 @@ func TestLocalizeIndoorSelectsStoreFix(t *testing.T) {
 	if !ok {
 		t.Fatal("gps denied")
 	}
-	fix, ok := c.Localize(*gpsCue.GPS, []loc.Cue{cue}, *gpsCue.GPS, gps.IndoorSigmaMeters)
+	fix, ok := c.LocalizeV2(context.Background(), *gpsCue.GPS, []loc.Cue{cue}, *gpsCue.GPS, gps.IndoorSigmaMeters)
 	if !ok {
 		t.Fatal("no fix")
 	}
@@ -148,7 +149,7 @@ func TestLocalizeIndoorSelectsStoreFix(t *testing.T) {
 func TestLocalizeNoServers(t *testing.T) {
 	_, _, c := worldFixture(t)
 	far := geo.LatLng{Lat: 41, Lng: -78}
-	if _, ok := c.Localize(far, []loc.Cue{{Technology: loc.TechWiFiRSSI,
+	if _, ok := c.LocalizeV2(context.Background(), far, []loc.Cue{{Technology: loc.TechWiFiRSSI,
 		RSSI: map[string]float64{"x": -50}}}, far, 10); ok {
 		t.Fatal("localized with no servers")
 	}
@@ -158,7 +159,7 @@ func TestRouteOutdoorOnly(t *testing.T) {
 	_, _, c := worldFixture(t)
 	from := geo.LatLng{Lat: 40.4400, Lng: -79.9990}
 	to := geo.Offset(geo.Offset(from, 400, 0), 400, 90)
-	route, err := c.Route(from, to)
+	route, err := c.RouteV2(context.Background(), from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +177,12 @@ func TestRouteStreetToShelf(t *testing.T) {
 	_, w, c := worldFixture(t)
 	store := w.Stores[0]
 	product := store.Products[len(store.Products)-1]
-	shelf, err := c.Geocode(product + " shelf, " + store.Map.Name)
+	shelf, err := c.GeocodeV2(context.Background(), product+" shelf, "+store.Map.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	from := geo.LatLng{Lat: 40.4400, Lng: -79.9990} // far city corner
-	route, err := c.Route(from, shelf.Position)
+	route, err := c.RouteV2(context.Background(), from, shelf.Position)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestRouteStreetToShelf(t *testing.T) {
 func TestRouteNoServers(t *testing.T) {
 	_, _, c := worldFixture(t)
 	far := geo.LatLng{Lat: 10, Lng: 10}
-	if _, err := c.Route(far, geo.Offset(far, 100, 0)); err == nil {
+	if _, err := c.RouteV2(context.Background(), far, geo.Offset(far, 100, 0)); err == nil {
 		t.Fatal("route with no servers succeeded")
 	}
 }
@@ -222,12 +223,12 @@ func TestTileFetchAndRequestCount(t *testing.T) {
 	f, w, c := worldFixture(t)
 	store := w.Stores[0]
 	entrance := trueEntrance(store)
-	anns := c.Discover(entrance)
+	anns := c.DiscoverV2(context.Background(), entrance)
 	if len(anns) == 0 {
 		t.Fatal("nothing discovered")
 	}
 	before := c.RequestCount()
-	png, err := c.GetTilePNG(anns[0].URL, 17, 0, 0)
+	png, err := c.TilePNGV2(context.Background(), anns[0].URL, 17, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestIdentityHeadersForwarded(t *testing.T) {
 	c.User = "alice@cmu.edu"
 	c.App = "campus-nav"
 	store := w.Stores[0]
-	if got := c.Search(store.Products[0], trueEntrance(store), 5); len(got) == 0 {
+	if got := c.SearchV2(context.Background(), store.Products[0], trueEntrance(store), 5); len(got) == 0 {
 		t.Fatal("authenticated search failed")
 	}
 }
@@ -287,7 +288,7 @@ func TestLocalizeVisualCue(t *testing.T) {
 	truth := geo.Point{X: -6, Y: 14}
 	cue := loc.SynthesizeVisualCue(truth, store.Landmarks, 100, 0.05, rng)
 	entrance := trueEntrance(store)
-	fix, ok := c.Localize(entrance, []loc.Cue{cue}, entrance, 35)
+	fix, ok := c.LocalizeV2(context.Background(), entrance, []loc.Cue{cue}, entrance, 35)
 	if !ok {
 		t.Fatal("no visual fix")
 	}
@@ -310,7 +311,7 @@ func TestLocalizeMultiCueFusion(t *testing.T) {
 		loc.SynthesizeVisualCue(truth, store.Landmarks, 100, 0.03, rng),
 	}
 	entrance := trueEntrance(store)
-	fix, ok := c.Localize(entrance, cues, entrance, 35)
+	fix, ok := c.LocalizeV2(context.Background(), entrance, cues, entrance, 35)
 	if !ok {
 		t.Fatal("no fix")
 	}

@@ -103,7 +103,7 @@ func TestFanoutWallClockIsSlowestServerNotSum(t *testing.T) {
 	c.SearchRadiusMeters = 100
 
 	start := time.Now()
-	results := c.Search("hit", pos, 2*n)
+	results := c.SearchV2(context.Background(), "hit", pos, 2*n)
 	elapsed := time.Since(start)
 
 	sources := map[string]bool{}
@@ -128,14 +128,14 @@ func TestMaxConcurrencyOneIsSequential(t *testing.T) {
 	seq := fed.NewClient()
 	seq.MaxConcurrency = 1
 	start := time.Now()
-	seqResults := seq.Search("hit", pos, 2*n)
+	seqResults := seq.SearchV2(context.Background(), "hit", pos, 2*n)
 	elapsed := time.Since(start)
 	if elapsed < n*delay {
 		t.Fatalf("MaxConcurrency=1 took %v; want >= %v (sequential sum)", elapsed, n*delay)
 	}
 
 	conc := fed.NewClient()
-	concResults := conc.Search("hit", pos, 2*n)
+	concResults := conc.SearchV2(context.Background(), "hit", pos, 2*n)
 	if len(seqResults) != len(concResults) {
 		t.Fatalf("sequential found %d results, concurrent %d", len(seqResults), len(concResults))
 	}
@@ -178,19 +178,19 @@ func TestNeutralResilienceIsByteIdentical(t *testing.T) {
 		return b
 	}
 
-	a := marshal(base.Search(store.Products[0], entrance, 10))
-	b := marshal(withRes.Search(store.Products[0], entrance, 10))
+	a := marshal(base.SearchV2(context.Background(), store.Products[0], entrance, 10))
+	b := marshal(withRes.SearchV2(context.Background(), store.Products[0], entrance, 10))
 	if string(a) != string(b) {
 		t.Fatalf("Search diverged under neutral resilience:\nplain: %s\nres:   %s", a, b)
 	}
 
 	from := geo.LatLng{Lat: 40.4400, Lng: -79.9990}
 	to := geo.Offset(geo.Offset(from, 300, 0), 300, 90)
-	ra, err := base.Route(from, to)
+	ra, err := base.RouteV2(context.Background(), from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := withRes.Route(from, to)
+	rb, err := withRes.RouteV2(context.Background(), from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCancellationAbortsInFlight(t *testing.T) {
 	fed, pos, doubles := delayedFederation(t, n, 10*time.Second)
 	c := fed.NewClient()
 	// Prime discovery so the cancelled call is measuring the HTTP fan-out.
-	if anns := c.Discover(pos); len(anns) != n {
+	if anns := c.DiscoverV2(context.Background(), pos); len(anns) != n {
 		t.Fatalf("discovered %d servers, want %d", len(anns), n)
 	}
 
@@ -237,7 +237,7 @@ func TestCancellationAbortsInFlight(t *testing.T) {
 	}()
 
 	start := time.Now()
-	results := c.SearchCtx(ctx, "hit", pos, 10)
+	results := c.SearchV2(ctx, "hit", pos, 10)
 	elapsed := time.Since(start)
 	if elapsed > 2*time.Second {
 		t.Fatalf("cancelled search took %v; want prompt return", elapsed)
@@ -276,7 +276,7 @@ func TestPerServerTimeoutSkipsSlowServer(t *testing.T) {
 	c := fed.NewClient()
 	c.PerServerTimeout = 100 * time.Millisecond
 	start := time.Now()
-	results := c.Search("hit", pos, 2*n)
+	results := c.SearchV2(context.Background(), "hit", pos, 2*n)
 	elapsed := time.Since(start)
 	if elapsed > 2*time.Second {
 		t.Fatalf("search with hung member took %v", elapsed)
@@ -300,7 +300,7 @@ func TestCancelledDiscoveryAbortsLookups(t *testing.T) {
 	c := fed.NewClient()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if got := c.SearchCtx(ctx, "hit", pos, 10); len(got) != 0 {
+	if got := c.SearchV2(ctx, "hit", pos, 10); len(got) != 0 {
 		t.Fatalf("cancelled search returned %v", got)
 	}
 	for _, d := range doubles {

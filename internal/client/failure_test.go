@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestSearchSurvivesDeadStoreServer(t *testing.T) {
 	other.HTTP.Close()
 
 	c := f.NewClient()
-	if got := c.Search(store.Products[0], entrance, 10); len(got) == 0 {
+	if got := c.SearchV2(context.Background(), store.Products[0], entrance, 10); len(got) == 0 {
 		t.Fatal("search failed with an unrelated server down")
 	}
 }
@@ -58,7 +59,7 @@ func TestSearchDegradesWhenTargetStoreDies(t *testing.T) {
 	product := store.Products[0]
 
 	c := f.NewClient()
-	before := c.Search(product, entrance, 10)
+	before := c.SearchV2(context.Background(), product, entrance, 10)
 	if len(before) == 0 {
 		t.Fatal("setup: product not found")
 	}
@@ -73,7 +74,7 @@ func TestSearchDegradesWhenTargetStoreDies(t *testing.T) {
 	h.HTTP.Close()
 
 	c2 := f.NewClient()
-	after := c2.Search(product, entrance, 10)
+	after := c2.SearchV2(context.Background(), product, entrance, 10)
 	for _, r := range after {
 		if r.Source == name {
 			t.Fatalf("dead server %q produced result %+v", name, r)
@@ -96,7 +97,7 @@ func TestRouteSurvivesUnrelatedServerDown(t *testing.T) {
 	c := f.NewClient()
 	from := geo.LatLng{Lat: 40.4400, Lng: -79.9990}
 	to := geo.Offset(geo.Offset(from, 300, 0), 300, 90)
-	route, err := c.Route(from, to)
+	route, err := c.RouteV2(context.Background(), from, to)
 	if err != nil {
 		t.Fatalf("outdoor route failed with store server down: %v", err)
 	}
@@ -119,7 +120,7 @@ func TestLocalizeSurvivesPartialFailures(t *testing.T) {
 	entrance := trueEntrance(store)
 	c := f.NewClient()
 	cue := fixtureCue(t, store)
-	if _, ok := c.Localize(entrance, cue, entrance, 35); !ok {
+	if _, ok := c.LocalizeV2(context.Background(), entrance, cue, entrance, 35); !ok {
 		t.Fatal("localization failed with world map down")
 	}
 }

@@ -11,21 +11,18 @@ import (
 	"openflame/internal/wire"
 )
 
-// This file is the v2 API's option surface: every service has ONE ctx-first
+// This file is the API's option surface: every service has ONE ctx-first
 // method (SearchV2, GeocodeV2, ReverseGeocodeV2, LocalizeV2, RouteV2,
-// DiscoverV2, InfoV2, TilePNGV2) taking variadic CallOptions, replacing the
-// Foo/FooCtx/FooFanout/FooFanoutCtx wrapper triplets of the v1 surface
-// (kept in legacy.go as deprecated delegating wrappers). Options are scoped
-// to the call: they override the client-level knobs without mutating the
-// shared Client.
+// DiscoverV2, InfoV2, TilePNGV2) taking variadic CallOptions. Options are
+// scoped to the call: they override the client-level knobs without mutating
+// the shared Client.
 
 // Consistency selects the read-consistency contract of a v2 call.
 type Consistency int
 
 const (
 	// ConsistencyEventual is the default: any discovered replica may
-	// answer, with no ordering relation between successive reads — exactly
-	// the v1 client.
+	// answer, with no ordering relation between successive reads.
 	ConsistencyEventual Consistency = iota
 	// ConsistencySession threads a session token through the call: every
 	// answer returns the replica's high-water mark, every later sessioned
@@ -143,8 +140,7 @@ func (s *Session) Marks() map[string][]wire.SessionMark {
 type CallOption func(*callOpts)
 
 // callOpts is the resolved per-call configuration. The zero value
-// reproduces the client-level knobs exactly — a v2 call with no options is
-// byte-identical to its v1 wrapper.
+// reproduces the client-level knobs exactly.
 type callOpts struct {
 	maxServers  int
 	timeout     time.Duration

@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -133,7 +134,7 @@ func TestReplicaSetCostsOneRequest(t *testing.T) {
 	c := fed.NewClient()
 	c.SearchRadiusMeters = 100
 
-	results := c.Search("hit", pos, 10)
+	results := c.SearchV2(context.Background(), "hit", pos, 10)
 	if len(results) != 1 {
 		t.Fatalf("results = %+v, want exactly one (one group)", results)
 	}
@@ -146,7 +147,7 @@ func TestReplicaSetCostsOneRequest(t *testing.T) {
 	// Ten more queries: still one request each, all to the same replica
 	// (deterministic selection with no health data to differentiate).
 	for i := 0; i < 10; i++ {
-		c.Search("hit", pos, 10)
+		c.SearchV2(context.Background(), "hit", pos, 10)
 	}
 	if got := totalRequests(doubles); got != 11 {
 		t.Fatalf("federation saw %d requests after 11 queries, want 11", got)
@@ -167,7 +168,7 @@ func TestReplicaFailoverOnError(t *testing.T) {
 
 	c := fed.NewClient()
 	c.SearchRadiusMeters = 100
-	results := c.Search("hit", pos, 10)
+	results := c.SearchV2(context.Background(), "hit", pos, 10)
 	if len(results) != 1 || results[0].Source != "hot-01" {
 		t.Fatalf("failover results = %+v, want one hit from hot-01", results)
 	}
@@ -176,13 +177,13 @@ func TestReplicaFailoverOnError(t *testing.T) {
 	}
 	// Both siblings down: the third still answers.
 	doubles["hot-01"].fail.Store(true)
-	results = c.Search("hit", pos, 10)
+	results = c.SearchV2(context.Background(), "hit", pos, 10)
 	if len(results) != 1 || results[0].Source != "hot-02" {
 		t.Fatalf("double failover results = %+v, want hit from hot-02", results)
 	}
 	// Whole set down: the query degrades to empty, not to an error loop.
 	doubles["hot-02"].fail.Store(true)
-	if results := c.Search("hit", pos, 10); len(results) != 0 {
+	if results := c.SearchV2(context.Background(), "hit", pos, 10); len(results) != 0 {
 		t.Fatalf("all-down search returned %+v", results)
 	}
 }
@@ -204,7 +205,7 @@ func TestReplicaPlanDeterminism(t *testing.T) {
 	seq.MaxConcurrency = 1
 	seq.SearchRadiusMeters = 100
 
-	seqResults := seq.Search("hit", pos, 10)
+	seqResults := seq.SearchV2(context.Background(), "hit", pos, 10)
 	want := []string{"a-1", "b-1", "z-solo"}
 	if got := log.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sequential plan contacted %v, want %v", got, want)
@@ -215,7 +216,7 @@ func TestReplicaPlanDeterminism(t *testing.T) {
 
 	conc := fed.NewClient()
 	conc.SearchRadiusMeters = 100
-	concResults := conc.Search("hit", pos, 10)
+	concResults := conc.SearchV2(context.Background(), "hit", pos, 10)
 	if !reflect.DeepEqual(seqResults, concResults) {
 		t.Fatalf("concurrent merge diverged:\nseq:  %+v\nconc: %+v", seqResults, concResults)
 	}
@@ -238,11 +239,11 @@ func TestReplicaSelectionUsesHealth(t *testing.T) {
 
 	// Cold: no samples anywhere, discovery order wins → "a-slow" (sorts
 	// first) is contacted and records its 60ms EWMA.
-	c.Search("hit", pos, 10)
+	c.SearchV2(context.Background(), "hit", pos, 10)
 	// Second query: "b-fast" has no samples (EWMA 0 sorts below 60ms) → probed.
-	c.Search("hit", pos, 10)
+	c.SearchV2(context.Background(), "hit", pos, 10)
 	// Third query: both sampled; fast's EWMA is far lower → keeps traffic.
-	c.Search("hit", pos, 10)
+	c.SearchV2(context.Background(), "hit", pos, 10)
 	want := []string{"a-slow", "b-fast", "b-fast"}
 	if got := log.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("health-aware selection contacted %v, want %v", got, want)
@@ -265,14 +266,14 @@ func TestReplicaBreakerExcludesMember(t *testing.T) {
 	c.BreakerCooldown = time.Hour
 
 	// First query: hot-00 fails (breaker opens), sibling answers.
-	if results := c.Search("hit", pos, 10); len(results) != 1 || results[0].Source != "hot-01" {
+	if results := c.SearchV2(context.Background(), "hit", pos, 10); len(results) != 1 || results[0].Source != "hot-01" {
 		t.Fatalf("first search = %+v", results)
 	}
 	failedAfterFirst := doubles["hot-00"].requests.Load()
 	// Subsequent queries: the open breaker keeps hot-00 out of the plan
 	// entirely — no further HTTP reaches it.
 	for i := 0; i < 5; i++ {
-		if results := c.Search("hit", pos, 10); len(results) != 1 || results[0].Source != "hot-01" {
+		if results := c.SearchV2(context.Background(), "hit", pos, 10); len(results) != 1 || results[0].Source != "hot-01" {
 			t.Fatalf("search %d = %+v", i, results)
 		}
 	}

@@ -82,7 +82,7 @@ func TestRetryRecoversTransientServerError(t *testing.T) {
 	c.SearchRadiusMeters = 100
 	c.RetryPolicy = resilience.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}
 
-	results := c.Search("hit", pos, 10)
+	results := c.SearchV2(context.Background(), "hit", pos, 10)
 	if len(results) != 1 || results[0].Source != "srv-00" {
 		t.Fatalf("retry did not recover the transient 503: %v", results)
 	}
@@ -99,7 +99,7 @@ func TestTransientErrorNotRetriedWithoutPolicy(t *testing.T) {
 	c := fed.NewClient()
 	c.SearchRadiusMeters = 100
 
-	if results := c.Search("hit", pos, 10); len(results) != 0 {
+	if results := c.SearchV2(context.Background(), "hit", pos, 10); len(results) != 0 {
 		t.Fatalf("unexpected results from a failed member: %v", results)
 	}
 	if got := sched.Requests(); got != 1 {
@@ -118,7 +118,7 @@ func TestRetryBudgetCapsFanoutRetries(t *testing.T) {
 	c.MaxConcurrency = 1 // deterministic: servers visited in discovery order
 	c.RetryPolicy = resilience.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Budget: 1}
 
-	_ = c.Search("hit", pos, 10)
+	_ = c.SearchV2(context.Background(), "hit", pos, 10)
 	total := s0.Requests() + s1.Requests()
 	// 2 first attempts + exactly 1 budgeted retry.
 	if total != 3 {
@@ -145,7 +145,7 @@ func TestBreakerStopsContactingPersistentFailure(t *testing.T) {
 	// Searches 1 and 2 each hit the faulty member once and fail; the
 	// breaker trips at the threshold.
 	for i := 0; i < 2; i++ {
-		if results := c.Search("hit", pos, 10); len(results) != 1 || results[0].Source != "srv-01" {
+		if results := c.SearchV2(context.Background(), "hit", pos, 10); len(results) != 1 || results[0].Source != "srv-01" {
 			t.Fatalf("search %d: want only the healthy member's result, got %v", i+1, results)
 		}
 	}
@@ -155,7 +155,7 @@ func TestBreakerStopsContactingPersistentFailure(t *testing.T) {
 
 	// Searches 3..5: the open member must not be contacted at all.
 	for i := 0; i < 3; i++ {
-		_ = c.Search("hit", pos, 10)
+		_ = c.SearchV2(context.Background(), "hit", pos, 10)
 	}
 	if got := sched.Requests(); got != 2 {
 		t.Fatalf("open member saw %d requests, want 2 (excluded from fan-out while open)", got)
@@ -164,7 +164,7 @@ func TestBreakerStopsContactingPersistentFailure(t *testing.T) {
 	// After the cooldown, one half-open probe goes through, succeeds
 	// (the schedule recovered), and the member rejoins the merge.
 	clk.Advance(time.Minute)
-	results := c.Search("hit", pos, 10)
+	results := c.SearchV2(context.Background(), "hit", pos, 10)
 	srcs := map[string]bool{}
 	for _, r := range results {
 		srcs[r.Source] = true
@@ -200,12 +200,12 @@ func TestHedgingDiscardsStragglerWithoutLeak(t *testing.T) {
 	// Warm discovery and the HTTP connection pool so the goroutine
 	// baseline already includes a keep-alive connection; the hedged
 	// fan-out below must not add to it.
-	if results := c.Search("hit", pos, 10); len(results) != 1 {
+	if results := c.SearchV2(context.Background(), "hit", pos, 10); len(results) != 1 {
 		t.Fatalf("warm-up search failed: %v", results)
 	}
 	before := runtime.NumGoroutine()
 
-	results := c.Search("hit", pos, 10)
+	results := c.SearchV2(context.Background(), "hit", pos, 10)
 	if len(results) != 1 || results[0].Source != "srv-00" {
 		t.Fatalf("hedge did not win over the blackholed primary: %v", results)
 	}
@@ -237,7 +237,7 @@ func TestCancellationNotCountedAgainstServerHealth(t *testing.T) {
 	c := fed.NewClient()
 	c.SearchRadiusMeters = 100
 	c.Resilience = tr
-	if anns := c.Discover(pos); len(anns) != 2 {
+	if anns := c.DiscoverV2(context.Background(), pos); len(anns) != 2 {
 		t.Fatalf("discovered %d servers, want 2", len(anns))
 	}
 
@@ -257,7 +257,7 @@ func TestCancellationNotCountedAgainstServerHealth(t *testing.T) {
 		}
 		cancel()
 	}()
-	_ = c.SearchCtx(ctx, "hit", pos, 10)
+	_ = c.SearchV2(ctx, "hit", pos, 10)
 
 	for _, url := range urls {
 		h := tr.Health(url)
@@ -279,7 +279,7 @@ func TestServerErrorsAndTimeoutsCountAgainstHealth(t *testing.T) {
 	c.Resilience = tr
 	c.PerServerTimeout = 50 * time.Millisecond
 
-	_ = c.Search("hit", pos, 10)
+	_ = c.SearchV2(context.Background(), "hit", pos, 10)
 
 	for i, url := range urls {
 		h := tr.Health(url)
@@ -303,7 +303,7 @@ func TestPermanentRefusalNotChargedToHealth(t *testing.T) {
 	c.SearchRadiusMeters = 100
 	c.Resilience = tr
 
-	if results := c.Search("hit", pos, 10); len(results) != 0 {
+	if results := c.SearchV2(context.Background(), "hit", pos, 10); len(results) != 0 {
 		t.Fatalf("refused request produced results: %v", results)
 	}
 	if got := sched.Requests(); got != 1 {

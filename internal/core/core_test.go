@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func TestNewFederationEmpty(t *testing.T) {
 	defer f.Close()
 	c := f.NewClient()
 	// Nothing registered: discovery is empty everywhere.
-	if got := c.Discover(geo.LatLng{Lat: 40.44, Lng: -79.99}); len(got) != 0 {
+	if got := c.DiscoverV2(context.Background(), geo.LatLng{Lat: 40.44, Lng: -79.99}); len(got) != 0 {
 		t.Fatalf("empty federation discovered %v", got)
 	}
 }
@@ -53,7 +54,7 @@ func TestDeployWorld(t *testing.T) {
 	entrance := s0Entrance(w)
 	c := f.NewClient()
 	names := map[string]bool{}
-	for _, a := range c.Discover(entrance) {
+	for _, a := range c.DiscoverV2(context.Background(), entrance) {
 		names[a.Name] = true
 	}
 	if !names["world-map"] {
@@ -103,7 +104,7 @@ func TestAddFaultyServer(t *testing.T) {
 	c := f.NewClient()
 	c.RetryPolicy = resilience.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}
 	pos := geo.LatLng{Lat: 40.4400, Lng: -79.9990}
-	if got := c.Search("Street", pos, 5); len(got) == 0 {
+	if got := c.SearchV2(context.Background(), "Street", pos, 5); len(got) == 0 {
 		t.Fatal("search through the fault injector found nothing after retry")
 	}
 	if sched.Faulted() == 0 {
@@ -122,7 +123,7 @@ func TestClientHasWorldURL(t *testing.T) {
 	}
 	defer f.Close()
 	c := f.NewClient()
-	if _, err := c.Geocode("1st Street"); err != nil {
+	if _, err := c.GeocodeV2(context.Background(), "1st Street"); err != nil {
 		t.Fatalf("world geocode through client failed: %v", err)
 	}
 }

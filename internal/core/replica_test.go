@@ -220,7 +220,7 @@ func TestReplicaFailoverThroughNetsim(t *testing.T) {
 
 	c := f.NewClient()
 	pos := geo.LatLng{Lat: 40.4400, Lng: -79.9990}
-	results := c.Search("Street", pos, 5)
+	results := c.SearchV2(context.Background(), "Street", pos, 5)
 	if len(results) == 0 {
 		t.Fatal("search did not fail over to the healthy sibling")
 	}
@@ -293,7 +293,7 @@ func TestRemoveServerUnderLiveTraffic(t *testing.T) {
 	c := client.New(disc, &http.Client{Transport: ct})
 
 	pos := geo.LatLng{Lat: 40.4400, Lng: -79.9990}
-	if got := c.Search("Street", pos, 5); len(got) == 0 {
+	if got := c.SearchV2(context.Background(), "Street", pos, 5); len(got) == 0 {
 		t.Fatal("warmup search found nothing")
 	}
 	if ct.count(leaveHost) == 0 {
@@ -313,7 +313,7 @@ func TestRemoveServerUnderLiveTraffic(t *testing.T) {
 				return
 			default:
 			}
-			if got := c.Search("Street", pos, 5); len(got) == 0 {
+			if got := c.SearchV2(context.Background(), "Street", pos, 5); len(got) == 0 {
 				emptyResults++
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -336,7 +336,7 @@ func TestRemoveServerUnderLiveTraffic(t *testing.T) {
 		t.Fatalf("%d searches lost all results during churn", emptyResults)
 	}
 	// Discovery no longer lists the member at all.
-	for _, a := range c.Discover(pos) {
+	for _, a := range c.DiscoverV2(context.Background(), pos) {
 		if a.Name == "city-leave" {
 			t.Fatalf("departed member still discovered: %+v", a)
 		}

@@ -1,5 +1,5 @@
 // Package graph implements the routing substrate (§4): a weighted directed
-// graph built from OSM ways, classic shortest-path algorithms (Dijkstra, A*,
+// graph built from OSM ways, classic shortest-path algorithms (Dijkstra,
 // bidirectional Dijkstra), and Contraction Hierarchies — the preprocessing
 // technique the paper names for centralized route serving (§4.1, [11]).
 package graph
@@ -282,56 +282,6 @@ func (g *Graph) Dijkstra(src, dst int64) (Path, error) {
 				dist[e.to] = nd
 				prev[e.to] = u
 				heap.Push(q, pqItem{node: e.to, dist: nd})
-			}
-		}
-	}
-	return Path{Settled: settled}, ErrNoPath
-}
-
-// AStar computes the shortest path using a great-circle lower-bound
-// heuristic scaled by minSecondsPerMeter (the fastest traversal cost in the
-// graph; pass 0 to fall back to Dijkstra behaviour).
-func (g *Graph) AStar(src, dst int64, minSecondsPerMeter float64) (Path, error) {
-	s, ok := g.index[src]
-	if !ok {
-		return Path{}, fmt.Errorf("graph: unknown source %d", src)
-	}
-	t, ok := g.index[dst]
-	if !ok {
-		return Path{}, fmt.Errorf("graph: unknown target %d", dst)
-	}
-	h := func(n int32) float64 {
-		if minSecondsPerMeter <= 0 {
-			return 0
-		}
-		return geo.DistanceMeters(g.pos[n], g.pos[t]) * minSecondsPerMeter
-	}
-	dist := make([]float64, len(g.ids))
-	prev := make([]int32, len(g.ids))
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[s] = 0
-	q := &pq{{node: s, dist: h(s)}}
-	done := make([]bool, len(g.ids))
-	settled := 0
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		settled++
-		if u == t {
-			return Path{Nodes: g.walkPrev(prev, s, t), Cost: dist[t], Settled: settled}, nil
-		}
-		for _, e := range g.out[u] {
-			if nd := dist[u] + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				prev[e.to] = u
-				heap.Push(q, pqItem{node: e.to, dist: nd + h(e.to)})
 			}
 		}
 	}

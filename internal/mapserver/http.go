@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"openflame/internal/admission"
 	"openflame/internal/fanout"
@@ -104,6 +105,81 @@ func (p *Policy) Allow(svc wire.Service, user, app string) bool {
 	return p.Default.Allows(user, app)
 }
 
+// service is one row of the read-service table — everything the HTTP layer
+// knows about one of the six read services, in the one place they are
+// enumerated. The mux, the dedicated endpoints and /v1/batch are all driven
+// from it.
+type service struct {
+	name wire.Service
+	path string // the dedicated POST endpoint
+	// policy is the §5.3 policy service guarding it.
+	policy wire.Service
+	// decode parses one request body into the service's typed request.
+	decode func(body []byte) (wire.ConsistencyCarrier, error)
+	// compute answers a decoded request. The response is the caller's own
+	// copy, so attaching a session mark (SetSession) never mutates an entry
+	// shared through the query cache.
+	compute func(s *Server, ctx context.Context, req wire.ConsistencyCarrier) wire.SessionCarrier
+}
+
+// services is the table. Routematrix falls under the route policy — it
+// prices the same legs a route exposes. Localize is the one uncached row.
+var services = []service{
+	newService(wire.SvcGeocode, wire.SvcGeocode, cached(wire.SvcGeocode, (*Server).geocodeUncached)),
+	newService(wire.SvcRGeocode, wire.SvcRGeocode, cached(wire.SvcRGeocode, (*Server).rgeocodeUncached)),
+	newService(wire.SvcSearch, wire.SvcSearch, cached(wire.SvcSearch, (*Server).searchUncached)),
+	newService(wire.SvcRoute, wire.SvcRoute, cached(wire.SvcRoute, (*Server).routeUncached)),
+	newService(wire.SvcRouteMatrix, wire.SvcRoute, cached(wire.SvcRouteMatrix, (*Server).routeMatrixUncached)),
+	newService(wire.SvcLocalize, wire.SvcLocalize,
+		func(s *Server, _ context.Context, req wire.LocalizeRequest) wire.LocalizeResponse {
+			return s.Localize(req)
+		}),
+}
+
+// newService binds one service's request and response types into a table
+// row.
+func newService[Req, Resp any, PReq interface {
+	*Req
+	wire.ConsistencyCarrier
+}, PResp interface {
+	*Resp
+	wire.SessionCarrier
+}](name, policy wire.Service, compute func(*Server, context.Context, Req) Resp) service {
+	return service{
+		name: name, path: "/" + string(name), policy: policy,
+		decode: func(body []byte) (wire.ConsistencyCarrier, error) {
+			req := PReq(new(Req))
+			return req, decodeJSON(body, req)
+		},
+		compute: func(s *Server, ctx context.Context, req wire.ConsistencyCarrier) wire.SessionCarrier {
+			resp := compute(s, ctx, *req.(PReq))
+			return PResp(&resp)
+		},
+	}
+}
+
+// cached routes a service's compute through the query cache: the single
+// compute path shared by the dedicated endpoints, /v1/batch and the watch
+// hub, so all of them hit the same entries. ctx rides into the cache layer:
+// a cancelled request never starts a compute and a singleflight follower
+// detaches instead of waiting on a leader whose answer it will never send.
+func cached[Req, Resp any](svc wire.Service, compute func(*Server, Req) Resp) func(*Server, context.Context, Req) Resp {
+	return func(s *Server, ctx context.Context, req Req) Resp {
+		return cachedQuery(ctx, s, svc, req, func(r Req) Resp { return compute(s, r) })
+	}
+}
+
+// lookupService finds a table row by service name (nil = not a read
+// service).
+func lookupService(name wire.Service) *service {
+	for i := range services {
+		if services[i].name == name {
+			return &services[i]
+		}
+	}
+	return nil
+}
+
 // Handler returns the server's HTTP interface. Every request honors its
 // r.Context(): when the client disconnects or cancels mid-request (a
 // federated client skipping a slow member, §5.2), the response is abandoned
@@ -120,17 +196,15 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set(HeaderGeneration, strconv.FormatUint(s.Generation(), 10))
 		respond(w, r, func() (interface{}, int, string) { return s.Info(), http.StatusOK, "" })
 	})
-	mux.HandleFunc("/geocode", s.admit(s.jsonEndpoint(wire.SvcGeocode)))
-	mux.HandleFunc("/rgeocode", s.admit(s.jsonEndpoint(wire.SvcRGeocode)))
-	mux.HandleFunc("/search", s.admit(s.jsonEndpoint(wire.SvcSearch)))
-	mux.HandleFunc("/route", s.admit(s.jsonEndpoint(wire.SvcRoute)))
-	mux.HandleFunc("/routematrix", s.admit(s.jsonEndpoint(wire.SvcRouteMatrix)))
-	mux.HandleFunc("/localize", s.admit(s.jsonEndpoint(wire.SvcLocalize)))
+	for i := range services {
+		mux.HandleFunc(services[i].path, s.admit(s.jsonEndpoint(&services[i])))
+	}
 	mux.HandleFunc("/v1/batch", s.admit(s.handleBatch))
 	// /v1/watch holds a connection for the subscription's lifetime, so it
 	// sits behind the hub's watcher bound instead of the request admission
-	// gate (a stream is not a request).
-	mux.HandleFunc("/v1/watch", s.guard(policyService(wire.SvcWatch), s.handleWatch))
+	// gate (a stream is not a request). It falls under the search policy: a
+	// watch stream exposes exactly the data a search exposes.
+	mux.HandleFunc("/v1/watch", s.guard(wire.SvcSearch, s.handleWatch))
 	mux.HandleFunc("/v1/changes", s.guard(wire.SvcChanges, s.handleChanges))
 	mux.HandleFunc("/tiles/", s.admit(s.guard(wire.SvcTiles, s.handleTile)))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -152,7 +226,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 		release, err := s.adm.Acquire(r.Context().Done())
 		if err != nil {
 			if errors.Is(err, admission.ErrShed) {
-				s.shed(w)
+				s.shed.write(w)
 			} else {
 				// The caller hung up while queued; nobody reads this.
 				httpError(w, http.StatusServiceUnavailable, "request cancelled")
@@ -164,57 +238,34 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// shed answers one refused request: 429 + Retry-After with the body and
-// header value rendered once at construction, keeping the refusal
-// allocation-light.
-func (s *Server) shed(w http.ResponseWriter) {
+// shedResponse is one 429 + Retry-After refusal, rendered once at
+// construction so refusing costs a header write and one buffer copy, not a
+// JSON encode per refused request.
+type shedResponse struct {
+	body       []byte
+	retryAfter string
+}
+
+// renderShed pre-renders a refusal carrying msg and the backoff hint
+// (rounded to integral seconds, at least 1 — the HTTP delay-seconds form).
+func renderShed(msg string, retryAfter time.Duration) (shedResponse, error) {
+	secs := int(retryAfter.Round(time.Second) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	body, err := json.Marshal(wire.ErrorResponse{Error: msg, RetryAfterSeconds: secs})
+	if err != nil {
+		return shedResponse{}, fmt.Errorf("mapserver: render shed body: %w", err)
+	}
+	return shedResponse{body: append(body, '\n'), retryAfter: strconv.Itoa(secs)}, nil
+}
+
+func (sr shedResponse) write(w http.ResponseWriter) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set(wire.RetryAfterHeader, s.shedRetryAfter)
+	h.Set(wire.RetryAfterHeader, sr.retryAfter)
 	w.WriteHeader(wire.StatusOverloaded)
-	_, _ = w.Write(s.shedBody)
-}
-
-// policyService maps an endpoint's service name to the policy service
-// guarding it: routematrix falls under the route policy, exactly as its
-// dedicated endpoint always has, and watch falls under search — a watch
-// stream exposes exactly the data a search exposes.
-func policyService(svc wire.Service) wire.Service {
-	switch svc {
-	case wire.SvcRouteMatrix:
-		return wire.SvcRoute
-	case wire.SvcWatch:
-		return wire.SvcSearch
-	}
-	return svc
-}
-
-// decodeRequest validates one service request body into its typed request.
-// The returned status is the HTTP status the request earns on its own
-// endpoint when decoding fails (400/404); 200 means req is ready for
-// compute.
-func decodeRequest(svc wire.Service, body []byte) (interface{}, int, string) {
-	var req interface{}
-	switch svc {
-	case wire.SvcGeocode:
-		req = new(wire.GeocodeRequest)
-	case wire.SvcRGeocode:
-		req = new(wire.RGeocodeRequest)
-	case wire.SvcSearch:
-		req = new(wire.SearchRequest)
-	case wire.SvcRoute:
-		req = new(wire.RouteRequest)
-	case wire.SvcRouteMatrix:
-		req = new(wire.RouteMatrixRequest)
-	case wire.SvcLocalize:
-		req = new(wire.LocalizeRequest)
-	default:
-		return nil, http.StatusNotFound, fmt.Sprintf("unknown service %q", svc)
-	}
-	if err := decodeJSON(body, req); err != nil {
-		return nil, http.StatusBadRequest, "bad request body: " + err.Error()
-	}
-	return req, http.StatusOK, ""
+	_, _ = w.Write(sr.body)
 }
 
 // decodeJSON decodes the first JSON value in body, tolerating trailing
@@ -222,51 +273,6 @@ func decodeRequest(svc wire.Service, body []byte) (interface{}, int, string) {
 // body) always did.
 func decodeJSON(body []byte, v interface{}) error {
 	return json.NewDecoder(bytes.NewReader(body)).Decode(v)
-}
-
-// knownService reports whether the service has a dedicated endpoint —
-// checked before policy so an unknown service earns the same 404 it gets
-// from the mux, not a policy 403.
-func knownService(svc wire.Service) bool {
-	switch svc {
-	case wire.SvcGeocode, wire.SvcRGeocode, wire.SvcSearch,
-		wire.SvcRoute, wire.SvcRouteMatrix, wire.SvcLocalize:
-		return true
-	}
-	return false
-}
-
-// computeCtx answers one decoded service request — the single compute path
-// shared by the dedicated endpoints and /v1/batch, so both faces hit the
-// same query cache. ctx rides into the cache layer: a cancelled request
-// never starts a compute and a singleflight follower detaches instead of
-// waiting on a leader whose answer it will never send.
-func (s *Server) computeCtx(ctx context.Context, req interface{}) interface{} {
-	switch r := req.(type) {
-	case *wire.GeocodeRequest:
-		return s.geocodeCtx(ctx, *r)
-	case *wire.RGeocodeRequest:
-		return s.rgeocodeCtx(ctx, *r)
-	case *wire.SearchRequest:
-		return s.searchCtx(ctx, *r)
-	case *wire.RouteRequest:
-		return s.routeCtx(ctx, *r)
-	case *wire.RouteMatrixRequest:
-		return s.routeMatrixCtx(ctx, *r)
-	case *wire.LocalizeRequest:
-		return s.Localize(*r)
-	}
-	return nil
-}
-
-// takeConsistency strips the session envelope off a decoded request (so
-// the compute path — and with it the query cache key — never sees it) and
-// returns it. Requests without an envelope field yield nil.
-func takeConsistency(req interface{}) *wire.ReadConsistency {
-	if cc, ok := req.(wire.ConsistencyCarrier); ok {
-		return cc.TakeConsistency()
-	}
-	return nil
 }
 
 // staleError renders the wire.StatusStaleReplica message: the first mark
@@ -285,133 +291,109 @@ func (s *Server) staleError(rc *wire.ReadConsistency) string {
 	return "stale replica"
 }
 
-// withSession returns the response with the session mark attached. v is a
-// value copy of the (possibly cached) response, so the shared cached entry
-// is never mutated.
-func withSession(v interface{}, m *wire.SessionMark) interface{} {
-	switch r := v.(type) {
-	case wire.GeocodeResponse:
-		r.Session = m
-		return r
-	case wire.RGeocodeResponse:
-		r.Session = m
-		return r
-	case wire.SearchResponse:
-		r.Session = m
-		return r
-	case wire.RouteResponse:
-		r.Session = m
-		return r
-	case wire.RouteMatrixResponse:
-		r.Session = m
-		return r
-	case wire.LocalizeResponse:
-		r.Session = m
-		return r
-	}
-	return v
+// refuseStale writes a stale-replica refusal. It carries this server's
+// current mark so a client holding a mark from a dead incarnation of THIS
+// server can heal (see wire.ErrorResponse).
+func (s *Server) refuseStale(w http.ResponseWriter, msg string) {
+	m := s.SessionMark()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(wire.StatusStaleReplica)
+	_ = json.NewEncoder(w).Encode(wire.ErrorResponse{Error: msg, Session: &m})
 }
 
-// dispatch decodes and answers one service request body, honoring its
-// session envelope: a read positioned behind the requested mark earns
-// wire.StatusStaleReplica (after the configured anti-entropy grace), and a
-// sessioned answer carries the server's updated mark — taken AFTER the
-// compute, so the mark covers every write the answer reflects.
+// read is the one read pipeline, shared by the dedicated endpoints and
+// /v1/batch items. ctx is re-checked between stages, so a caller that hung
+// up mid-pipeline earns 503 immediately and never starts the next stage:
 //
-// ctx is re-checked between every stage (decode → freshness wait →
-// compute): a caller that hung up mid-pipeline earns 503 immediately and
-// never starts the expensive stage. In particular a WaitFresh abandoned by
-// cancellation answers 503, not 412 — the replica was not proven stale,
-// the caller just stopped waiting for the proof.
-func (s *Server) dispatch(ctx context.Context, svc wire.Service, body []byte) (interface{}, int, string) {
-	req, status, msg := decodeRequest(svc, body)
-	if status != http.StatusOK {
-		return nil, status, msg
+//	decode    — a malformed body earns 400.
+//	freshness — the session envelope is stripped off the request (the
+//	            compute path, and with it the query cache key, never sees
+//	            it) and gates the read: a replica behind a requested mark
+//	            answers wire.StatusStaleReplica after the anti-entropy
+//	            grace. A wait abandoned by cancellation answers 503, not
+//	            412 — the replica was not proven stale.
+//	gate      — the caller's hook (nil = none), run on the calling
+//	            goroutine; it decides whether and how the rest runs. The
+//	            dedicated endpoints revalidate here — AFTER freshness: a
+//	            lagging replica must refuse a read rather than call the
+//	            reader's cached copy current from its own stale view.
+//	compute   — the service's table row.
+//	mark      — a sessioned answer carries the server's mark, taken AFTER
+//	            the compute so it covers every write the answer reflects.
+//
+// It returns what an answerFunc does.
+func (s *Server) read(ctx context.Context, svc *service, body []byte,
+	gate func(rest answerFunc) (interface{}, int, string)) (interface{}, int, string) {
+	req, err := svc.decode(body)
+	if err != nil {
+		return nil, http.StatusBadRequest, "bad request body: " + err.Error()
 	}
 	if ctx.Err() != nil {
 		return nil, http.StatusServiceUnavailable, "request cancelled"
 	}
-	rc := takeConsistency(req)
+	rc := req.TakeConsistency()
 	if !s.WaitFresh(ctx, rc) {
 		if ctx.Err() != nil {
 			return nil, http.StatusServiceUnavailable, "request cancelled"
 		}
 		return nil, wire.StatusStaleReplica, s.staleError(rc)
 	}
-	if ctx.Err() != nil {
-		return nil, http.StatusServiceUnavailable, "request cancelled"
+	rest := func() (interface{}, int, string) {
+		if ctx.Err() != nil {
+			return nil, http.StatusServiceUnavailable, "request cancelled"
+		}
+		v := svc.compute(s, ctx, req)
+		if ctx.Err() != nil {
+			// A detached singleflight follower carries a zero value;
+			// never dress it up as a 200.
+			return nil, http.StatusServiceUnavailable, "request cancelled"
+		}
+		if rc != nil {
+			m := s.SessionMark()
+			v.SetSession(&m)
+		}
+		return v, http.StatusOK, ""
 	}
-	v := s.computeCtx(ctx, req)
-	if ctx.Err() != nil {
-		return nil, http.StatusServiceUnavailable, "request cancelled"
+	if gate != nil {
+		return gate(rest)
 	}
-	if rc != nil {
-		m := s.SessionMark()
-		v = withSession(v, &m)
-	}
-	return v, http.StatusOK, ""
+	return rest()
 }
 
-// jsonEndpoint serves one POST JSON service with the §5.3 policy guard,
-// generation/ETag headers, and If-None-Match revalidation: a request whose
-// ETag (map generation + request hash) still matches is answered 304
-// without recomputing anything. Only requests that decode successfully are
+// jsonEndpoint serves one table row's dedicated POST endpoint: the §5.3
+// policy guard, then the read pipeline with a gate that stamps the
+// generation/ETag headers, answers If-None-Match revalidation — a request
+// whose ETag (map generation + request hash) still matches earns 304
+// without recomputing anything — and otherwise runs the compute off the
+// handler goroutine (see await). Only requests that decode successfully are
 // ETagged — a malformed body always earns its 400, never a 304.
-func (s *Server) jsonEndpoint(svc wire.Service) http.HandlerFunc {
-	return s.guard(policyService(svc), func(w http.ResponseWriter, r *http.Request) {
+func (s *Server) jsonEndpoint(svc *service) http.HandlerFunc {
+	return s.guard(svc.policy, func(w http.ResponseWriter, r *http.Request) {
 		body, ok := readBody(w, r, s.cfg.MaxBodyBytes)
 		if !ok {
 			return
 		}
-		req, status, msg := decodeRequest(svc, body)
-		if status != http.StatusOK {
-			httpError(w, status, msg)
-			return
-		}
-		if r.Context().Err() != nil {
-			httpError(w, http.StatusServiceUnavailable, "request cancelled")
-			return
-		}
-		// Session consistency gates BEFORE revalidation: a lagging replica
-		// must refuse (or wait out) a read it cannot honor rather than claim
-		// the reader's cached copy is current from its own stale view. The
-		// refusal carries this server's current mark so a client holding a
-		// mark from a dead incarnation of THIS server can heal (see
-		// wire.ErrorResponse).
-		rc := takeConsistency(req)
-		if !s.WaitFresh(r.Context(), rc) {
-			// A wait abandoned by cancellation is not a staleness verdict.
-			if r.Context().Err() != nil {
-				httpError(w, http.StatusServiceUnavailable, "request cancelled")
-				return
+		ctx := r.Context()
+		v, status, msg := s.read(ctx, svc, body, func(rest answerFunc) (interface{}, int, string) {
+			gen := s.Generation()
+			etag := etagFor(gen, string(svc.name), r.Header.Get(HeaderUser), r.Header.Get(HeaderApp), body)
+			w.Header().Set(HeaderGeneration, strconv.FormatUint(gen, 10))
+			w.Header().Set("ETag", etag)
+			if notModified(r, etag) {
+				return nil, http.StatusNotModified, ""
 			}
-			m := s.SessionMark()
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(wire.StatusStaleReplica)
-			_ = json.NewEncoder(w).Encode(wire.ErrorResponse{Error: s.staleError(rc), Session: &m})
-			return
-		}
-		gen := s.Generation()
-		etag := etagFor(gen, string(svc), r.Header.Get(HeaderUser), r.Header.Get(HeaderApp), body)
-		w.Header().Set(HeaderGeneration, strconv.FormatUint(gen, 10))
-		w.Header().Set("ETag", etag)
-		if notModified(r, etag) {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		respond(w, r, func() (interface{}, int, string) {
-			v := s.computeCtx(r.Context(), req)
-			if r.Context().Err() != nil {
-				// A detached singleflight follower carries a zero value;
-				// never dress it up as a 200.
-				return nil, http.StatusServiceUnavailable, "request cancelled"
-			}
-			if rc != nil {
-				m := s.SessionMark()
-				v = withSession(v, &m)
-			}
-			return v, http.StatusOK, ""
+			return await(ctx, rest)
 		})
+		switch status {
+		case http.StatusOK:
+			writeJSON(w, v)
+		case http.StatusNotModified:
+			w.WriteHeader(status)
+		case wire.StatusStaleReplica:
+			s.refuseStale(w, msg)
+		default:
+			httpError(w, status, msg)
+		}
 	})
 }
 
@@ -488,25 +470,26 @@ func batchCarriesConsistency(breq wire.BatchRequest) bool {
 
 // batchItem answers one batch sub-request with its individual status,
 // mirroring the dedicated endpoint's order: unknown service 404, then
-// policy 403, then decode 400, then stale-replica 412, then compute. Item
-// bodies are full service requests, so session envelopes ride through
-// batches unchanged: a stale item fails alone (the client re-runs it
-// per-call against a sibling) and a fresh item's response body carries the
-// updated mark.
+// policy 403, then the read pipeline (decode 400, stale-replica 412,
+// compute). Item bodies are full service requests, so session envelopes
+// ride through batches unchanged: a stale item fails alone (the client
+// re-runs it per-call against a sibling) and a fresh item's response body
+// carries the updated mark.
 func (s *Server) batchItem(ctx context.Context, it wire.BatchItem, user, app string) wire.BatchItemResult {
-	if !knownService(it.Service) {
+	svc := lookupService(it.Service)
+	if svc == nil {
 		return wire.BatchItemResult{
 			Status: http.StatusNotFound,
 			Error:  fmt.Sprintf("unknown service %q", it.Service),
 		}
 	}
-	if !s.auth.Allow(policyService(it.Service), user, app) {
+	if !s.auth.Allow(svc.policy, user, app) {
 		return wire.BatchItemResult{
 			Status: http.StatusForbidden,
 			Error:  fmt.Sprintf("access to %s denied by policy", it.Service),
 		}
 	}
-	v, status, msg := s.dispatch(ctx, it.Service, it.Body)
+	v, status, msg := s.read(ctx, svc, it.Body, nil)
 	if status != http.StatusOK {
 		return wire.BatchItemResult{Status: status, Error: msg}
 	}
@@ -569,6 +552,10 @@ func notModified(r *http.Request, etag string) bool {
 	return false
 }
 
+// answerFunc produces one answer: the response value and the HTTP status it
+// earns, or a non-200 status and its error message.
+type answerFunc func() (interface{}, int, string)
+
 // maxOrphanedComputes bounds computations abandoned by cancelled requests
 // that are still running in the background. Past the bound, cancelled
 // handlers block until their computation finishes — restoring the old
@@ -578,18 +565,14 @@ const maxOrphanedComputes = 64
 
 var orphanBudget = make(chan struct{}, maxOrphanedComputes)
 
-// respond computes the response and writes it as JSON, honoring the
-// request context: a request already cancelled is never computed, and one
-// cancelled mid-compute is answered with 503 while the computation finishes
-// (and is discarded) in the background — the handler goroutine, and with it
-// the client's connection slot, is released immediately (up to the orphan
-// bound above). compute returns the value plus the HTTP status to answer
-// with; a non-200 status writes an ErrorResponse carrying the message.
-func respond(w http.ResponseWriter, r *http.Request, compute func() (interface{}, int, string)) {
-	ctx := r.Context()
+// await runs compute off the calling goroutine, honoring ctx: a request
+// already cancelled is never computed, and one cancelled mid-compute is
+// answered with 503 while the computation finishes (and is discarded) in
+// the background — the handler goroutine, and with it the client's
+// connection slot, is released immediately (up to the orphan bound above).
+func await(ctx context.Context, compute answerFunc) (interface{}, int, string) {
 	if ctx.Err() != nil {
-		httpError(w, http.StatusServiceUnavailable, "request cancelled")
-		return
+		return nil, http.StatusServiceUnavailable, "request cancelled"
 	}
 	type result struct {
 		v      interface{}
@@ -603,19 +586,26 @@ func respond(w http.ResponseWriter, r *http.Request, compute func() (interface{}
 	}()
 	select {
 	case res := <-done:
-		if res.status != http.StatusOK {
-			httpError(w, res.status, res.errMsg)
-			return
-		}
-		writeJSON(w, res.v)
+		return res.v, res.status, res.errMsg
 	case <-ctx.Done():
 		select {
 		case orphanBudget <- struct{}{}:
 			go func() { <-done; <-orphanBudget }() // drain in the background
 		case <-done: // budget exhausted: wait it out (back-pressure)
 		}
-		httpError(w, http.StatusServiceUnavailable, "request cancelled")
+		return nil, http.StatusServiceUnavailable, "request cancelled"
 	}
+}
+
+// respond awaits compute and writes its answer: the value as JSON, or an
+// ErrorResponse carrying the message under a non-200 status.
+func respond(w http.ResponseWriter, r *http.Request, compute answerFunc) {
+	v, status, msg := await(r.Context(), compute)
+	if status != http.StatusOK {
+		httpError(w, status, msg)
+		return
+	}
+	writeJSON(w, v)
 }
 
 // guard wraps a handler with the §5.3 policy check.

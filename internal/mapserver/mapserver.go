@@ -7,11 +7,9 @@ package mapserver
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,7 +139,6 @@ type Server struct {
 	searcher *search.Searcher
 	g        *graph.Graph
 	gDist    *graph.Graph // distance-weighted variant for MetricDistance
-	minSPM   float64      // fastest seconds-per-meter, for A* and estimates
 	fpdb     *loc.FingerprintDB
 	fiducial *loc.FiducialIndex
 	visual   *loc.VisualIndex
@@ -152,20 +149,17 @@ type Server struct {
 	portals  []wire.Portal
 	auth     *Policy
 
-	// adm gates the HTTP serving path (nil = admission off). shedBody and
-	// shedRetryAfter are the pre-rendered 429 response, built once so the
-	// shed path allocates nothing per refusal.
-	adm            *admission.Controller
-	shedBody       []byte
-	shedRetryAfter string
+	// adm gates the HTTP serving path (nil = admission off); shed is its
+	// pre-rendered 429.
+	adm  *admission.Controller
+	shed shedResponse
 
 	// hub is the watch subscription registry (one change-log drain feeding
-	// every watcher, see internal/watch); watchShedBody/watchRetryAfter are
-	// its pre-rendered 429, built unconditionally because the watcher bound
-	// exists even when request admission is off.
-	hub             *watch.Hub
-	watchShedBody   []byte
-	watchRetryAfter string
+	// every watcher, see internal/watch); watchShed is its pre-rendered 429,
+	// built unconditionally because the watcher bound exists even when
+	// request admission is off.
+	hub       *watch.Hub
+	watchShed shedResponse
 
 	// chTime/chDist hold the contraction hierarchies over the time- and
 	// distance-weighted graphs. They are built in the background at
@@ -219,6 +213,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxBatchBodyBytes = DefaultMaxBatchBodyBytes
 	}
 	s := &Server{cfg: cfg, auth: cfg.Auth, syncPos: make(map[string]syncPosition)}
+	retryAfter := admission.DefaultRetryAfter
 	if cfg.MaxInFlight > 0 {
 		s.adm = admission.New(admission.Config{
 			MaxInFlight: cfg.MaxInFlight,
@@ -226,21 +221,14 @@ func New(cfg Config) (*Server, error) {
 			QueueWait:   cfg.QueueWait,
 			RetryAfter:  cfg.RetryAfter,
 		})
-		// Pre-render the shed response: refusing must cost a header write
-		// and one buffer copy, not a JSON encode per refused request.
-		secs := int(s.adm.RetryAfter().Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		s.shedRetryAfter = strconv.Itoa(secs)
-		body, err := json.Marshal(wire.ErrorResponse{
-			Error:             "overloaded: request shed, retry later",
-			RetryAfterSeconds: secs,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("mapserver: render shed body: %w", err)
-		}
-		s.shedBody = append(body, '\n')
+		retryAfter = s.adm.RetryAfter()
+	}
+	var err error
+	if s.shed, err = renderShed("overloaded: request shed, retry later", retryAfter); err != nil {
+		return nil, err
+	}
+	if s.watchShed, err = renderShed("overloaded: watcher limit reached, retry later", retryAfter); err != nil {
+		return nil, err
 	}
 	if cfg.Store != nil {
 		s.store = cfg.Store
@@ -265,7 +253,6 @@ func New(cfg Config) (*Server, error) {
 	} else {
 		close(s.chReady)
 	}
-	s.minSPM = 1.0 / 1.4
 
 	region := cfg.Coverage
 	if region == nil {
@@ -307,31 +294,15 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	// The watch hub drains the store's change log once for every watcher
-	// and evaluates standing queries through searchCtx — i.e. through the
-	// generation-keyed query cache, so a delta batch touching K groups of
-	// one hot tile still computes once.
+	// and evaluates standing queries through the generation-keyed query
+	// cache, so a delta batch touching K groups of one hot tile still
+	// computes once.
 	s.hub = watch.New(watch.Config{
 		Source:      storeSource{st: s.store},
 		Eval:        s.watchEval,
 		Mark:        s.SessionMark,
 		MaxWatchers: cfg.MaxWatchers,
 	})
-	secs := int(admission.DefaultRetryAfter.Round(time.Second) / time.Second)
-	if s.adm != nil {
-		secs = int(s.adm.RetryAfter().Round(time.Second) / time.Second)
-	}
-	if secs < 1 {
-		secs = 1
-	}
-	s.watchRetryAfter = strconv.Itoa(secs)
-	wbody, err := json.Marshal(wire.ErrorResponse{
-		Error:             "overloaded: watcher limit reached, retry later",
-		RetryAfterSeconds: secs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("mapserver: render watch shed body: %w", err)
-	}
-	s.watchShedBody = append(wbody, '\n')
 
 	// Portals: nodes tagged flame:portal, advertised with world positions.
 	// The store's reserved portal posting list replaces the old full-map
@@ -440,14 +411,7 @@ func (s *Server) AdmissionStats() admission.Stats { return s.adm.Stats() }
 // one is configured; like all cached services, the response must be
 // treated as immutable by callers).
 func (s *Server) Geocode(req wire.GeocodeRequest) wire.GeocodeResponse {
-	return s.geocodeCtx(context.Background(), req)
-}
-
-// geocodeCtx is Geocode under a request context: a caller that hung up
-// never starts the compute, and a singleflight follower detaches instead
-// of waiting for a leader nobody is listening to anymore.
-func (s *Server) geocodeCtx(ctx context.Context, req wire.GeocodeRequest) wire.GeocodeResponse {
-	return cachedQuery(ctx, s, wire.SvcGeocode, req, s.geocodeUncached)
+	return cachedQuery(context.Background(), s, wire.SvcGeocode, req, s.geocodeUncached)
 }
 
 func (s *Server) geocodeUncached(req wire.GeocodeRequest) wire.GeocodeResponse {
@@ -472,11 +436,7 @@ func (s *Server) toWireGeocode(r geocode.Result) wire.GeocodeResult {
 
 // RGeocode answers a reverse-geocode request.
 func (s *Server) RGeocode(req wire.RGeocodeRequest) wire.RGeocodeResponse {
-	return s.rgeocodeCtx(context.Background(), req)
-}
-
-func (s *Server) rgeocodeCtx(ctx context.Context, req wire.RGeocodeRequest) wire.RGeocodeResponse {
-	return cachedQuery(ctx, s, wire.SvcRGeocode, req, s.rgeocodeUncached)
+	return cachedQuery(context.Background(), s, wire.SvcRGeocode, req, s.rgeocodeUncached)
 }
 
 func (s *Server) rgeocodeUncached(req wire.RGeocodeRequest) wire.RGeocodeResponse {
@@ -494,11 +454,7 @@ func (s *Server) rgeocodeUncached(req wire.RGeocodeRequest) wire.RGeocodeRespons
 // Search answers a location-based search, tagging results with the server
 // name so the client can attribute merged results (§5.2).
 func (s *Server) Search(req wire.SearchRequest) wire.SearchResponse {
-	return s.searchCtx(context.Background(), req)
-}
-
-func (s *Server) searchCtx(ctx context.Context, req wire.SearchRequest) wire.SearchResponse {
-	return cachedQuery(ctx, s, wire.SvcSearch, req, s.searchUncached)
+	return cachedQuery(context.Background(), s, wire.SvcSearch, req, s.searchUncached)
 }
 
 func (s *Server) searchUncached(req wire.SearchRequest) wire.SearchResponse {
@@ -534,11 +490,7 @@ func (s *Server) snapNode(ll geo.LatLng) (int64, bool) {
 // Route answers an in-map routing request (§5.2: each server calculates the
 // route relevant to the region it covers).
 func (s *Server) Route(req wire.RouteRequest) wire.RouteResponse {
-	return s.routeCtx(context.Background(), req)
-}
-
-func (s *Server) routeCtx(ctx context.Context, req wire.RouteRequest) wire.RouteResponse {
-	return cachedQuery(ctx, s, wire.SvcRoute, req, s.routeUncached)
+	return cachedQuery(context.Background(), s, wire.SvcRoute, req, s.routeUncached)
 }
 
 func (s *Server) routeUncached(req wire.RouteRequest) wire.RouteResponse {
@@ -622,11 +574,7 @@ func (s *Server) CHActive() bool { return s.chTime.Load() != nil }
 // RouteMatrix prices all from×to pairs; unreachable pairs are -1. Where a
 // node ID is zero, the corresponding position (if provided) is snapped.
 func (s *Server) RouteMatrix(req wire.RouteMatrixRequest) wire.RouteMatrixResponse {
-	return s.routeMatrixCtx(context.Background(), req)
-}
-
-func (s *Server) routeMatrixCtx(ctx context.Context, req wire.RouteMatrixRequest) wire.RouteMatrixResponse {
-	return cachedQuery(ctx, s, wire.SvcRouteMatrix, req, s.routeMatrixUncached)
+	return cachedQuery(context.Background(), s, wire.SvcRouteMatrix, req, s.routeMatrixUncached)
 }
 
 func (s *Server) routeMatrixUncached(req wire.RouteMatrixRequest) wire.RouteMatrixResponse {

@@ -47,7 +47,7 @@ func (ss storeSource) Notify() <-chan struct{} { return ss.st.ChangeNotify() }
 // search path every polled read takes, so watcher evaluations coalesce
 // with each other AND with ordinary /search traffic.
 func (s *Server) watchEval(ctx context.Context, req wire.SearchRequest) (wire.SearchResponse, error) {
-	resp := s.searchCtx(ctx, req)
+	resp := cachedQuery(ctx, s, wire.SvcSearch, req, s.searchUncached)
 	if ctx.Err() != nil {
 		// A detached singleflight follower carries a zero value; never
 		// materialize a group from it.
@@ -58,16 +58,6 @@ func (s *Server) watchEval(ctx context.Context, req wire.SearchRequest) (wire.Se
 
 // WatchStats snapshots the watch hub's counters.
 func (s *Server) WatchStats() watch.Stats { return s.hub.Stats() }
-
-// shedWatch answers one refused subscription: 429 + Retry-After, mirroring
-// the admission controller's request shed.
-func (s *Server) shedWatch(w http.ResponseWriter) {
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set(wire.RetryAfterHeader, s.watchRetryAfter)
-	w.WriteHeader(wire.StatusOverloaded)
-	_, _ = w.Write(s.watchShedBody)
-}
 
 // handleWatch serves POST /v1/watch: an SSE stream of wire.Event frames —
 // one init snapshot (or a bare sync when the request's resume cursor
@@ -88,18 +78,13 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Session consistency gates subscription like any read: a lagging
 	// replica must not snapshot state older than the subscriber's marks.
-	// The refusal carries this server's current mark (dead-incarnation
-	// healing, see wire.ErrorResponse).
 	rc := req.Query.TakeConsistency()
 	if !s.WaitFresh(r.Context(), rc) {
 		if r.Context().Err() != nil {
 			httpError(w, http.StatusServiceUnavailable, "request cancelled")
 			return
 		}
-		m := s.SessionMark()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(wire.StatusStaleReplica)
-		_ = json.NewEncoder(w).Encode(wire.ErrorResponse{Error: s.staleError(rc), Session: &m})
+		s.refuseStale(w, s.staleError(rc))
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -110,7 +95,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	sub, err := s.hub.Subscribe(r.Context(), req)
 	if err != nil {
 		if errors.Is(err, watch.ErrOverloaded) {
-			s.shedWatch(w)
+			s.watchShed.write(w)
 			return
 		}
 		httpError(w, http.StatusServiceUnavailable, err.Error())

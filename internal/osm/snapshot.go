@@ -14,18 +14,31 @@ import (
 // complementing the interoperable XML format. The format is versioned;
 // readers reject unknown versions rather than misparse.
 //
-// Version 1 is a gob document of per-node structs — simple, but a city-
-// sized map decodes one heap object at a time. Version 2 (snapshot_v2.go)
-// serializes the columnar storage directly: section-aligned little-endian
-// columns with lengths up front, so loading is one bulk read per column
-// (and, via LoadSnapshotFile, an mmap + zero-copy alias where the platform
-// allows). Writers emit v2 by default and v1 behind the WriteSnapshotV1
-// escape hatch; ReadSnapshot accepts both.
+// Version 2 (snapshot_v2.go) serializes the columnar storage directly:
+// section-aligned little-endian columns with lengths up front, so loading
+// is one bulk read per column (and, via LoadSnapshotFile, an mmap +
+// zero-copy alias where the platform allows). Version 1, a gob document of
+// per-node structs, is no longer read or written; a v1 file is refused by
+// the version gate.
 
-const (
-	snapshotV1 = 1
-	snapshotV2 = 2
-)
+const snapshotV2 = 2
+
+// snapshot is the gob preamble every snapshot file opens with; only
+// Version is ever set. The other fields (and snapNode/snapWay) are what v1
+// carried inline: gob transmits the full type descriptor ahead of the
+// value, so they are part of the v2 byte layout and stay.
+
+type snapshot struct {
+	Version   int
+	Name      string
+	FrameKind int
+	Anchor    geo.LatLng
+	AnchorBrg float64
+	Nodes     []snapNode
+	Ways      []snapWay
+	Relations []snapRelation
+	NodeVers  map[int64]uint64
+}
 
 type snapNode struct {
 	ID    int64
@@ -52,77 +65,13 @@ type snapRelation struct {
 	Tags    map[string]string
 }
 
-type snapshot struct {
-	Version   int
-	Name      string
-	FrameKind int
-	Anchor    geo.LatLng
-	AnchorBrg float64
-	Nodes     []snapNode
-	Ways      []snapWay
-	Relations []snapRelation
-	// NodeVers carries per-node update versions (store.Change.Ver) so a
-	// restarted replica resumes versioning above its persisted history
-	// instead of minting low versions that lose anti-entropy conflicts.
-	// Gob tolerates the field being absent (old snapshots read as empty)
-	// or unexpected (old readers skip it), so the version stays 1.
-	NodeVers map[int64]uint64
-}
-
 // WriteSnapshot serializes the map in the current (v2) binary snapshot
 // format.
 func (m *Map) WriteSnapshot(w io.Writer) error {
 	return m.WriteSnapshotVersions(w, nil)
 }
 
-// WriteSnapshotV1 serializes the map in the legacy v1 (gob) snapshot
-// format — the escape hatch for feeding snapshots to v1-era readers.
-func (m *Map) WriteSnapshotV1(w io.Writer) error {
-	return m.WriteSnapshotVersionsV1(w, nil)
-}
-
-// WriteSnapshotVersionsV1 is WriteSnapshotV1 carrying per-node update
-// versions (from store.Store.NodeVersions; nil writes none).
-func (m *Map) WriteSnapshotVersionsV1(w io.Writer, vers map[NodeID]uint64) error {
-	snap := snapshot{
-		Version:   snapshotV1,
-		Name:      m.Name,
-		FrameKind: int(m.Frame.Kind),
-		Anchor:    m.Frame.Anchor,
-		AnchorBrg: m.Frame.AnchorBearingDeg,
-	}
-	if len(vers) > 0 {
-		snap.NodeVers = make(map[int64]uint64, len(vers))
-		for id, v := range vers {
-			snap.NodeVers[int64(id)] = v
-		}
-	}
-	m.Nodes(func(n *Node) bool {
-		snap.Nodes = append(snap.Nodes, snapNode{
-			ID: int64(n.ID), Pos: n.Pos, Local: n.Local, Tags: n.Tags,
-		})
-		return true
-	})
-	m.Ways(func(way *Way) bool {
-		ids := make([]int64, len(way.NodeIDs))
-		for i, id := range way.NodeIDs {
-			ids[i] = int64(id)
-		}
-		snap.Ways = append(snap.Ways, snapWay{ID: int64(way.ID), NodeIDs: ids, Tags: way.Tags})
-		return true
-	})
-	m.Relations(func(rel *Relation) bool {
-		sr := snapRelation{ID: int64(rel.ID), Tags: rel.Tags}
-		for _, mem := range rel.Members {
-			sr.Members = append(sr.Members, snapMember{Type: int(mem.Type), Ref: mem.Ref, Role: mem.Role})
-		}
-		snap.Relations = append(snap.Relations, sr)
-		return true
-	})
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-// ReadSnapshot deserializes a map written by WriteSnapshot (v1 or v2).
+// ReadSnapshot deserializes a map written by WriteSnapshot.
 func ReadSnapshot(r io.Reader) (*Map, error) {
 	m, _, err := ReadSnapshotVersions(r)
 	return m, err
@@ -141,92 +90,31 @@ func ReadSnapshotVersions(r io.Reader) (*Map, map[NodeID]uint64, error) {
 // otherwise — absent, stale-fingerprint, or corrupt index tails all
 // degrade to nil so the caller rebuilds; see store.NewWithIndex).
 //
-// Both snapshot versions begin with a gob message whose Version field
-// names the format, so this reader — and the v1-era reader, which decoded
-// the same message — always fails with a clear "unsupported snapshot
-// version" on a format from the future, never a misparse.
+// Every snapshot version begins with a gob message whose Version field
+// names the format, so this reader always fails with a clear "unsupported
+// snapshot version" on any other format — the retired v1 or one from the
+// future — never a misparse.
 func ReadSnapshotIndexed(r io.Reader) (*Map, map[NodeID]uint64, *IndexData, error) {
 	cr := &countingReader{r: r}
 	var snap snapshot
 	if err := gob.NewDecoder(cr).Decode(&snap); err != nil {
 		return nil, nil, nil, fmt.Errorf("osm: snapshot decode: %w", err)
 	}
-	switch snap.Version {
-	case snapshotV1:
-		m, vers, err := buildFromV1(&snap)
-		return m, vers, nil, err
-	case snapshotV2:
-		base := cr.n
-		rest, err := io.ReadAll(cr)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("osm: snapshot v2 read: %w", err)
-		}
-		return decodeV2(rest, base, false)
-	default:
+	if snap.Version != snapshotV2 {
 		return nil, nil, nil, fmt.Errorf("osm: unsupported snapshot version %d", snap.Version)
 	}
-}
-
-// buildFromV1 materializes a map from a decoded v1 document. v1 writers
-// emitted nodes in ascending ID order, so the common case funnels straight
-// into the columnar builder; unsorted documents fall back to AddNode.
-func buildFromV1(snap *snapshot) (*Map, map[NodeID]uint64, error) {
-	frame := Frame{
-		Kind:             FrameKind(snap.FrameKind),
-		Anchor:           snap.Anchor,
-		AnchorBearingDeg: snap.AnchorBrg,
+	base := cr.n
+	rest, err := io.ReadAll(cr)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("osm: snapshot v2 read: %w", err)
 	}
-	sorted := true
-	for i := 1; i < len(snap.Nodes); i++ {
-		if snap.Nodes[i-1].ID >= snap.Nodes[i].ID {
-			sorted = false
-			break
-		}
-	}
-	var m *Map
-	if sorted {
-		b := newColBuilder(len(snap.Nodes), nil)
-		for _, sn := range snap.Nodes {
-			b.add(NodeID(sn.ID), sn.Pos, sn.Local, sn.Tags)
-		}
-		m = newMapFromColumns(snap.Name, frame, b.finish(), nil, nil)
-	} else {
-		m = NewMap(snap.Name, frame)
-		for _, sn := range snap.Nodes {
-			m.AddNode(&Node{ID: NodeID(sn.ID), Pos: sn.Pos, Local: sn.Local, Tags: sn.Tags})
-		}
-	}
-	for _, sw := range snap.Ways {
-		ids := make([]NodeID, len(sw.NodeIDs))
-		for i, id := range sw.NodeIDs {
-			ids[i] = NodeID(id)
-		}
-		if _, err := m.AddWay(&Way{ID: WayID(sw.ID), NodeIDs: ids, Tags: sw.Tags}); err != nil {
-			return nil, nil, err
-		}
-	}
-	for _, sr := range snap.Relations {
-		rel := &Relation{ID: RelationID(sr.ID), Tags: sr.Tags}
-		for _, mem := range sr.Members {
-			rel.Members = append(rel.Members, Member{Type: MemberType(mem.Type), Ref: mem.Ref, Role: mem.Role})
-		}
-		m.AddRelation(rel)
-	}
-	var vers map[NodeID]uint64
-	if len(snap.NodeVers) > 0 {
-		vers = make(map[NodeID]uint64, len(snap.NodeVers))
-		for id, v := range snap.NodeVers {
-			vers[NodeID(id)] = v
-		}
-	}
-	return m, vers, nil
+	return decodeV2(rest, base, false)
 }
 
 // LoadSnapshotFile reads a snapshot from disk. Where the platform supports
 // it and the file is v2, the column sections are memory-mapped and aliased
 // zero-copy into the returned map (the mapping lives as long as the map);
-// otherwise the file is read through the ordinary buffered path. The
-// fallback accepts both versions.
+// otherwise the file is read through the ordinary buffered path.
 func LoadSnapshotFile(path string) (*Map, map[NodeID]uint64, error) {
 	m, vers, _, err := LoadSnapshotFileIndexed(path)
 	return m, vers, err

@@ -12,8 +12,8 @@ import (
 // loadSnapshotMapped memory-maps path and, for v2 snapshots on a
 // little-endian host, aliases the column sections zero-copy into the
 // returned map. ok=false means "not handled here — use the portable read
-// path" (v1 file, empty file, mmap failure, big-endian host); ok=true with
-// a non-nil error is a real v2 parse failure.
+// path" (not a v2 file, empty file, mmap failure, big-endian host); ok=true
+// with a non-nil error is a real v2 parse failure.
 //
 // The mapping is pinned by the returned Map (m.mapped) for the life of the
 // process: views handed out by Node()/Nodes() carry strings that alias the

@@ -20,10 +20,8 @@ import (
 // Layout (all integers little-endian, sections 8-byte-aligned relative to
 // the start of the file):
 //
-//	gob(snapshot{Version: 2})     — the version poison pill: a v1-era
-//	                                reader decodes this cleanly and fails
-//	                                with its own "unsupported snapshot
-//	                                version 2" error instead of misparsing
+//	gob(snapshot{Version: 2})     — the version gate every reader checks
+//	                                before touching a section
 //	"OFSNAPB2"                    — section-format magic
 //	gob(v2Header)                 — name/frame + every section length
 //	ids        int64[Nodes]         sorted node IDs

@@ -2,8 +2,6 @@ package osm
 
 import (
 	"bytes"
-	"encoding/gob"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,103 +21,21 @@ func xmlBytes(t testing.TB, m *Map) []byte {
 	return buf.Bytes()
 }
 
-// readSnapshotV1Era replicates the reader logic shipped before v2 existed:
-// one gob decode of the snapshot struct, then a version check. The gating
-// tests run v2 bytes through it to prove old binaries fail cleanly.
-func readSnapshotV1Era(r *bytes.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("osm: snapshot decode: %w", err)
-	}
-	if snap.Version != 1 {
-		return fmt.Errorf("osm: unsupported snapshot version %d", snap.Version)
-	}
-	return nil
-}
-
-func TestSnapshotV2ReaderAcceptsV1(t *testing.T) {
-	m := snapshotFixture(t)
-	vers := map[NodeID]uint64{1: 7, 2: 3}
-	var buf bytes.Buffer
-	if err := m.WriteSnapshotVersionsV1(&buf, vers); err != nil {
-		t.Fatal(err)
-	}
-	got, gotVers, err := ReadSnapshotVersions(&buf)
+// TestSnapshotGoldenV1Rejected: testdata/snap_v1.golden is a committed v1
+// (gob) snapshot. The v1 reader is gone; the version gate must refuse the
+// file cleanly — by name, on both load paths — instead of misparsing it.
+func TestSnapshotGoldenV1Rejected(t *testing.T) {
+	const want = "osm: unsupported snapshot version 1"
+	path := filepath.Join("testdata", "snap_v1.golden")
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(xmlBytes(t, m), xmlBytes(t, got)) {
-		t.Fatal("v1 snapshot loaded through the v2 reader differs from the original")
+	if _, _, _, err := ReadSnapshotIndexed(bytes.NewReader(raw)); err == nil || err.Error() != want {
+		t.Fatalf("ReadSnapshotIndexed(v1 golden) = %v, want %q", err, want)
 	}
-	if !reflect.DeepEqual(vers, gotVers) {
-		t.Fatalf("NodeVers: got %v want %v", gotVers, vers)
-	}
-}
-
-func TestSnapshotV1EraReaderRejectsV2Cleanly(t *testing.T) {
-	m := snapshotFixture(t)
-	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	err := readSnapshotV1Era(bytes.NewReader(buf.Bytes()))
-	if err == nil {
-		t.Fatal("v1-era reader accepted a v2 snapshot")
-	}
-	want := "osm: unsupported snapshot version 2"
-	if err.Error() != want {
-		t.Fatalf("v1-era reader misparsed instead of version-gating: %v", err)
-	}
-}
-
-func TestSnapshotGoldenV1RoundTripToV2(t *testing.T) {
-	// testdata/snap_v1.golden is a committed v1 (gob) snapshot of
-	// snapshotFixture carrying NodeVers{1:7, 2:3}. It pins the v1 wire
-	// format: the chain golden→load→write-v2→load must stay lossless.
-	raw, err := os.ReadFile(filepath.Join("testdata", "snap_v1.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromV1, versV1, err := ReadSnapshotVersions(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantVers := map[NodeID]uint64{1: 7, 2: 3}
-	if !reflect.DeepEqual(versV1, wantVers) {
-		t.Fatalf("golden NodeVers: got %v want %v", versV1, wantVers)
-	}
-	var v2 bytes.Buffer
-	if err := fromV1.WriteSnapshotVersions(&v2, versV1); err != nil {
-		t.Fatal(err)
-	}
-	fromV2, versV2, err := ReadSnapshotVersions(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(xmlBytes(t, fromV1), xmlBytes(t, fromV2)) {
-		t.Fatal("v1→v2 round trip changed the map")
-	}
-	if !reflect.DeepEqual(versV2, wantVers) {
-		t.Fatalf("v1→v2 NodeVers: got %v want %v", versV2, wantVers)
-	}
-	// And the golden still matches today's fixture (fixture drift guard).
-	if !bytes.Equal(xmlBytes(t, snapshotFixture(t)), xmlBytes(t, fromV1)) {
-		t.Fatal("golden snapshot no longer matches snapshotFixture")
-	}
-}
-
-func TestSnapshotV1EscapeHatchStillWritesV1(t *testing.T) {
-	m := snapshotFixture(t)
-	var buf bytes.Buffer
-	if err := m.WriteSnapshotV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Version != 1 || len(snap.Nodes) != 2 {
-		t.Fatalf("escape hatch wrote version %d with %d inline nodes", snap.Version, len(snap.Nodes))
+	if _, _, _, err := LoadSnapshotFileIndexed(path); err == nil || err.Error() != want {
+		t.Fatalf("LoadSnapshotFileIndexed(v1 golden) = %v, want %q", err, want)
 	}
 }
 
@@ -169,25 +85,5 @@ func TestLoadSnapshotFile(t *testing.T) {
 		if n := got.Node(id); n == nil || n.Tags.Get(TagName) != "new" {
 			t.Fatal("mutation on mapped world lost after compaction")
 		}
-	}
-
-	v1path := filepath.Join(dir, "world_v1.snap")
-	f, err = os.Create(v1path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteSnapshotV1(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	gotV1, _, err := LoadSnapshotFile(v1path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotV1.Mapped() {
-		t.Fatal("v1 snapshot claims to be memory-mapped")
-	}
-	if !bytes.Equal(xmlBytes(t, m), xmlBytes(t, gotV1)) {
-		t.Fatal("LoadSnapshotFile(v1) differs from original")
 	}
 }

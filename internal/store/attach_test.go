@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -14,11 +15,9 @@ import (
 	"openflame/internal/osm"
 )
 
-// attachFixture builds a city-block map, indexes it from scratch, persists
-// the index through a real snapshot file, and attaches a second store from
-// the (mmap-aliased, where the platform allows) persisted index. Both
-// stores index byte-identical maps, so every query must agree.
-func attachFixture(t testing.TB, nodes int) (rebuilt, attached *Store) {
+// attachTown builds the deterministic city-block map the attach tests (and
+// the committed testdata/snap_v2_indexed.golden) are made from.
+func attachTown(t testing.TB, nodes int) *osm.Map {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	m := osm.NewMap("attach-town", osm.Frame{Kind: osm.FrameGeodetic})
@@ -48,7 +47,16 @@ func attachFixture(t testing.TB, nodes int) (rebuilt, attached *Store) {
 			t.Fatal(err)
 		}
 	}
+	return m
+}
 
+// attachFixture indexes attachTown from scratch, persists the index through
+// a real snapshot file, and attaches a second store from the (mmap-aliased,
+// where the platform allows) persisted index. Both stores index
+// byte-identical maps, so every query must agree.
+func attachFixture(t testing.TB, nodes int) (rebuilt, attached *Store) {
+	t.Helper()
+	m := attachTown(t, nodes)
 	rebuilt = New(m)
 	path := filepath.Join(t.TempDir(), "attach.snap")
 	f, err := os.Create(path)
@@ -73,6 +81,54 @@ func attachFixture(t testing.TB, nodes int) (rebuilt, attached *Store) {
 		t.Fatal(err)
 	}
 	return rebuilt, attached
+}
+
+// TestGoldenSnapshotV2Attaches pins the on-disk format across the removal of
+// snapshot v1: testdata/snap_v2_indexed.golden was written by
+// WriteSnapshotVersionsIndexed at the commit BEFORE the v1 reader and writer
+// were deleted (attachTown(40), NodeVers{1:3}). It must still load with its
+// index attached and the map intact, and writing the same world today must
+// produce the same bytes — the gob preamble included.
+func TestGoldenSnapshotV2Attaches(t *testing.T) {
+	path := filepath.Join("testdata", "snap_v2_indexed.golden")
+	m, vers, idx, err := osm.LoadSnapshotFileIndexed(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx == nil {
+		t.Fatal("golden snapshot loaded without its index")
+	}
+	wantVers := map[osm.NodeID]uint64{1: 3}
+	if !reflect.DeepEqual(vers, wantVers) {
+		t.Fatalf("NodeVers = %v, want %v", vers, wantVers)
+	}
+	st, err := NewWithIndex(m, idx)
+	if err != nil {
+		t.Fatalf("attach: %v", err)
+	}
+	town := attachTown(t, 40)
+	var want, got bytes.Buffer
+	if err := town.WriteXML(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteXML(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatal("golden snapshot's map differs from attachTown(40)")
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rewritten bytes.Buffer
+	if err := m.WriteSnapshotVersionsIndexed(&rewritten, vers, st.PersistedIndex()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(golden, rewritten.Bytes()) {
+		t.Fatalf("re-written snapshot differs from the golden (%d vs %d bytes): the v2 byte layout moved",
+			rewritten.Len(), len(golden))
+	}
 }
 
 func hitIDs(hits []NodeHit) []osm.NodeID {

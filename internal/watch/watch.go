@@ -564,11 +564,14 @@ func Diff(last map[int64]search.Result, cur []search.Result) (updated []search.R
 	return updated, removed
 }
 
-// ResultEqual compares two results field-by-field (Tags by content).
+// ResultEqual compares two results by content, field by field (Tags by
+// content). Source — the NAME of the replica that served the row — is not
+// content: replicas of one set serve equal rows under different names, and
+// a failover re-snapshot from a sibling must diff to nothing.
 func ResultEqual(a, b search.Result) bool {
 	if a.NodeID != b.NodeID || a.Name != b.Name || a.Position != b.Position ||
 		a.TextScore != b.TextScore || a.DistanceMeters != b.DistanceMeters ||
-		a.Score != b.Score || a.Source != b.Source || len(a.Tags) != len(b.Tags) {
+		a.Score != b.Score || len(a.Tags) != len(b.Tags) {
 		return false
 	}
 	for k, v := range a.Tags {

@@ -126,10 +126,14 @@ type SessionEnvelope struct {
 // GetSession returns the response's session mark (nil on legacy reads).
 func (e *SessionEnvelope) GetSession() *SessionMark { return e.Session }
 
+// SetSession attaches the answering server's mark.
+func (e *SessionEnvelope) SetSession(m *SessionMark) { e.Session = m }
+
 // SessionCarrier is implemented (via SessionEnvelope) by every read
 // response type.
 type SessionCarrier interface {
 	GetSession() *SessionMark
+	SetSession(*SessionMark)
 }
 
 // StatusStaleReplica is the HTTP status of the "stale replica" error: the

@@ -1,6 +1,7 @@
 package openflame
 
 import (
+	"context"
 	"testing"
 
 	"openflame/internal/mapserver"
@@ -70,7 +71,7 @@ func BenchmarkE15_BatchRoundTrips(b *testing.B) {
 			c.UseBatch = mode.batch
 			req0 := c.RequestCount()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Geocode(address); err != nil {
+				if _, err := c.GeocodeV2(context.Background(), address); err != nil {
 					b.Fatal(err)
 				}
 			}

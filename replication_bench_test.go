@@ -1,6 +1,7 @@
 package openflame
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -85,14 +86,14 @@ func BenchmarkE16_ReplicaAwareFanout(b *testing.B) {
 			c := fed.NewClient()
 			c.SearchRadiusMeters = 100
 			// Prime discovery and connections once.
-			if got := c.Search("hit", pos, 2*e16Replicas); len(got) == 0 {
+			if got := c.SearchV2(context.Background(), "hit", pos, 2*e16Replicas); len(got) == 0 {
 				b.Fatal("no results")
 			}
 			before := c.RequestCount()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := c.Search("hit", pos, 2*e16Replicas); len(got) == 0 {
+				if got := c.SearchV2(context.Background(), "hit", pos, 2*e16Replicas); len(got) == 0 {
 					b.Fatal("no results")
 				}
 			}
@@ -120,7 +121,7 @@ func BenchmarkE16_ThroughputUnderClientLoad(b *testing.B) {
 			fed, pos := e16Federation(b, e16Replicas, mode.replicaSet)
 			prime := fed.NewClient()
 			prime.SearchRadiusMeters = 100
-			if got := prime.Search("hit", pos, 2*e16Replicas); len(got) == 0 {
+			if got := prime.SearchV2(context.Background(), "hit", pos, 2*e16Replicas); len(got) == 0 {
 				b.Fatal("no results")
 			}
 			b.SetParallelism(4) // 4x GOMAXPROCS client goroutines
@@ -131,7 +132,7 @@ func BenchmarkE16_ThroughputUnderClientLoad(b *testing.B) {
 				c := fed.NewClient()
 				c.SearchRadiusMeters = 100
 				for pb.Next() {
-					if got := c.Search("hit", pos, 2*e16Replicas); len(got) == 0 {
+					if got := c.SearchV2(context.Background(), "hit", pos, 2*e16Replicas); len(got) == 0 {
 						b.Fatal("no results")
 					}
 				}

@@ -1,6 +1,7 @@
 package openflame
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -120,7 +121,7 @@ func BenchmarkE14_ResilientFanout(b *testing.B) {
 				c.BreakerCooldown = 500 * time.Millisecond
 			}
 			// Prime discovery and connections once.
-			_ = c.Search("hit", pos, 2*e14Servers)
+			_ = c.SearchV2(context.Background(), "hit", pos, 2*e14Servers)
 
 			lats := make([]time.Duration, 0, b.N)
 			full := 0
@@ -128,7 +129,7 @@ func BenchmarkE14_ResilientFanout(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				results := c.Search("hit", pos, 2*e14Servers)
+				results := c.SearchV2(context.Background(), "hit", pos, 2*e14Servers)
 				lats = append(lats, time.Since(start))
 				srcs := map[string]bool{}
 				for _, r := range results {
