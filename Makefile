@@ -75,10 +75,10 @@ bench-overload:
 
 ## bench-world: the E20 memory-lean world experiment — columnar node
 ## storage vs the pointer-per-node layout, snapshot v2 load (streamed and
-## mmapped) vs the v1 gob decode, and serving latencies, all on a
-## city-scale world (~1.05M nodes; override with BENCH_WORLD_BLOCKS for a
-## quicker run). Writes BENCH_world.json and fails if the floors slip:
-## bytes/node ≥4× leaner, v2 load ≥5× faster, serving parity byte-exact.
+## mmapped), and serving latencies, all on a city-scale world (~1.05M
+## nodes; override with BENCH_WORLD_BLOCKS for a quicker run). Writes
+## BENCH_world.json and fails if the floors slip: bytes/node ≥4× leaner,
+## serving parity byte-exact.
 bench-world:
 	BENCH_WORLD_JSON=BENCH_world.json $(GO) test -run TestE20BenchArtifact -count=1 -timeout 30m -v .
 

@@ -43,8 +43,6 @@ type options struct {
 	addr              string
 	name              string
 	publicURL         string
-	minLevel          int
-	maxLevel          int
 	queryCacheEntries int
 	registerURL       string
 	replicaSet        string
@@ -53,17 +51,6 @@ type options struct {
 	syncInterval      time.Duration
 	consistencyWait   time.Duration
 	maxInFlight       int
-	maxQueue          int
-	queueWait         time.Duration
-	retryAfter        time.Duration
-	maxBodyBytes      int64
-	maxBatchBodyBytes int64
-	readHeaderTimeout time.Duration
-	readTimeout       time.Duration
-	writeTimeout      time.Duration
-	idleTimeout       time.Duration
-	maxWatchers       int
-	watchPing         time.Duration
 }
 
 // defaultQueryCacheEntries sizes the query result cache when the operator
@@ -78,8 +65,6 @@ func newFlagSet(name string) (*flag.FlagSet, *options) {
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.name, "name", "", "server name (default: map name)")
 	fs.StringVar(&o.publicURL, "public-url", "", "URL to advertise in DNS (default http://<addr>)")
-	fs.IntVar(&o.minLevel, "min-level", discovery.DefaultMinLevel, "coarsest registration cell level")
-	fs.IntVar(&o.maxLevel, "max-level", discovery.DefaultMaxLevel, "finest registration cell level")
 	fs.IntVar(&o.queryCacheEntries, "query-cache-entries", defaultQueryCacheEntries,
 		"query result cache capacity (entries per map generation, LRU-evicted; 0 = no cache)")
 	fs.StringVar(&o.registerURL, "register", "", "flame-dns registry admin URL (e.g. http://127.0.0.1:5301): announce on startup, deregister on SIGTERM")
@@ -88,18 +73,7 @@ func newFlagSet(name string) (*flag.FlagSet, *options) {
 	fs.StringVar(&o.syncPeers, "sync-peers", "", "comma-separated sibling replica URLs to pull anti-entropy from")
 	fs.DurationVar(&o.syncInterval, "sync-interval", 5*time.Second, "anti-entropy pull interval (with -sync-peers)")
 	fs.DurationVar(&o.consistencyWait, "consistency-wait", 0, "how long a read carrying a session mark this replica has not caught up to may wait for anti-entropy before answering 412 stale-replica (0 = refuse immediately)")
-	fs.IntVar(&o.maxInFlight, "max-inflight", -1, "admission control: max concurrently executing requests; excess traffic queues briefly then is shed with 429 (-1 = auto: 4×GOMAXPROCS, 0 = no admission control)")
-	fs.IntVar(&o.maxQueue, "max-queue", 0, "admission control: queue depth in front of the in-flight slots (0 = same as the in-flight bound)")
-	fs.DurationVar(&o.queueWait, "queue-wait", mapserver.DefaultQueueWait, "admission control: max time a queued request waits for a slot before it is shed")
-	fs.DurationVar(&o.retryAfter, "retry-after", mapserver.DefaultRetryAfter, "Retry-After hint attached to shed (429) responses")
-	fs.Int64Var(&o.maxBodyBytes, "max-body-bytes", mapserver.DefaultMaxBodyBytes, "max request body size for single-service endpoints; larger POSTs earn 413 (<0 = unlimited)")
-	fs.Int64Var(&o.maxBatchBodyBytes, "max-batch-body-bytes", mapserver.DefaultMaxBatchBodyBytes, "max request body size for /v1/batch (<0 = unlimited)")
-	fs.DurationVar(&o.readHeaderTimeout, "read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout: a client that trickles its headers (slowloris) is cut off after this long (0 = no limit)")
-	fs.DurationVar(&o.readTimeout, "read-timeout", 30*time.Second, "http.Server ReadTimeout covering the whole request read (0 = no limit)")
-	fs.DurationVar(&o.writeTimeout, "write-timeout", 0, "http.Server WriteTimeout covering each response write (0 = no limit); /v1/watch streams reset their own per-event write deadline, so they outlive this cap")
-	fs.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections (0 = no limit)")
-	fs.IntVar(&o.maxWatchers, "max-watchers", 0, "max concurrent /v1/watch subscriptions; excess earns 429/Retry-After (0 = default 1024, <0 = unlimited)")
-	fs.DurationVar(&o.watchPing, "watch-ping", mapserver.DefaultWatchPingInterval, "keepalive ping interval on idle watch streams")
+	fs.IntVar(&o.maxInFlight, "max-inflight", -1, "admission control: max concurrently executing requests; as many more queue briefly, the rest are shed with 429 (-1 = auto: 4×GOMAXPROCS, 0 = no admission control)")
 	return fs, o
 }
 
@@ -116,20 +90,16 @@ func (o *options) inFlightBound() int {
 
 // httpServer builds the serving http.Server with the ingest timeouts.
 // Without them one slow-header (slowloris) or slow-body client holds a
-// connection — and its handler resources — forever. WriteTimeout defaults
-// to 0: per-request deadlines belong to the client and the admission
+// connection — and its handler resources — forever. WriteTimeout stays
+// unset: per-request deadlines belong to the client and the admission
 // layer, not a blanket write cap that would sever a legitimately slow
-// route response. Operators who do set -write-timeout don't endanger
-// /v1/watch: the stream handler resets its own per-event write deadline
-// via http.ResponseController, so a healthy stream outlives any cap while
-// a stuck peer still fails a write promptly.
-func (o *options) httpServer(h http.Handler) *http.Server {
+// route response or a /v1/watch stream.
+func httpServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
-		ReadHeaderTimeout: o.readHeaderTimeout,
-		ReadTimeout:       o.readTimeout,
-		WriteTimeout:      o.writeTimeout,
-		IdleTimeout:       o.idleTimeout,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 }
 
@@ -218,18 +188,9 @@ func (o *options) buildServer() (*mapserver.Server, *osm.Map, error) {
 		Map:               m,
 		Store:             buildStore(m, idx),
 		UseCH:             true,
-		MinLevel:          o.minLevel,
-		MaxLevel:          o.maxLevel,
 		QueryCacheEntries: o.queryCacheEntries,
 		ConsistencyWait:   o.consistencyWait,
 		MaxInFlight:       o.inFlightBound(),
-		MaxQueue:          o.maxQueue,
-		QueueWait:         o.queueWait,
-		RetryAfter:        o.retryAfter,
-		MaxBodyBytes:      o.maxBodyBytes,
-		MaxBatchBodyBytes: o.maxBatchBodyBytes,
-		MaxWatchers:       o.maxWatchers,
-		WatchPingInterval: o.watchPing,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -354,7 +315,7 @@ func main() {
 	// Serve BEFORE announcing: once the registration lands, clients route
 	// here immediately — a bound-but-not-serving window would burn their
 	// per-server timeouts and trip breakers on the newborn member.
-	httpSrv := o.httpServer(srv.Handler())
+	httpSrv := httpServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	log.Printf("listening on %s", o.addr)

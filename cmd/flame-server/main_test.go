@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"openflame/internal/discovery"
 	"openflame/internal/mapserver"
 	"openflame/internal/osm"
 	"openflame/internal/wire"
@@ -22,23 +21,17 @@ func TestFlagDefaultsAndRoundTrip(t *testing.T) {
 	if o.addr != ":8080" || o.mapPath != "" {
 		t.Fatalf("defaults changed: %+v", o)
 	}
-	if o.minLevel != discovery.DefaultMinLevel || o.maxLevel != discovery.DefaultMaxLevel {
-		t.Fatalf("level defaults changed: %+v", o)
-	}
 
 	fs, o = newFlagSet("flame-server")
 	err := fs.Parse([]string{
 		"-map", "city.osm.xml", "-addr", ":9090", "-name", "my-map",
-		"-public-url", "http://example:9090", "-min-level", "10", "-max-level", "18",
+		"-public-url", "http://example:9090",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.mapPath != "city.osm.xml" || o.addr != ":9090" || o.name != "my-map" {
 		t.Fatalf("flags lost: %+v", o)
-	}
-	if o.minLevel != 10 || o.maxLevel != 18 {
-		t.Fatalf("levels lost: %+v", o)
 	}
 	if got := o.advertiseURL(); got != "http://example:9090" {
 		t.Fatalf("advertiseURL = %q", got)
@@ -94,13 +87,17 @@ func TestBuildServerMissingMapFails(t *testing.T) {
 }
 
 // TestFlagSurface pins the size of the CLI surface: a flag is a second path
-// somebody has to test, so adding one should be a deliberate act.
+// somebody has to test, so adding one should be a deliberate act. The 13
+// are the ten deployment settings (map, snapshot, addr, name, public-url,
+// register, replica-set, reannounce, sync-peers, sync-interval) plus the
+// three knobs deployments vary (query-cache-entries, max-inflight,
+// consistency-wait).
 func TestFlagSurface(t *testing.T) {
 	fs, _ := newFlagSet("flame-server")
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 26 {
-		t.Fatalf("flame-server has %d flags, want 26", n)
+	if n != 13 {
+		t.Fatalf("flame-server has %d flags, want 13", n)
 	}
 }
 

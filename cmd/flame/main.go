@@ -98,14 +98,19 @@ func (o *options) newClient() *client.Client {
 	c.MaxConcurrency = o.concurrency
 	c.PerServerTimeout = o.perServer
 	c.UseBatch = o.batch
-	c.RetryPolicy = resilience.RetryPolicy{
-		MaxAttempts: o.retries,
-		BaseBackoff: o.retryBackoff,
-		Budget:      o.retryBudget,
+	p := resilience.Policy{
+		Retry: resilience.RetryPolicy{
+			MaxAttempts: o.retries,
+			BaseBackoff: o.retryBackoff,
+			Budget:      o.retryBudget,
+		},
+		HedgeAfter:       o.hedgeAfter,
+		BreakerThreshold: o.breakerThreshold,
+		BreakerCooldown:  o.breakerCooldown,
 	}
-	c.HedgeAfter = o.hedgeAfter
-	c.BreakerThreshold = o.breakerThreshold
-	c.BreakerCooldown = o.breakerCooldown
+	if p.Enabled() {
+		c.Resilience = resilience.NewTracker(p)
+	}
 	return c
 }
 

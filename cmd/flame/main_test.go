@@ -23,9 +23,8 @@ func TestFlagDefaults(t *testing.T) {
 	if o.retries != 0 || o.hedgeAfter != 0 || o.breakerThreshold != 0 || o.retryBudget != 0 {
 		t.Fatalf("resilience should default off: %+v", o)
 	}
-	c := o.newClient()
-	if c.RetryPolicy.MaxAttempts != 0 || c.HedgeAfter != 0 || c.BreakerThreshold != 0 {
-		t.Fatalf("default client has resilience enabled: %+v", c)
+	if c := o.newClient(); c.Resilience != nil {
+		t.Fatalf("default client has resilience enabled: %+v", c.Resilience.Policy)
 	}
 }
 
@@ -59,13 +58,12 @@ func TestFlagsRoundTripIntoClientConfig(t *testing.T) {
 		t.Fatalf("concurrency flags lost: MaxConcurrency=%d PerServerTimeout=%v",
 			c.MaxConcurrency, c.PerServerTimeout)
 	}
-	wantRetry := resilience.RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * time.Millisecond, Budget: 5}
-	if c.RetryPolicy != wantRetry {
-		t.Fatalf("RetryPolicy = %+v, want %+v", c.RetryPolicy, wantRetry)
+	want := resilience.Policy{
+		Retry:      resilience.RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * time.Millisecond, Budget: 5},
+		HedgeAfter: 40 * time.Millisecond, BreakerThreshold: 6, BreakerCooldown: 90 * time.Second,
 	}
-	if c.HedgeAfter != 40*time.Millisecond || c.BreakerThreshold != 6 || c.BreakerCooldown != 90*time.Second {
-		t.Fatalf("hedge/breaker flags lost: HedgeAfter=%v BreakerThreshold=%d BreakerCooldown=%v",
-			c.HedgeAfter, c.BreakerThreshold, c.BreakerCooldown)
+	if c.Resilience == nil || c.Resilience.Policy != want {
+		t.Fatalf("resilience flags lost: tracker %v, want policy %+v", c.Resilience, want)
 	}
 	if got := fs.Args(); len(got) != 4 || got[0] != "search" {
 		t.Fatalf("positional args = %v", got)

@@ -71,26 +71,17 @@ type Client struct {
 	// reproduces the per-call client exactly.
 	UseBatch bool
 
-	// RetryPolicy, HedgeAfter, BreakerThreshold and BreakerCooldown are
-	// the resilience knobs (see internal/resilience): transient per-server
+	// Resilience, when non-nil, runs every server call through the tracker
+	// and its Policy (see internal/resilience): transient per-server
 	// failures retried with jittered backoff within a budget, a second
 	// hedge attempt raced against a straggler after the server's tracked
 	// p95, and a circuit breaker that stops contacting a persistently
-	// failing member until a half-open probe restores it. All zero values
-	// reproduce the un-resilient client exactly. Set them before the
-	// first request; they are captured into a tracker on first use.
-	RetryPolicy      resilience.RetryPolicy
-	HedgeAfter       time.Duration
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Resilience, when non-nil, is used instead of a tracker built from
-	// the knobs above — tests inject trackers with fake clocks, and
-	// callers can share one tracker across clients.
+	// failing member until a half-open probe restores it. Nil reproduces
+	// the un-resilient client exactly. Set it before the first request;
+	// one tracker may be shared across clients.
 	Resilience *resilience.Tracker
 
 	requests   atomic.Int64
-	resOnce    sync.Once
-	res        *resilience.Tracker
 	infoMu     sync.Mutex
 	infoCache  map[string]wire.Info
 	infoFlight fanout.Group[wire.Info]
@@ -119,33 +110,10 @@ func New(disc *discovery.Client, httpClient *http.Client) *Client {
 // real load on the federation.
 func (c *Client) RequestCount() int64 { return c.requests.Load() }
 
-// tracker returns the client's resilience tracker: the injected Resilience
-// if set, one built from the knobs if any is active, nil otherwise (the
-// nil tracker is the fast path — calls bypass the resilience layer
-// entirely, reproducing the pre-resilience client byte for byte).
-func (c *Client) tracker() *resilience.Tracker {
-	c.resOnce.Do(func() {
-		if c.Resilience != nil {
-			c.res = c.Resilience
-			return
-		}
-		p := resilience.Policy{
-			Retry:            c.RetryPolicy,
-			HedgeAfter:       c.HedgeAfter,
-			BreakerThreshold: c.BreakerThreshold,
-			BreakerCooldown:  c.BreakerCooldown,
-		}
-		if p.Enabled() {
-			c.res = resilience.NewTracker(p)
-		}
-	})
-	return c.res
-}
-
 // ServerHealth exposes the tracked health of one server (zero value when
 // no resilience layer is active or the server is unknown).
 func (c *Client) ServerHealth(baseURL string) resilience.Health {
-	if t := c.tracker(); t != nil {
+	if t := c.Resilience; t != nil {
 		return t.Health(baseURL)
 	}
 	return resilience.Health{}
@@ -155,14 +123,14 @@ func (c *Client) ServerHealth(baseURL string) resilience.Health {
 // false only while its circuit breaker is open (it rejoins through
 // half-open probes once the cooldown elapses).
 func (c *Client) available(baseURL string) bool {
-	t := c.tracker()
+	t := c.Resilience
 	return t == nil || t.Available(baseURL)
 }
 
 // availableAnns drops federation members whose breaker is open before any
 // HTTP is issued — the fan-out never waits on a member known to be down.
 func (c *Client) availableAnns(anns []discovery.Announcement) []discovery.Announcement {
-	if c.tracker() == nil {
+	if c.Resilience == nil {
 		return anns
 	}
 	out := make([]discovery.Announcement, 0, len(anns))
@@ -186,7 +154,7 @@ func (c *Client) DiscoverV2(ctx context.Context, ll geo.LatLng, opts ...CallOpti
 // by MaxAttempts. Multi-stage requests (Route's pricing then leg
 // expansion) attach at the top so all stages share one budget.
 func (c *Client) withRetryBudget(ctx context.Context) context.Context {
-	if t := c.tracker(); t != nil && t.Retry.Budget > 0 && !resilience.HasBudget(ctx) {
+	if t := c.Resilience; t != nil && t.Retry.Budget > 0 && !resilience.HasBudget(ctx) {
 		return resilience.WithBudget(ctx, t.Retry.Budget)
 	}
 	return ctx
@@ -227,7 +195,7 @@ func (c *Client) forEachServer(ctx context.Context, n int, fn func(ctx context.C
 func (c *Client) call(ctx context.Context, baseURL, path string, req, resp interface{}) error {
 	var body []byte
 	var err error
-	if t := c.tracker(); t != nil {
+	if t := c.Resilience; t != nil {
 		body, err = resilience.Do(ctx, t, baseURL, func(ctx context.Context) ([]byte, error) {
 			return c.post(ctx, baseURL, path, req)
 		})
@@ -336,11 +304,12 @@ func (c *Client) infoCtx(ctx context.Context, baseURL string) (wire.Info, error)
 		c.infoMu.Unlock()
 		return info, nil
 	}
-	info, err := c.infoFlight.Do(baseURL, func() (wire.Info, error) {
+	info, err := c.infoFlight.DoCtx(ctx, baseURL, func() (wire.Info, error) {
 		return fetch(ctx)
 	})
 	// The coalesced fetch ran under the leader's context; if it was the
 	// leader that got cancelled while our context is live, retry directly.
+	// A follower whose own context ends detaches and fails here.
 	if err != nil && ctx.Err() == nil &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		info, err = fetch(ctx)

@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -317,5 +318,20 @@ func TestLocalizeMultiCueFusion(t *testing.T) {
 	}
 	if d := fix.Local.Dist(truth); d > 5 {
 		t.Fatalf("fused fix error %v m (via %v)", d, fix.Technology)
+	}
+}
+
+// TestClientSurface pins the client's exported configuration: resilience
+// is configured one way, through Client.Resilience.
+func TestClientSurface(t *testing.T) {
+	typ := reflect.TypeOf(client.Client{})
+	n := 0
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).IsExported() {
+			n++
+		}
+	}
+	if n != 8 {
+		t.Fatalf("client.Client has %d exported fields, want 8", n)
 	}
 }

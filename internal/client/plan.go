@@ -73,7 +73,7 @@ func (c *Client) orderedReplicas(g planGroup) []discovery.Announcement {
 			out = append(out, a)
 		}
 	}
-	t := c.tracker()
+	t := c.Resilience
 	if t == nil || len(out) < 2 {
 		return out
 	}

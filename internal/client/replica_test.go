@@ -262,8 +262,7 @@ func TestReplicaBreakerExcludesMember(t *testing.T) {
 
 	c := fed.NewClient()
 	c.SearchRadiusMeters = 100
-	c.BreakerThreshold = 1
-	c.BreakerCooldown = time.Hour
+	c.Resilience = resilience.NewTracker(resilience.Policy{BreakerThreshold: 1, BreakerCooldown: time.Hour})
 
 	// First query: hot-00 fails (breaker opens), sibling answers.
 	if results := c.SearchV2(context.Background(), "hit", pos, 10); len(results) != 1 || results[0].Source != "hot-01" {

@@ -80,7 +80,9 @@ func TestRetryRecoversTransientServerError(t *testing.T) {
 	fed, pos, _, _ := faultyFederation(t, []*netsim.FaultSchedule{sched})
 	c := fed.NewClient()
 	c.SearchRadiusMeters = 100
-	c.RetryPolicy = resilience.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}
+	c.Resilience = resilience.NewTracker(resilience.Policy{
+		Retry: resilience.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+	})
 
 	results := c.SearchV2(context.Background(), "hit", pos, 10)
 	if len(results) != 1 || results[0].Source != "srv-00" {
@@ -116,7 +118,9 @@ func TestRetryBudgetCapsFanoutRetries(t *testing.T) {
 	c := fed.NewClient()
 	c.SearchRadiusMeters = 100
 	c.MaxConcurrency = 1 // deterministic: servers visited in discovery order
-	c.RetryPolicy = resilience.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Budget: 1}
+	c.Resilience = resilience.NewTracker(resilience.Policy{
+		Retry: resilience.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Budget: 1},
+	})
 
 	_ = c.SearchV2(context.Background(), "hit", pos, 10)
 	total := s0.Requests() + s1.Requests()
@@ -195,7 +199,7 @@ func TestHedgingDiscardsStragglerWithoutLeak(t *testing.T) {
 	c.SearchRadiusMeters = 100
 	// Generous enough that the healthy warm-up below never spawns an
 	// unplanned hedge on a loaded runner (which would shift the schedule).
-	c.HedgeAfter = 50 * time.Millisecond
+	c.Resilience = resilience.NewTracker(resilience.Policy{HedgeAfter: 50 * time.Millisecond})
 
 	// Warm discovery and the HTTP connection pool so the goroutine
 	// baseline already includes a keep-alive connection; the hedged

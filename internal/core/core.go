@@ -247,14 +247,6 @@ func (f *Federation) Close() {
 	}
 }
 
-// DeployOptions tunes the servers DeployWorld stands up.
-type DeployOptions struct {
-	// QueryCacheEntries enables each server's generation-keyed query
-	// result cache with that many entries (0 disables, the neutral
-	// configuration).
-	QueryCacheEntries int
-}
-
 // DeployWorld stands up the full paper scenario over a generated world: a
 // "world-map" server for the outdoor city (the Google-Maps analogue) and one
 // independently-operated server per store (local frame, precise alignment
@@ -263,21 +255,11 @@ type DeployOptions struct {
 // contraction hierarchy (Figure 1), and DeployWorld waits for those
 // background builds so callers see deterministic query behavior.
 func DeployWorld(w *worldgen.World) (*Federation, error) {
-	return DeployWorldOpts(w, DeployOptions{})
-}
-
-// DeployWorldOpts is DeployWorld with server tuning.
-func DeployWorldOpts(w *worldgen.World, opts DeployOptions) (*Federation, error) {
 	f, err := NewFederation()
 	if err != nil {
 		return nil, err
 	}
-	citySrv, err := mapserver.New(mapserver.Config{
-		Name:              "world-map",
-		Map:               w.Outdoor,
-		UseCH:             true,
-		QueryCacheEntries: opts.QueryCacheEntries,
-	})
+	citySrv, err := mapserver.New(mapserver.Config{Name: "world-map", Map: w.Outdoor, UseCH: true})
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -293,14 +275,13 @@ func DeployWorldOpts(w *worldgen.World, opts DeployOptions) (*Federation, error)
 			return nil, fmt.Errorf("core: align %s: %w", store.Map.Name, err)
 		}
 		srv, err := mapserver.New(mapserver.Config{
-			Name:              worldgenServerName(store),
-			Map:               store.Map,
-			UseCH:             true,
-			Alignment:         ga,
-			Beacons:           store.Beacons,
-			Fiducials:         store.Fiducials,
-			Landmarks:         store.Landmarks,
-			QueryCacheEntries: opts.QueryCacheEntries,
+			Name:      worldgenServerName(store),
+			Map:       store.Map,
+			UseCH:     true,
+			Alignment: ga,
+			Beacons:   store.Beacons,
+			Fiducials: store.Fiducials,
+			Landmarks: store.Landmarks,
 		})
 		if err != nil {
 			f.Close()

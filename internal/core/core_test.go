@@ -6,11 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"openflame/internal/discovery"
 	"openflame/internal/geo"
 	"openflame/internal/mapserver"
 	"openflame/internal/netsim"
 	"openflame/internal/resilience"
-	"openflame/internal/wire"
+	"openflame/internal/s2cell"
 	"openflame/internal/worldgen"
 )
 
@@ -102,7 +103,9 @@ func TestAddFaultyServer(t *testing.T) {
 	}
 
 	c := f.NewClient()
-	c.RetryPolicy = resilience.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}
+	c.Resilience = resilience.NewTracker(resilience.Policy{
+		Retry: resilience.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+	})
 	pos := geo.LatLng{Lat: 40.4400, Lng: -79.9990}
 	if got := c.SearchV2(context.Background(), "Street", pos, 5); len(got) == 0 {
 		t.Fatal("search through the fault injector found nothing after retry")
@@ -128,19 +131,38 @@ func TestClientHasWorldURL(t *testing.T) {
 	}
 }
 
-func TestDeployWorldOptsEnablesQueryCache(t *testing.T) {
+// TestRegistrationLevelsMatchDiscoverySweep pins the registration level
+// range to the discovery protocol's: every coverage cell the city and each
+// store server publish lies in [DefaultMinLevel, DefaultMaxLevel] — the
+// only levels a client sweeps — and a default discovery client standing at
+// a server's bounds centre finds it. A cell outside the range (a server
+// registered at level 17–18, or at 11) is published and never found.
+func TestRegistrationLevelsMatchDiscoverySweep(t *testing.T) {
 	w := worldgen.GenWorld(worldgen.DefaultWorldParams())
-	f, err := DeployWorldOpts(w, DeployOptions{QueryCacheEntries: 64})
+	f, err := DeployWorld(w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	disc := discovery.NewClient(f.NewResolver(), discovery.DefaultSuffix)
 	for _, h := range f.Servers {
-		req := wire.SearchRequest{Query: "street", Limit: 1}
-		h.Server.Search(req)
-		h.Server.Search(req)
-		if stats := h.Server.QueryCacheStats(); stats.Hits == 0 {
-			t.Fatalf("server %q: repeated query missed: %+v", h.Server.Name(), stats)
+		info := h.Server.Info()
+		if len(info.Coverage) == 0 {
+			t.Fatalf("server %q publishes no coverage", info.Name)
+		}
+		for _, tok := range info.Coverage {
+			if l := s2cell.FromToken(tok).Level(); l < discovery.DefaultMinLevel || l > discovery.DefaultMaxLevel {
+				t.Fatalf("server %q publishes cell %s at level %d, outside the swept %d..%d",
+					info.Name, tok, l, discovery.DefaultMinLevel, discovery.DefaultMaxLevel)
+			}
+		}
+		centre := h.Server.Store().Bounds().Center()
+		found := false
+		for _, a := range disc.DiscoverCtx(context.Background(), centre) {
+			found = found || a.Name == info.Name
+		}
+		if !found {
+			t.Fatalf("server %q not discovered at its own bounds centre %v", info.Name, centre)
 		}
 	}
 }

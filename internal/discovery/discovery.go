@@ -682,12 +682,13 @@ func (c *Client) lookupCell(ctx context.Context, domain string) []Announcement {
 		}
 		return out, nil
 	}
-	anns, err := c.flight.Do(domain, func() ([]Announcement, error) {
+	anns, err := c.flight.DoCtx(ctx, domain, func() ([]Announcement, error) {
 		return resolve(ctx)
 	})
 	// The coalesced result ran under the *leader's* context. If it failed
 	// only because the leader was cancelled while our own context is still
-	// live, retry directly rather than report a phantom empty cell.
+	// live, retry directly rather than report a phantom empty cell. A
+	// follower whose own context ends detaches with ctx.Err(), uncached.
 	if isCtxErr(err) && ctx.Err() == nil {
 		anns, err = resolve(ctx)
 	}
@@ -939,16 +940,11 @@ func (c *Client) ancestorSet(cells []s2cell.CellID) ([]s2cell.CellID, map[s2cell
 	return unique, index
 }
 
-// DiscoverAlongPath discovers servers along a polyline (the routing flow of
-// §5.2: "discovers all the map servers that lie along the way"), sampling
-// every sampleMeters.
-func (c *Client) DiscoverAlongPath(path []geo.LatLng, sampleMeters float64) []Announcement {
-	return c.DiscoverAlongPathCtx(context.Background(), path, sampleMeters)
-}
-
-// DiscoverAlongPathCtx is DiscoverAlongPath under a context: the sample
-// points' ancestor-chain lookups are batched into one bounded concurrent
-// sweep instead of one sequential Discover per sample.
+// DiscoverAlongPathCtx discovers servers along a polyline (the routing flow
+// of §5.2: "discovers all the map servers that lie along the way"),
+// sampling every sampleMeters. The sample points' ancestor-chain lookups
+// are batched into one bounded concurrent sweep instead of one sequential
+// discovery per sample.
 func (c *Client) DiscoverAlongPathCtx(ctx context.Context, path []geo.LatLng, sampleMeters float64) []Announcement {
 	if sampleMeters <= 0 {
 		sampleMeters = 100

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"net"
 	"reflect"
 	"strings"
@@ -302,7 +303,7 @@ func TestDiscoverAlongPath(t *testing.T) {
 	}
 	must(f.registry.Register(wire.Info{Name: "mid-store", Coverage: coverageFor(mid, 40)}, "http://mid"))
 	must(f.registry.Register(wire.Info{Name: "end-store", Coverage: coverageFor(end, 40)}, "http://end"))
-	got := f.client.DiscoverAlongPath([]geo.LatLng{start, end}, 50)
+	got := f.client.DiscoverAlongPathCtx(context.Background(), []geo.LatLng{start, end}, 50)
 	names := map[string]bool{}
 	for _, a := range got {
 		names[a.Name] = true

@@ -113,13 +113,9 @@ func (r *Resolver) CacheLen() int {
 	return len(r.cache)
 }
 
-// Lookup resolves name/typ iteratively, consulting the cache first.
-func (r *Resolver) Lookup(name string, typ uint16) ([]RR, error) {
-	return r.LookupCtx(context.Background(), name, typ)
-}
-
-// LookupCtx is Lookup under a context: cancellation aborts the resolution
-// between (and, for context-aware transports, during) upstream round trips.
+// LookupCtx resolves name/typ iteratively, consulting the cache first.
+// Cancellation aborts the resolution between (and, for context-aware
+// transports, during) upstream round trips.
 func (r *Resolver) LookupCtx(ctx context.Context, name string, typ uint16) ([]RR, error) {
 	name = CanonicalName(name)
 	if len(name) > 255 {
@@ -131,12 +127,7 @@ func (r *Resolver) LookupCtx(ctx context.Context, name string, typ uint16) ([]RR
 	return r.resolve(ctx, name, typ, 0)
 }
 
-// LookupTXT resolves TXT records and returns their joined strings.
-func (r *Resolver) LookupTXT(name string) ([]string, error) {
-	return r.LookupTXTCtx(context.Background(), name)
-}
-
-// LookupTXTCtx is LookupTXT under a context.
+// LookupTXTCtx resolves TXT records and returns their joined strings.
 func (r *Resolver) LookupTXTCtx(ctx context.Context, name string) ([]string, error) {
 	rrs, err := r.LookupCtx(ctx, name, TypeTXT)
 	if err != nil {

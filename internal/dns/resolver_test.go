@@ -1,6 +1,7 @@
 package dns
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -51,7 +52,7 @@ func buildTree(t testing.TB) (*MemExchanger, []RootHint) {
 func TestResolverFollowsDelegations(t *testing.T) {
 	mem, roots := buildTree(t)
 	r := NewResolver(mem, roots)
-	txts, err := r.LookupTXT("cell.org.loc.flame.arpa.")
+	txts, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa.")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestResolverFollowsDelegations(t *testing.T) {
 func TestResolverCachesAnswers(t *testing.T) {
 	mem, roots := buildTree(t)
 	r := NewResolver(mem, roots)
-	if _, err := r.LookupTXT("cell.org.loc.flame.arpa."); err != nil {
+	if _, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa."); err != nil {
 		t.Fatal(err)
 	}
 	before := mem.ExchangeCount()
-	if _, err := r.LookupTXT("cell.org.loc.flame.arpa."); err != nil {
+	if _, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa."); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.ExchangeCount(); got != before {
@@ -90,12 +91,12 @@ func TestResolverCacheSiblingReusesDelegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewResolver(mem, roots)
-	if _, err := r.LookupTXT("cell.org.loc.flame.arpa."); err != nil {
+	if _, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa."); err != nil {
 		t.Fatal(err)
 	}
 	before := mem.ExchangeCount()
 	// A sibling name under the same delegation needs only one more query.
-	if _, err := r.LookupTXT("cell2.org.loc.flame.arpa."); err != nil {
+	if _, err := r.LookupTXTCtx(context.Background(), "cell2.org.loc.flame.arpa."); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.ExchangeCount() - before; got != 1 {
@@ -106,12 +107,12 @@ func TestResolverCacheSiblingReusesDelegation(t *testing.T) {
 func TestResolverNXDomainAndNegativeCache(t *testing.T) {
 	mem, roots := buildTree(t)
 	r := NewResolver(mem, roots)
-	_, err := r.LookupTXT("nothere.org.loc.flame.arpa.")
+	_, err := r.LookupTXTCtx(context.Background(), "nothere.org.loc.flame.arpa.")
 	if !errors.Is(err, ErrNXDomain) {
 		t.Fatalf("err = %v", err)
 	}
 	before := mem.ExchangeCount()
-	_, err = r.LookupTXT("nothere.org.loc.flame.arpa.")
+	_, err = r.LookupTXTCtx(context.Background(), "nothere.org.loc.flame.arpa.")
 	if !errors.Is(err, ErrNXDomain) {
 		t.Fatalf("second err = %v", err)
 	}
@@ -126,7 +127,7 @@ func TestResolverNXDomainAndNegativeCache(t *testing.T) {
 func TestResolverNoData(t *testing.T) {
 	mem, roots := buildTree(t)
 	r := NewResolver(mem, roots)
-	_, err := r.Lookup("cell.org.loc.flame.arpa.", TypeA)
+	_, err := r.LookupCtx(context.Background(), "cell.org.loc.flame.arpa.", TypeA)
 	if !errors.Is(err, ErrNoData) {
 		t.Fatalf("err = %v", err)
 	}
@@ -135,7 +136,7 @@ func TestResolverNoData(t *testing.T) {
 func TestResolverCNAMEChase(t *testing.T) {
 	mem, roots := buildTree(t)
 	r := NewResolver(mem, roots)
-	rrs, err := r.Lookup("cname.org.loc.flame.arpa.", TypeTXT)
+	rrs, err := r.LookupCtx(context.Background(), "cname.org.loc.flame.arpa.", TypeTXT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +159,13 @@ func TestResolverTTLExpiry(t *testing.T) {
 	r := NewResolver(mem, roots)
 	now := time.Unix(1000000, 0)
 	r.Now = func() time.Time { return now }
-	if _, err := r.LookupTXT("cell.org.loc.flame.arpa."); err != nil {
+	if _, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa."); err != nil {
 		t.Fatal(err)
 	}
 	before := mem.ExchangeCount()
 	// Within TTL: cached.
 	now = now.Add(30 * time.Second)
-	if _, err := r.LookupTXT("cell.org.loc.flame.arpa."); err != nil {
+	if _, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa."); err != nil {
 		t.Fatal(err)
 	}
 	if mem.ExchangeCount() != before {
@@ -173,7 +174,7 @@ func TestResolverTTLExpiry(t *testing.T) {
 	// Past the 60s record TTL: refetch (delegations have TTL 300 so only
 	// the leaf query repeats).
 	now = now.Add(31 * time.Second)
-	if _, err := r.LookupTXT("cell.org.loc.flame.arpa."); err != nil {
+	if _, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa."); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.ExchangeCount() - before; got != 1 {
@@ -193,7 +194,7 @@ func TestResolverLRUEviction(t *testing.T) {
 	r := NewResolver(mem, roots)
 	r.MaxCacheEntries = 8
 	for i := 0; i < 50; i++ {
-		if _, err := r.LookupTXT(fmt.Sprintf("n%d.org.loc.flame.arpa.", i)); err != nil {
+		if _, err := r.LookupTXTCtx(context.Background(), fmt.Sprintf("n%d.org.loc.flame.arpa.", i)); err != nil {
 			t.Fatalf("n%d: %v", i, err)
 		}
 	}
@@ -205,7 +206,7 @@ func TestResolverLRUEviction(t *testing.T) {
 func TestResolverUnreachableServer(t *testing.T) {
 	mem := NewMemExchanger()
 	r := NewResolver(mem, []RootHint{{Name: "ns.", Addr: "10.9.9.9:53"}})
-	if _, err := r.LookupTXT("anything.example."); err == nil {
+	if _, err := r.LookupTXTCtx(context.Background(), "anything.example."); err == nil {
 		t.Fatal("lookup against dead root succeeded")
 	}
 }
@@ -213,12 +214,12 @@ func TestResolverUnreachableServer(t *testing.T) {
 func TestResolverFlushCache(t *testing.T) {
 	mem, roots := buildTree(t)
 	r := NewResolver(mem, roots)
-	if _, err := r.LookupTXT("cell.org.loc.flame.arpa."); err != nil {
+	if _, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa."); err != nil {
 		t.Fatal(err)
 	}
 	r.FlushCache()
 	before := mem.ExchangeCount()
-	if _, err := r.LookupTXT("cell.org.loc.flame.arpa."); err != nil {
+	if _, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa."); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.ExchangeCount() - before; got != 3 {
@@ -313,7 +314,7 @@ func TestResolverOverRealSockets(t *testing.T) {
 	defer rootSrv.Close()
 
 	r := NewResolver(UDPExchanger{}, []RootHint{{Name: "ns.loc.flame.arpa.", Addr: rootSrv.Addr()}})
-	txts, err := r.LookupTXT("cell.org.loc.flame.arpa.")
+	txts, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa.")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,13 +326,13 @@ func TestResolverOverRealSockets(t *testing.T) {
 func BenchmarkResolverCachedLookup(b *testing.B) {
 	mem, roots := buildTree(b)
 	r := NewResolver(mem, roots)
-	if _, err := r.LookupTXT("cell.org.loc.flame.arpa."); err != nil {
+	if _, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa."); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.LookupTXT("cell.org.loc.flame.arpa."); err != nil {
+		if _, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa."); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -344,7 +345,7 @@ func BenchmarkResolverColdLookup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.FlushCache()
-		if _, err := r.LookupTXT("cell.org.loc.flame.arpa."); err != nil {
+		if _, err := r.LookupTXTCtx(context.Background(), "cell.org.loc.flame.arpa."); err != nil {
 			b.Fatal(err)
 		}
 	}

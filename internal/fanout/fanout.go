@@ -80,22 +80,19 @@ type call[V any] struct {
 	err  error
 }
 
-// Do executes fn once per key among concurrent callers: the first caller
+// DoCtx executes fn once per key among concurrent callers: the first caller
 // runs fn, later callers with the same key block until it finishes and
 // receive the same value and error. Once the call completes the key is
 // forgotten, so sequential calls re-execute (callers wanting memoization
 // layer a cache above, as discovery.Client does).
-func (g *Group[V]) Do(key string, fn func() (V, error)) (V, error) {
-	return g.DoCtx(context.Background(), key, fn)
-}
-
-// DoCtx is Do with follower detach: a caller that joins an in-flight call
-// and whose ctx is cancelled before the leader finishes returns ctx.Err()
-// immediately instead of waiting — the leader is unaffected and completes
-// normally (its result still lands wherever the leader puts it, e.g. a
-// cache above this group). The LEADER's fn is never interrupted here: an
-// abandoned leader must finish for the followers and for the cache; fn
-// observes cancellation itself if it wants to stop early.
+//
+// Followers detach: a caller that joins an in-flight call and whose ctx is
+// cancelled before the leader finishes returns ctx.Err() immediately
+// instead of waiting — the leader is unaffected and completes normally (its
+// result still lands wherever the leader puts it, e.g. a cache above this
+// group). The LEADER's fn is never interrupted here: an abandoned leader
+// must finish for the followers and for the cache; fn observes cancellation
+// itself if it wants to stop early.
 func (g *Group[V]) DoCtx(ctx context.Context, key string, fn func() (V, error)) (V, error) {
 	g.mu.Lock()
 	if g.calls == nil {

@@ -80,7 +80,7 @@ func TestGroupCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := g.Do("k", func() (int, error) {
+			v, err := g.DoCtx(context.Background(), "k", func() (int, error) {
 				atomic.AddInt32(&execs, 1)
 				<-release
 				return 42, nil
@@ -108,11 +108,11 @@ func TestGroupCoalesces(t *testing.T) {
 func TestGroupSharesErrorAndForgets(t *testing.T) {
 	var g Group[string]
 	boom := errors.New("boom")
-	if _, err := g.Do("k", func() (string, error) { return "", boom }); !errors.Is(err, boom) {
+	if _, err := g.DoCtx(context.Background(), "k", func() (string, error) { return "", boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	// The key is forgotten after completion: a later call re-executes.
-	v, err := g.Do("k", func() (string, error) { return "ok", nil })
+	v, err := g.DoCtx(context.Background(), "k", func() (string, error) { return "ok", nil })
 	if err != nil || v != "ok" {
 		t.Fatalf("second Do = %q, %v", v, err)
 	}
@@ -126,7 +126,7 @@ func TestGroupDistinctKeysRunIndependently(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], _ = g.Do(string(rune('a'+i)), func() (int, error) { return i, nil })
+			vals[i], _ = g.DoCtx(context.Background(), string(rune('a'+i)), func() (int, error) { return i, nil })
 		}(i)
 	}
 	wg.Wait()

@@ -369,7 +369,7 @@ func (s *Server) read(ctx context.Context, svc *service, body []byte,
 // ETagged — a malformed body always earns its 400, never a 304.
 func (s *Server) jsonEndpoint(svc *service) http.HandlerFunc {
 	return s.guard(svc.policy, func(w http.ResponseWriter, r *http.Request) {
-		body, ok := readBody(w, r, s.cfg.MaxBodyBytes)
+		body, ok := readBody(w, r, maxBodyBytes)
 		if !ok {
 			return
 		}
@@ -405,7 +405,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "request cancelled")
 		return
 	}
-	body, ok := readBody(w, r, s.cfg.MaxBatchBodyBytes)
+	body, ok := readBody(w, r, maxBatchBodyBytes)
 	if !ok {
 		return
 	}
@@ -673,16 +673,13 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 // for ETag hashing before any decode), bounded by limit bytes: a body past
 // the cap stops reading mid-stream and earns 413, so an oversized (or
 // unbounded, Content-Length-less) POST costs at most limit bytes of memory
-// instead of everything the client cares to send. limit <= 0 means
-// unlimited (an explicit operator choice; Config defaults are finite).
+// instead of everything the client cares to send.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return nil, false
 	}
-	if limit > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
-	}
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		var mbe *http.MaxBytesError

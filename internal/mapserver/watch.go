@@ -14,9 +14,8 @@ import (
 	"openflame/internal/wire"
 )
 
-// DefaultWatchPingInterval is the keepalive cadence on idle watch streams
-// when Config leaves WatchPingInterval zero.
-const DefaultWatchPingInterval = 15 * time.Second
+// watchPingInterval is the keepalive cadence on idle watch streams.
+const watchPingInterval = 15 * time.Second
 
 // watchWriteWindow is the per-write deadline on a watch stream: each event
 // write resets the connection's write deadline this far out via
@@ -67,7 +66,7 @@ func (s *Server) WatchStats() watch.Stats { return s.hub.Stats() }
 // minutes would pin a request-admission slot forever. Its own bound is the
 // hub's watcher limit, shed with the same 429/Retry-After discipline.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r, s.cfg.MaxBodyBytes)
+	body, ok := readBody(w, r, maxBodyBytes)
 	if !ok {
 		return
 	}
@@ -129,11 +128,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	pingEvery := s.cfg.WatchPingInterval
-	if pingEvery <= 0 {
-		pingEvery = DefaultWatchPingInterval
-	}
-	ping := time.NewTicker(pingEvery)
+	ping := time.NewTicker(s.watchPing)
 	defer ping.Stop()
 
 	for {
@@ -149,7 +144,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			if !write(ev) {
 				return
 			}
-			ping.Reset(pingEvery)
+			ping.Reset(s.watchPing)
 		case <-ping.C:
 			if !write(wire.Event{Type: wire.EventPing}) {
 				return

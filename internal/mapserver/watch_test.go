@@ -13,13 +13,15 @@ import (
 	"openflame/internal/align"
 	"openflame/internal/geo"
 	"openflame/internal/osm"
+	"openflame/internal/watch"
 	"openflame/internal/wire"
 	"openflame/internal/worldgen"
 )
 
-// watchServer is storeServer with room for watch-specific Config tweaks
-// (watcher caps, ping cadence) that the shared fixture does not expose.
-func watchServer(t *testing.T, tweak func(*Config)) (*Server, *worldgen.IndoorBundle) {
+// watchServer is storeServer with room for watch-specific tweaks of the
+// server's unexported state (watcher cap, ping cadence), applied before it
+// serves anything.
+func watchServer(t *testing.T, tweak func(*Server)) (*Server, *worldgen.IndoorBundle) {
 	t.Helper()
 	entrance := geo.LatLng{Lat: 40.4415, Lng: -79.9955}
 	bundle := worldgen.GenStore(worldgen.DefaultStoreParams("Corner Grocery", entrance))
@@ -27,13 +29,12 @@ func watchServer(t *testing.T, tweak func(*Config)) (*Server, *worldgen.IndoorBu
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Name: "corner-grocery", Map: bundle.Map, Alignment: ga}
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	srv, err := New(cfg)
+	srv, err := New(Config{Name: "corner-grocery", Map: bundle.Map, Alignment: ga})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tweak != nil {
+		tweak(srv)
 	}
 	return srv, bundle
 }
@@ -236,7 +237,11 @@ func TestWatchResumeInitAfterCompactionGap(t *testing.T) {
 // TestWatchShedsAtWatcherLimit: the subscription bound is enforced with
 // the 429/Retry-After discipline — separately from request admission.
 func TestWatchShedsAtWatcherLimit(t *testing.T) {
-	srv2, bundle := watchServer(t, func(c *Config) { c.MaxWatchers = 1 })
+	srv2, bundle := watchServer(t, func(s *Server) {
+		s.hub = watch.New(watch.Config{
+			Source: storeSource{st: s.store}, Eval: s.watchEval, Mark: s.SessionMark, MaxWatchers: 1,
+		})
+	})
 	ts := httptest.NewServer(srv2.Handler())
 	t.Cleanup(ts.Close)
 	req, _ := productSubscribe(t, srv2, bundle)
@@ -267,9 +272,7 @@ func TestWatchShedsAtWatcherLimit(t *testing.T) {
 // WriteTimeout windows on keepalive pings alone, then still delivers a
 // delta.
 func TestWatchSurvivesServerWriteTimeout(t *testing.T) {
-	srvShort, bundle := watchServer(t, func(c *Config) {
-		c.WatchPingInterval = 25 * time.Millisecond
-	})
+	srvShort, bundle := watchServer(t, func(s *Server) { s.watchPing = 25 * time.Millisecond })
 	ts := httptest.NewUnstartedServer(srvShort.Handler())
 	ts.Config.WriteTimeout = 150 * time.Millisecond
 	ts.Start()

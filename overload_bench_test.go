@@ -93,9 +93,6 @@ func e19Server(t testing.TB, maxInFlight int) (*mapserver.Server, *httptest.Serv
 		Map:         e19World.city,
 		UseCH:       false,
 		MaxInFlight: maxInFlight,
-		MaxQueue:    2 * maxInFlight,
-		QueueWait:   20 * time.Millisecond,
-		RetryAfter:  time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

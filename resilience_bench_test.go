@@ -113,12 +113,12 @@ func BenchmarkE14_ResilientFanout(b *testing.B) {
 			c.SearchRadiusMeters = 100
 			c.PerServerTimeout = e14Timeout
 			if mode.resilient {
-				c.RetryPolicy = resilience.RetryPolicy{
-					MaxAttempts: 3, BaseBackoff: 2 * time.Millisecond, Budget: 8,
-				}
-				c.HedgeAfter = 3 * e14Delay
-				c.BreakerThreshold = 4
-				c.BreakerCooldown = 500 * time.Millisecond
+				c.Resilience = resilience.NewTracker(resilience.Policy{
+					Retry:            resilience.RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Millisecond, Budget: 8},
+					HedgeAfter:       3 * e14Delay,
+					BreakerThreshold: 4,
+					BreakerCooldown:  500 * time.Millisecond,
+				})
 			}
 			// Prime discovery and connections once.
 			_ = c.SearchV2(context.Background(), "hit", pos, 2*e14Servers)

@@ -76,7 +76,6 @@ func e22Server(t testing.TB) *e22Fixture {
 	}
 	srv, err := mapserver.New(mapserver.Config{
 		Name: "e22-grocery", Map: bundle.Map, Alignment: ga,
-		MaxWatchers: 2 * e22Population,
 	})
 	if err != nil {
 		t.Fatal(err)
