@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt vet staticcheck build test race cover loc bench-fanout bench-resilience bench-replication bench-session bench-route bench-overload bench-world bench-boot bench-watch bench-smoke
+.PHONY: verify fmt vet staticcheck build test race cover loc examples bench-fanout bench-resilience bench-replication bench-session bench-route bench-overload bench-world bench-boot bench-watch bench-smoke
 
 ## verify: the full CI gate — formatting, vet, build, tests under -race
 ## (twice, so flaky tests surface). CI additionally runs staticcheck.
@@ -38,6 +38,12 @@ cover:
 loc:
 	@echo "non-test: $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "test:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+
+## examples: run both narrative examples end to end (each stands up a
+## whole federation in-process and exits non-zero if a step fails).
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/grocery
 
 ## bench-fanout: the E13 sequential-vs-concurrent fan-out comparison.
 bench-fanout:

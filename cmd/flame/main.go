@@ -17,8 +17,7 @@
 //
 // Resilience flags (-retries, -retry-budget, -hedge-after,
 // -breaker-threshold) tune how the client treats an unreliable
-// federation; all default off, reproducing the plain client. -batch
-// coalesces same-server sub-queries into /v1/batch round trips. -session
+// federation; all default off, reproducing the plain client. -session
 // runs the command's reads under session consistency: replicas that lag
 // behind what the command has already observed refuse and the client fails
 // over to a caught-up sibling.
@@ -54,7 +53,6 @@ type options struct {
 	timeout     time.Duration
 	perServer   time.Duration
 	concurrency int
-	batch       bool
 	session     bool
 
 	retries          int
@@ -77,7 +75,6 @@ func newFlagSet(name string) (*flag.FlagSet, *options) {
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "overall deadline for the command (0 = none)")
 	fs.DurationVar(&o.perServer, "per-server-timeout", 5*time.Second, "deadline per federation member, spanning its retries and hedges (0 = none)")
 	fs.IntVar(&o.concurrency, "concurrency", 0, "max concurrent server calls (0 = default, 1 = sequential)")
-	fs.BoolVar(&o.batch, "batch", false, "coalesce a request's sub-queries to the same server into POST /v1/batch round trips (servers without the endpoint fall back transparently)")
 	fs.BoolVar(&o.session, "session", false, "session consistency: carry high-water marks across this command's reads so a lagging replica is failed over instead of serving stale state")
 	fs.IntVar(&o.retries, "retries", 0, "max attempts per server call; 5xx/timeouts/transport errors are retried with jittered backoff (0 or 1 = no retries)")
 	fs.DurationVar(&o.retryBackoff, "retry-backoff", 10*time.Millisecond, "base backoff before the first retry (doubles per attempt)")
@@ -97,7 +94,6 @@ func (o *options) newClient() *client.Client {
 	c.User, c.App, c.WorldURL = o.user, o.app, o.world
 	c.MaxConcurrency = o.concurrency
 	c.PerServerTimeout = o.perServer
-	c.UseBatch = o.batch
 	p := resilience.Policy{
 		Retry: resilience.RetryPolicy{
 			MaxAttempts: o.retries,

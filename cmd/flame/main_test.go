@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"testing"
 	"time"
 
@@ -86,21 +87,21 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestBatchFlagRoundTrip: -batch reaches Client.UseBatch and defaults off
-// (byte-identical per-call behaviour).
-func TestBatchFlagRoundTrip(t *testing.T) {
-	fs, o := newFlagSet("flame")
-	if err := fs.Parse([]string{"discover", "40.44", "-79.99"}); err != nil {
-		t.Fatal(err)
+// TestFlagSurface pins the size of the CLI surface: a flag is a second path
+// somebody has to test, so adding one should be a deliberate act. The 14 are
+// the four deployment settings (root, world, user, app), the three fan-out
+// knobs (timeout, per-server-timeout, concurrency), -session and the six
+// resilience knobs. -batch must stay rejected: the client never coalesces
+// requests.
+func TestFlagSurface(t *testing.T) {
+	fs, _ := newFlagSet("flame")
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 14 {
+		t.Fatalf("flame has %d flags, want 14", n)
 	}
-	if o.batch || o.newClient().UseBatch {
-		t.Fatal("batching should default off")
-	}
-	fs, o = newFlagSet("flame")
-	if err := fs.Parse([]string{"-batch", "discover", "40.44", "-79.99"}); err != nil {
-		t.Fatal(err)
-	}
-	if !o.newClient().UseBatch {
-		t.Fatal("-batch did not reach Client.UseBatch")
+	fs.SetOutput(discard{})
+	if err := fs.Parse([]string{"-batch", "discover", "40.44", "-79.99"}); err == nil {
+		t.Fatal("-batch accepted")
 	}
 }

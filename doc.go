@@ -6,13 +6,14 @@
 // search, routing, localization, and tiles — across the federation.
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
-// inventory); runnable entry points are under cmd/ and examples/; the
+// inventory); runnable entry points are under cmd/ and examples/ (quickstart
+// and the §2 grocery walk-through, run by `make examples`); the
 // experiment harness reproducing the paper's architecture comparison is in
 // bench_test.go, indexed by experiment ID in EXPERIMENTS.md.
 //
 // The client surface (internal/client) is one ctx-first method per service
 // — SearchV2, GeocodeV2, ReverseGeocodeV2, LocalizeV2, RouteV2, DiscoverV2,
 // InfoV2, TilePNGV2, and the standing-query WatchV2 — taking variadic
-// per-call options (WithMaxServers, WithTimeout, WithNoBatch,
-// WithConsistency, WithSession; DESIGN.md §6 and §11).
+// per-call options (WithMaxServers, WithTimeout, WithConsistency,
+// WithSession; DESIGN.md §6 and §11).
 package openflame

@@ -40,8 +40,9 @@ import (
 //
 // The surface is one ctx-first method per service — SearchV2, GeocodeV2,
 // ReverseGeocodeV2, LocalizeV2, RouteV2, DiscoverV2, InfoV2, TilePNGV2 —
-// taking variadic CallOptions (WithMaxServers, WithTimeout, WithNoBatch,
-// WithConsistency, WithSession; see options.go).
+// taking variadic CallOptions (WithMaxServers, WithTimeout,
+// WithConsistency, WithSession; see options.go). Every sub-query is its own
+// HTTP request; the servers' /v1/batch endpoint serves other clients.
 type Client struct {
 	disc *discovery.Client
 	http *http.Client
@@ -63,13 +64,6 @@ type Client struct {
 	// skipped like any other failure. The cap spans the whole resilient
 	// call — retries and hedges included.
 	PerServerTimeout time.Duration
-	// UseBatch, when true, coalesces a request's sub-queries to the same
-	// server — Geocode's coarse suffix walk + fine world query, Route's
-	// per-server leg expansions — into single POST /v1/batch round trips.
-	// Servers without the endpoint (404/405) transparently fall back to
-	// per-call HTTP and are remembered as batch-incapable. False
-	// reproduces the per-call client exactly.
-	UseBatch bool
 
 	// Resilience, when non-nil, runs every server call through the tracker
 	// and its Policy (see internal/resilience): transient per-server
@@ -85,8 +79,6 @@ type Client struct {
 	infoMu     sync.Mutex
 	infoCache  map[string]wire.Info
 	infoFlight fanout.Group[wire.Info]
-	batchMu    sync.Mutex
-	batchUnsup map[string]time.Time // server → when /v1/batch was last observed missing
 	sessOnce   sync.Once
 	sess       *Session // the client's shared consistency session (lazy)
 }
@@ -208,42 +200,64 @@ func (c *Client) call(ctx context.Context, baseURL, path string, req, resp inter
 	return json.Unmarshal(body, resp)
 }
 
-// post issues one raw HTTP attempt and returns the response body. Non-200
-// responses become *resilience.HTTPError so the status code survives for
-// failure classification (5xx counts against the server's health and is
-// retryable; 4xx is a refusal — the server is fine).
+// post issues one JSON POST attempt and returns the response body.
 func (c *Client) post(ctx context.Context, baseURL, path string, req interface{}) ([]byte, error) {
-	c.requests.Add(1)
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	if c.User != "" {
-		httpReq.Header.Set("X-Flame-User", c.User)
-	}
-	if c.App != "" {
-		httpReq.Header.Set("X-Flame-App", c.App)
-	}
-	res, err := c.http.Do(httpReq)
+	res, err := c.send(ctx, http.MethodPost, baseURL+path, body, "")
 	if err != nil {
 		return nil, err
 	}
 	defer res.Body.Close()
+	return io.ReadAll(res.Body)
+}
+
+// send issues one HTTP attempt; every request the client makes goes through
+// it. It counts the attempt, marks a body as JSON, sets Accept when given and
+// asserts the client's identity (§5.3). Every non-200 becomes a
+// *resilience.HTTPError so the status survives for failure classification
+// (5xx counts against the server's health and is retryable; 4xx is a
+// refusal — the server is fine; 429 carries its Retry-After). On success the
+// caller owns the response body.
+func (c *Client) send(ctx context.Context, method, url string, body []byte, accept string) (*http.Response, error) {
+	c.requests.Add(1)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	if c.User != "" {
+		req.Header.Set("X-Flame-User", c.User)
+	}
+	if c.App != "" {
+		req.Header.Set("X-Flame-App", c.App)
+	}
+	res, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
 	if res.StatusCode != http.StatusOK {
+		defer res.Body.Close()
 		var e wire.ErrorResponse
 		_ = json.NewDecoder(res.Body).Decode(&e)
 		return nil, &resilience.HTTPError{
-			URL: baseURL + path, StatusCode: res.StatusCode,
+			URL: url, StatusCode: res.StatusCode,
 			Msg: e.Error, Session: e.Session,
 			RetryAfter: retryAfterHint(res, e),
 		}
 	}
-	return io.ReadAll(res.Body)
+	return res, nil
 }
 
 // retryAfterHint extracts an overloaded server's backoff hint from a 429:
@@ -284,13 +298,9 @@ func (c *Client) infoCtx(ctx context.Context, baseURL string) (wire.Info, error)
 		return info, nil
 	}
 	c.infoMu.Unlock()
+	// Only a 200 is cached: a failed fetch is asked again next time.
 	fetch := func(ctx context.Context) (wire.Info, error) {
-		c.requests.Add(1)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/info", nil)
-		if err != nil {
-			return wire.Info{}, err
-		}
-		res, err := c.http.Do(req)
+		res, err := c.send(ctx, http.MethodGet, baseURL+"/info", nil, "")
 		if err != nil {
 			return wire.Info{}, err
 		}
@@ -381,32 +391,20 @@ func (c *Client) GeocodeV2(ctx context.Context, address string, opts ...CallOpti
 	// Coarse: try progressively larger suffixes of the address against the
 	// world provider until something matches. The coarse score is NOT
 	// comparable to full-address scores (it saw fewer tokens), so it only
-	// pins the location. With batching on, the whole walk — and the fine
-	// full-address query the world provider would be asked next — collapses
-	// into one /v1/batch round trip; otherwise (or when the provider lacks
-	// the endpoint) each suffix is its own call, exactly the per-call walk.
+	// pins the location.
 	var coarse wire.GeocodeResult
-	var worldFine *wire.GeocodeResult
 	found := false
-	batched := false
-	if c.batchEnabled(ctx) {
-		if co, cf, fine, ok := c.geocodeCoarseBatch(ctx, parts, address); ok {
-			coarse, found, worldFine, batched = co, cf, fine, true
-		}
-	}
 	worldKey := singletonKey("world", c.WorldURL)
-	if !batched {
-		for cut := 1; cut < len(parts)+1 && !found; cut++ {
-			tail := join(parts[len(parts)-cut:])
-			req := wire.GeocodeRequest{Query: tail, Limit: 1}
-			var resp wire.GeocodeResponse
-			if err := c.callKeyed(ctx, worldKey, c.WorldURL, "/geocode", &req, &resp); err != nil {
-				return wire.GeocodeResult{}, err
-			}
-			if len(resp.Results) > 0 {
-				coarse = resp.Results[0]
-				found = true
-			}
+	for cut := 1; cut < len(parts)+1 && !found; cut++ {
+		tail := join(parts[len(parts)-cut:])
+		req := wire.GeocodeRequest{Query: tail, Limit: 1}
+		var resp wire.GeocodeResponse
+		if err := c.callKeyed(ctx, worldKey, c.WorldURL, "/geocode", &req, &resp); err != nil {
+			return wire.GeocodeResult{}, err
+		}
+		if len(resp.Results) > 0 {
+			coarse = resp.Results[0]
+			found = true
 		}
 	}
 	if !found {
@@ -428,13 +426,7 @@ func (c *Client) GeocodeV2(ctx context.Context, address string, opts ...CallOpti
 	}
 	groups = append(groups, planAnnouncements(fine)...)
 	slots := make([]*wire.GeocodeResult, len(groups))
-	if batched {
-		slots[0] = worldFine // the coarse batch already answered the world's fine query
-	}
 	c.forEachGroup(ctx, len(groups), func(ctx context.Context, i int) {
-		if batched && i == 0 {
-			return
-		}
 		req := wire.GeocodeRequest{Query: address, Limit: 1}
 		var resp wire.GeocodeResponse
 		if _, err := c.callGroup(ctx, groups[i], "/geocode", &req, &resp); err != nil {
@@ -606,24 +598,10 @@ func (c *Client) TilePNGV2(ctx context.Context, baseURL string, z, x, y int, opt
 	if len(opts) > 0 {
 		ctx = c.withCallOpts(ctx, opts)
 	}
-	c.requests.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/tiles/%d/%d/%d.png", baseURL, z, x, y), nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.User != "" {
-		req.Header.Set("X-Flame-User", c.User)
-	}
-	if c.App != "" {
-		req.Header.Set("X-Flame-App", c.App)
-	}
-	res, err := c.http.Do(req)
+	res, err := c.send(ctx, http.MethodGet, fmt.Sprintf("%s/tiles/%d/%d/%d.png", baseURL, z, x, y), nil, "")
 	if err != nil {
 		return nil, err
 	}
 	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("client: tile status %d", res.StatusCode)
-	}
 	return io.ReadAll(res.Body)
 }

@@ -2,15 +2,22 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"openflame/internal/client"
 	"openflame/internal/core"
 	"openflame/internal/geo"
 	"openflame/internal/loc"
+	"openflame/internal/resilience"
+	"openflame/internal/wire"
 	"openflame/internal/worldgen"
 )
 
@@ -251,9 +258,9 @@ func TestIdentityHeadersForwarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	// DeployWorld has no auth; this test uses the mapserver policy knob
-	// through a dedicated federation in the campus example instead. Here
-	// we only verify headers are attached (no panic path).
+	// DeployWorld has no auth; the mapserver policy tests
+	// (TestAuthPolicyLevels) cover enforcement. Here we only verify headers
+	// are attached (no panic path).
 	c := f.NewClient()
 	c.User = "alice@cmu.edu"
 	c.App = "campus-nav"
@@ -331,7 +338,39 @@ func TestClientSurface(t *testing.T) {
 			n++
 		}
 	}
-	if n != 8 {
-		t.Fatalf("client.Client has %d exported fields, want 8", n)
+	if n != 7 {
+		t.Fatalf("client.Client has %d exported fields, want 7", n)
+	}
+}
+
+// TestInfoFailureNotCached: a server whose /info fails once must surface the
+// failure and be asked again, never be remembered as an empty description.
+func TestInfoFailureNotCached(t *testing.T) {
+	var hits atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if hits.Add(1) == 1 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			_, _ = w.Write([]byte(`{"error":"warming up"}`))
+			return
+		}
+		_ = json.NewEncoder(w).Encode(wire.Info{Name: "city"})
+	}))
+	defer ts.Close()
+	c := client.New(nil, ts.Client())
+	_, err := c.InfoV2(context.Background(), ts.URL)
+	var he *resilience.HTTPError
+	if !errors.As(err, &he) || he.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("first InfoV2 error = %v, want a 503 *resilience.HTTPError", err)
+	}
+	info, err := c.InfoV2(context.Background(), ts.URL)
+	if err != nil || info.Name != "city" {
+		t.Fatalf("second InfoV2 = %+v, %v; want the real Info", info, err)
+	}
+	if _, err := c.InfoV2(context.Background(), ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	if n := hits.Load(); n != 2 {
+		t.Fatalf("server hit %d times, want 2 (the 200 is cached)", n)
 	}
 }

@@ -145,7 +145,6 @@ type callOpts struct {
 	maxServers  int
 	timeout     time.Duration
 	timeoutSet  bool
-	noBatch     bool
 	consistency Consistency
 	session     *Session
 }
@@ -162,12 +161,6 @@ func WithMaxServers(n int) CallOption {
 // server attempt, retries and hedges included, not the whole fan-out.
 func WithTimeout(d time.Duration) CallOption {
 	return func(o *callOpts) { o.timeout, o.timeoutSet = d, true }
-}
-
-// WithNoBatch disables request coalescing (/v1/batch) for this call even
-// when the client has UseBatch on.
-func WithNoBatch() CallOption {
-	return func(o *callOpts) { o.noBatch = true }
 }
 
 // WithConsistency selects the call's read-consistency contract.
@@ -214,8 +207,8 @@ func (c *Client) resolveOpts(opts []CallOption) *callOpts {
 	return o
 }
 
-// callOptsKey carries the resolved options down the call tree — the plan,
-// batch, and transport layers read them from the context instead of
+// callOptsKey carries the resolved options down the call tree — the plan
+// and transport layers read them from the context instead of
 // growing an options parameter on every internal signature.
 type callOptsKey struct{}
 
@@ -237,15 +230,6 @@ func sessionFrom(ctx context.Context) *Session {
 		return o.session
 	}
 	return nil
-}
-
-// batchEnabled reports whether this call may coalesce sub-requests into
-// /v1/batch round trips.
-func (c *Client) batchEnabled(ctx context.Context) bool {
-	if o := callOptsFrom(ctx); o != nil && o.noBatch {
-		return false
-	}
-	return c.UseBatch
 }
 
 // consistencyFor builds the request envelope for one plan-group key, nil

@@ -12,7 +12,7 @@ import (
 	"openflame/internal/wire"
 )
 
-// shedServer answers every POST with a 429 shaped exactly like
+// shedServer answers every request with a 429 shaped exactly like
 // mapserver's admission shed: JSON error body plus a Retry-After header.
 func shedServer(t *testing.T, header string, bodySeconds int) *httptest.Server {
 	t.Helper()
@@ -35,7 +35,7 @@ func shedServer(t *testing.T, header string, bodySeconds int) *httptest.Server {
 // TestPostSurfacesRetryAfterOnShed pins the wire contract the resilience
 // layer builds on: a 429 arrives at Classify as an HTTPError carrying the
 // server's Retry-After, from the header when present, from the body hint
-// when not.
+// when not — for a JSON POST and a tile GET alike.
 func TestPostSurfacesRetryAfterOnShed(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -52,19 +52,22 @@ func TestPostSurfacesRetryAfterOnShed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := shedServer(t, tc.header, tc.bodySeconds)
 			c := New(nil, ts.Client())
-			_, err := c.post(context.Background(), ts.URL, "/search", wire.SearchRequest{Query: "x"})
-			var he *resilience.HTTPError
-			if !errors.As(err, &he) {
-				t.Fatalf("post error = %v, want *resilience.HTTPError", err)
-			}
-			if he.StatusCode != wire.StatusOverloaded {
-				t.Fatalf("status = %d, want %d", he.StatusCode, wire.StatusOverloaded)
-			}
-			if he.RetryAfter != tc.want {
-				t.Fatalf("RetryAfter = %v, want %v", he.RetryAfter, tc.want)
-			}
-			if got := resilience.Classify(context.Background(), he); got != resilience.ClassOverload {
-				t.Fatalf("Classify = %v, want overload", got)
+			_, postErr := c.post(context.Background(), ts.URL, "/search", wire.SearchRequest{Query: "x"})
+			_, tileErr := c.TilePNGV2(context.Background(), ts.URL, 17, 0, 0)
+			for _, err := range []error{postErr, tileErr} {
+				var he *resilience.HTTPError
+				if !errors.As(err, &he) {
+					t.Fatalf("error = %v, want *resilience.HTTPError", err)
+				}
+				if he.StatusCode != wire.StatusOverloaded {
+					t.Fatalf("%s: status = %d, want %d", he.URL, he.StatusCode, wire.StatusOverloaded)
+				}
+				if he.RetryAfter != tc.want {
+					t.Fatalf("%s: RetryAfter = %v, want %v", he.URL, he.RetryAfter, tc.want)
+				}
+				if got := resilience.Classify(context.Background(), he); got != resilience.ClassOverload {
+					t.Fatalf("%s: Classify = %v, want overload", he.URL, got)
+				}
 			}
 		})
 	}

@@ -255,12 +255,8 @@ func (c *Client) RouteV2(ctx context.Context, from, to geo.LatLng, opts ...CallO
 		return StitchedRoute{}, err
 	}
 
-	// 4. Expand every chosen leg with a full /route call on its server,
-	// reassembled in chain order. With batching on, the legs are grouped
-	// by server and each group answered in one /v1/batch round trip (a
-	// route crossing a server several times pays one round trip, not one
-	// per leg); without it — or on servers lacking the endpoint — every
-	// leg is its own call, all in parallel.
+	// 4. Expand every chosen leg with a full /route call on its server, all
+	// in parallel, reassembled in chain order.
 	legs := make([]Leg, len(chain))
 	lengths := make([]float64, len(chain))
 	legErrs := make([]error, len(chain))
@@ -313,62 +309,7 @@ func (c *Client) RouteV2(ctx context.Context, from, to geo.LatLng, opts ...CallO
 			return
 		}
 	}
-	if c.batchEnabled(ctx) {
-		// Groups run on the plain pool (not forEachServer) so the batch
-		// attempt and each fallback leg get their OWN per-server timeout:
-		// a batch that burned its window must not leave the per-leg
-		// fallback with an expired context. A single shared semaphore
-		// bounds every HTTP call — batch or individual leg — at the
-		// client's concurrency limit, so nested fan-out cannot multiply
-		// the documented worker bound.
-		legGroups := groupLegsByServer(chain)
-		limit := c.MaxConcurrency
-		if limit <= 0 {
-			limit = fanout.DefaultLimit
-		}
-		sem := make(chan struct{}, limit)
-		acquire := func(ctx context.Context) bool {
-			select {
-			case sem <- struct{}{}:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		fanout.ForEach(ctx, len(legGroups), limit, func(ctx context.Context, gi int) {
-			idxs := legGroups[gi]
-			if len(idxs) > 1 {
-				if !acquire(ctx) {
-					return
-				}
-				bctx, cancel := c.perServerCtx(ctx)
-				c.expandLegsBatch(bctx, chain, groups, idxs, legs, lengths, legErrs, expanded)
-				cancel()
-				<-sem
-			}
-			// Whatever the batch left unexpanded — it was declined (single
-			// leg, server lacks the endpoint), or individual sub-items
-			// failed on the batched replica — goes through the per-leg
-			// path, which fails over to the group's sibling replicas; the
-			// legs run in parallel, exactly the per-call fan-out, never
-			// serialized. expandOne budgets its own per-attempt timeouts.
-			var remaining []int
-			for _, i := range idxs {
-				if !expanded[i] {
-					remaining = append(remaining, i)
-				}
-			}
-			fanout.ForEach(ctx, len(remaining), limit, func(ctx context.Context, k int) {
-				if !acquire(ctx) {
-					return
-				}
-				defer func() { <-sem }()
-				expandOne(ctx, remaining[k])
-			})
-		})
-	} else {
-		c.forEachGroup(ctx, len(chain), expandOne)
-	}
+	c.forEachGroup(ctx, len(chain), expandOne)
 	route := StitchedRoute{CostSeconds: total}
 	used := map[string]bool{}
 	for i, e := range chain {

@@ -54,17 +54,9 @@ func TestSessionObserve(t *testing.T) {
 // helpers read them back; defaults reproduce the client-level knobs.
 func TestCallOptsPlumbing(t *testing.T) {
 	c := New(nil, nil)
-	c.UseBatch = true
 	ctx := c.withCallOpts(context.Background(), nil)
-	if !c.batchEnabled(ctx) {
-		t.Fatal("default call lost the client's UseBatch")
-	}
 	if sessionFrom(ctx) != nil {
 		t.Fatal("default call carries a session")
-	}
-	ctx = c.withCallOpts(context.Background(), []CallOption{WithNoBatch()})
-	if c.batchEnabled(ctx) {
-		t.Fatal("WithNoBatch ignored")
 	}
 	ctx = c.withCallOpts(context.Background(), []CallOption{WithConsistency(ConsistencySession)})
 	if sessionFrom(ctx) != c.Session() {
@@ -107,48 +99,5 @@ func TestCallOptsPlumbing(t *testing.T) {
 	defer cancel2()
 	if _, ok := sctx.Deadline(); ok {
 		t.Fatal("WithTimeout(0) did not lift the per-server cap")
-	}
-}
-
-// TestBatchUnsupExpiry: the batch-incapability memory is a probe window,
-// not a verdict — entries expire so an upgraded server regains batching,
-// a batch-speaking server's entry is cleared outright, and dead entries
-// are pruned rather than accumulated.
-func TestBatchUnsupExpiry(t *testing.T) {
-	c := New(nil, nil)
-	c.markBatchUnsupported("http://a")
-	if !c.batchUnsupported("http://a") {
-		t.Fatal("fresh entry not honored")
-	}
-	// Age the entry past the reprobe interval: the next check deletes it.
-	c.batchMu.Lock()
-	c.batchUnsup["http://a"] = time.Now().Add(-batchReprobeInterval - time.Second)
-	c.batchMu.Unlock()
-	if c.batchUnsupported("http://a") {
-		t.Fatal("expired entry still suppresses batching")
-	}
-	c.batchMu.Lock()
-	_, still := c.batchUnsup["http://a"]
-	c.batchMu.Unlock()
-	if still {
-		t.Fatal("expired entry not deleted on observation")
-	}
-	// Marking a new server prunes other expired entries.
-	c.markBatchUnsupported("http://b")
-	c.batchMu.Lock()
-	c.batchUnsup["http://b"] = time.Now().Add(-batchReprobeInterval - time.Second)
-	c.batchMu.Unlock()
-	c.markBatchUnsupported("http://c")
-	c.batchMu.Lock()
-	_, bStill := c.batchUnsup["http://b"]
-	n := len(c.batchUnsup)
-	c.batchMu.Unlock()
-	if bStill || n != 1 {
-		t.Fatalf("prune left %d entries (b present: %v)", n, bStill)
-	}
-	// A successful batch clears the memory immediately.
-	c.clearBatchUnsupported("http://c")
-	if c.batchUnsupported("http://c") {
-		t.Fatal("cleared entry still suppresses batching")
 	}
 }

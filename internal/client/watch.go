@@ -199,10 +199,11 @@ func (c *Client) watchGroup(ctx context.Context, g planGroup, query wire.SearchR
 // watchStream opens one subscription to one replica and pumps its events
 // until the stream breaks. It reports whether any event was applied (the
 // failover loop's progress signal) and the terminal error. Non-200
-// responses surface as *resilience.HTTPError for classification, exactly
-// like post — but the attempt deliberately bypasses resilience.Do and the
-// per-server timeout: a healthy stream is supposed to live for minutes, and
-// its eventual death is a reconnect, not a server failure to account.
+// responses surface from send as *resilience.HTTPError for classification,
+// like every other request — but the attempt deliberately bypasses
+// resilience.Do and the per-server timeout: a healthy stream is supposed to
+// live for minutes, and its eventual death is a reconnect, not a server
+// failure to account.
 func (c *Client) watchStream(ctx context.Context, g planGroup, a discovery.Announcement, query wire.SearchRequest, st *watchState, w *Watch) (progressed bool, err error) {
 	sub := wire.SubscribeRequest{Query: query, Log: st.log, Seq: st.seq}
 	if rc := consistencyFor(ctx, g.Key); rc != nil {
@@ -212,33 +213,11 @@ func (c *Client) watchStream(ctx context.Context, g planGroup, a discovery.Annou
 	if err != nil {
 		return false, err
 	}
-	c.requests.Add(1)
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, a.URL+"/v1/watch", bytes.NewReader(body))
-	if err != nil {
-		return false, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	httpReq.Header.Set("Accept", "text/event-stream")
-	if c.User != "" {
-		httpReq.Header.Set("X-Flame-User", c.User)
-	}
-	if c.App != "" {
-		httpReq.Header.Set("X-Flame-App", c.App)
-	}
-	res, err := c.http.Do(httpReq)
+	res, err := c.send(ctx, http.MethodPost, a.URL+"/v1/watch", body, "text/event-stream")
 	if err != nil {
 		return false, err
 	}
 	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		var e wire.ErrorResponse
-		_ = json.NewDecoder(res.Body).Decode(&e)
-		return false, &resilience.HTTPError{
-			URL: a.URL + "/v1/watch", StatusCode: res.StatusCode,
-			Msg: e.Error, Session: e.Session,
-			RetryAfter: retryAfterHint(res, e),
-		}
-	}
 	sc := bufio.NewScanner(res.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), maxWatchFrame)
 	var data []byte

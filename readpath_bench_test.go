@@ -1,7 +1,6 @@
 package openflame
 
 import (
-	"context"
 	"testing"
 
 	"openflame/internal/mapserver"
@@ -10,12 +9,9 @@ import (
 )
 
 // ================= E15: server-side read path ============================
-// PR 3 moves the caching story server-side: a generation-keyed query
-// result cache (hot repeated queries compute once per map generation) and
-// a batched wire API (a client's sub-queries to one server share a round
-// trip). E15 measures both: cached vs uncached hot-query service time on
-// one server, and HTTP round trips per client Geocode with and without
-// /v1/batch.
+// A generation-keyed query result cache: hot repeated queries compute once
+// per map generation. E15 measures cached vs uncached hot-query service
+// time on one server.
 
 func BenchmarkE15_HotQuery(b *testing.B) {
 	city := worldgen.GenCity(worldgen.DefaultCityParams())
@@ -51,31 +47,6 @@ func BenchmarkE15_HotQuery(b *testing.B) {
 					b.Fatal("route not found")
 				}
 			}
-		})
-	}
-}
-
-func BenchmarkE15_BatchRoundTrips(b *testing.B) {
-	f := getFixtures(b)
-	store := f.world.Stores[0]
-	address := store.Products[0] + " shelf, " + store.Map.Name
-	for _, mode := range []struct {
-		name  string
-		batch bool
-	}{
-		{"percall", false},
-		{"batched", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := f.fed.NewClient()
-			c.UseBatch = mode.batch
-			req0 := c.RequestCount()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.GeocodeV2(context.Background(), address); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(c.RequestCount()-req0)/float64(b.N), "httpreqs/op")
 		})
 	}
 }
