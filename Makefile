@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt vet staticcheck build test race cover loc examples bench-fanout bench-resilience bench-replication bench-session bench-route bench-overload bench-world bench-boot bench-watch bench-smoke
+.PHONY: verify fmt vet staticcheck build test race cover fuzz loc examples bench-fanout bench-resilience bench-replication bench-session bench-route bench-overload bench-world bench-boot bench-watch bench-smoke
 
 ## verify: the full CI gate — formatting, vet, build, tests under -race
 ## (twice, so flaky tests surface). CI additionally runs staticcheck.
@@ -32,6 +32,13 @@ race:
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
+
+## fuzz: a short pass over each fuzz target, 10s apiece (their seed
+## corpora already run inside `go test ./...`). The corpus the pass grows
+## goes to the Go build cache, not the repo.
+fuzz:
+	$(GO) test ./internal/mapserver -run '^$$' -fuzz '^FuzzServiceDecode$$' -fuzztime 10s
+	$(GO) test ./internal/osm -run '^$$' -fuzz '^FuzzReadSnapshotIndexed$$' -fuzztime 10s
 
 ## loc: non-test and test Go line counts outside bench/ — the trajectory
 ## the design diet (ROADMAP aim 2) is measured on.

@@ -92,8 +92,8 @@ func benchE21BootRebuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st := store.New(m); st.NodeCount() != e21.nodes {
-			b.Fatalf("rebuild boot: %d nodes", st.NodeCount())
+		if st := store.New(m); st.View().NodeCount() != e21.nodes {
+			b.Fatalf("rebuild boot: %d nodes", st.View().NodeCount())
 		}
 	}
 }
@@ -116,8 +116,8 @@ func benchE21BootAttach(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st.NodeCount() != e21.nodes {
-			b.Fatalf("attach boot: %d nodes", st.NodeCount())
+		if st.View().NodeCount() != e21.nodes {
+			b.Fatalf("attach boot: %d nodes", st.View().NodeCount())
 		}
 	}
 }
@@ -174,9 +174,10 @@ func e21ServingSignature(st *store.Store) string {
 	for _, h := range st.NearestNodes(near, 10, 0) {
 		fmt.Fprintf(&sb, "near: %d %.7f,%.7f\n", h.Node.ID, h.Node.Pos.Lat, h.Node.Pos.Lng)
 	}
-	fmt.Fprintf(&sb, "postings: %v\n", st.TokenPostings("street"))
-	fmt.Fprintf(&sb, "portals: %v\n", st.PortalNodeIDs())
-	fmt.Fprintf(&sb, "bounds: %+v count: %d tokens: %d\n", st.Bounds(), st.NodeCount(), st.TokenCount())
+	v := st.View()
+	fmt.Fprintf(&sb, "postings: %v\n", v.TokenPostings("street"))
+	fmt.Fprintf(&sb, "portals: %v\n", v.PortalNodeIDs())
+	fmt.Fprintf(&sb, "bounds: %+v count: %d tokens: %d\n", v.Bounds(), v.NodeCount(), v.TokenCount())
 	return sb.String()
 }
 

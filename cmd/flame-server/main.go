@@ -178,10 +178,10 @@ func buildStore(m *osm.Map, idx *osm.IndexData) *store.Store {
 }
 
 // buildServer loads the map and constructs the configured map server.
-func (o *options) buildServer() (*mapserver.Server, *osm.Map, error) {
+func (o *options) buildServer() (*mapserver.Server, error) {
 	m, vers, idx, err := o.loadMap()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	srv, err := mapserver.New(mapserver.Config{
 		Name:              o.name,
@@ -193,16 +193,17 @@ func (o *options) buildServer() (*mapserver.Server, *osm.Map, error) {
 		MaxInFlight:       o.inFlightBound(),
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(vers) > 0 {
 		srv.Store().RestoreNodeVersions(vers)
 	}
-	return srv, m, nil
+	return srv, nil
 }
 
-// saveSnapshot persists the map and its node versions for the next boot.
-func (o *options) saveSnapshot(srv *mapserver.Server, m *osm.Map) error {
+// saveSnapshot persists the served map and its node versions for the next
+// boot, all taken from one store view.
+func (o *options) saveSnapshot(srv *mapserver.Server) error {
 	if o.snapshotPath == "" {
 		return nil
 	}
@@ -213,8 +214,8 @@ func (o *options) saveSnapshot(srv *mapserver.Server, m *osm.Map) error {
 	}
 	// Persist the serving indexes alongside the map so the next boot
 	// attaches instead of rebuilding.
-	st := srv.Store()
-	if err := m.WriteSnapshotVersionsIndexed(f, st.NodeVersions(), st.PersistedIndex()); err != nil {
+	vers, v := srv.Store().NodeVersions()
+	if err := v.Map().WriteSnapshotVersionsIndexed(f, vers, v.PersistedIndex()); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -246,14 +247,14 @@ func main() {
 	if err := o.validate(); err != nil {
 		log.Fatal(err)
 	}
-	srv, m, err := o.buildServer()
+	srv, err := o.buildServer()
 	if err != nil {
 		log.Fatalf("build server: %v", err)
 	}
 
 	url := o.advertiseURL()
 	info := srv.Info()
-	fmt.Printf("map server %q: %d nodes, %d coverage cells\n", srv.Name(), m.NodeCount(), len(info.Coverage))
+	fmt.Printf("map server %q: %d nodes, %d coverage cells\n", srv.Name(), srv.Store().View().NodeCount(), len(info.Coverage))
 	// The hierarchy builds in the background and swaps in atomically; boot
 	// is never gated on it — routing falls back to bidirectional Dijkstra
 	// until the swap.
@@ -379,7 +380,7 @@ func main() {
 	if syncDone != nil {
 		<-syncDone
 	}
-	if err := o.saveSnapshot(srv, m); err != nil {
+	if err := o.saveSnapshot(srv); err != nil {
 		log.Fatalf("snapshot: %v", err)
 	} else if o.snapshotPath != "" {
 		log.Printf("snapshot written to %s", o.snapshotPath)

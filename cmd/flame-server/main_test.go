@@ -9,6 +9,7 @@ import (
 
 	"openflame/internal/mapserver"
 	"openflame/internal/osm"
+	"openflame/internal/store"
 	"openflame/internal/wire"
 	"openflame/internal/worldgen"
 )
@@ -64,14 +65,14 @@ func TestBuildServerFromMapFile(t *testing.T) {
 	if err := fs.Parse([]string{"-map", path, "-name", "smoke"}); err != nil {
 		t.Fatal(err)
 	}
-	srv, m, err := o.buildServer()
+	srv, err := o.buildServer()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if srv.Name() != "smoke" {
 		t.Fatalf("server name = %q", srv.Name())
 	}
-	if m.NodeCount() == 0 {
+	if srv.Store().View().NodeCount() == 0 {
 		t.Fatal("loaded map is empty")
 	}
 	if len(srv.Info().Coverage) == 0 {
@@ -81,7 +82,7 @@ func TestBuildServerFromMapFile(t *testing.T) {
 
 func TestBuildServerMissingMapFails(t *testing.T) {
 	o := &options{mapPath: filepath.Join(t.TempDir(), "absent.xml")}
-	if _, _, err := o.buildServer(); err == nil {
+	if _, err := o.buildServer(); err == nil {
 		t.Fatal("missing map accepted")
 	}
 }
@@ -138,7 +139,7 @@ func TestBuildServerWiresQueryCache(t *testing.T) {
 	if err := fs.Parse([]string{"-map", path, "-name", "cached", "-query-cache-entries", "16"}); err != nil {
 		t.Fatal(err)
 	}
-	srv, _, err := o.buildServer()
+	srv, err := o.buildServer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestBuildServerWiresQueryCache(t *testing.T) {
 	if err := fs.Parse([]string{"-map", path, "-query-cache-entries", "0"}); err != nil {
 		t.Fatal(err)
 	}
-	srv, _, err = o.buildServer()
+	srv, err = o.buildServer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,19 +238,33 @@ func TestSnapshotPersistenceRoundTrip(t *testing.T) {
 	if err := fs.Parse([]string{"-map", xmlPath, "-snapshot", snapPath, "-name", "city"}); err != nil {
 		t.Fatal(err)
 	}
-	srv, m, err := o.buildServer()
+	srv, err := o.buildServer()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var nodeID osm.NodeID
-	m.Nodes(func(n *osm.Node) bool { nodeID = n.ID; return false })
+	srv.Store().Map().Nodes(func(n *osm.Node) bool { nodeID = n.ID; return false })
 	for i := 0; i < 2; i++ {
 		if !srv.ApplyInventoryUpdate(nodeID, osm.Tags{"name": "persisted"}) {
 			t.Fatal("update refused")
 		}
 	}
-	if err := o.saveSnapshot(srv, m); err != nil {
+	if err := o.saveSnapshot(srv); err != nil {
 		t.Fatal(err)
+	}
+
+	// The saved file holds the writes in its map AND in its persisted
+	// index: the index attaches, and its postings find the renamed node.
+	sm, _, idx, err := osm.LoadSnapshotFileIndexed(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.NewWithIndex(sm, idx)
+	if err != nil {
+		t.Fatalf("saved index does not attach: %v", err)
+	}
+	if got := st.View().TokenPostings("persisted"); len(got) != 1 || got[0] != nodeID {
+		t.Fatalf("saved index postings for the renamed node = %v, want [%d]", got, nodeID)
 	}
 
 	// Run 2: boots from the snapshot; the node resumes at version 2.
@@ -257,7 +272,7 @@ func TestSnapshotPersistenceRoundTrip(t *testing.T) {
 	if err := fs2.Parse([]string{"-snapshot", snapPath, "-name", "city"}); err != nil {
 		t.Fatal(err)
 	}
-	srv2, _, err := o2.buildServer()
+	srv2, err := o2.buildServer()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ func TestRegistrationLevelsMatchDiscoverySweep(t *testing.T) {
 					info.Name, tok, l, discovery.DefaultMinLevel, discovery.DefaultMaxLevel)
 			}
 		}
-		centre := h.Server.Store().Bounds().Center()
+		centre := h.Server.Store().View().Bounds().Center()
 		found := false
 		for _, a := range disc.DiscoverCtx(context.Background(), centre) {
 			found = found || a.Name == info.Name

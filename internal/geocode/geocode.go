@@ -24,13 +24,15 @@ type Result struct {
 	Address string `json:"address,omitempty"`
 }
 
-// Geocoder answers forward/reverse geocode queries against one store.
+// Geocoder answers forward/reverse geocode queries against one store. Each
+// query reads one view.
 type Geocoder struct {
-	s *store.Store
+	r store.Reader
 }
 
-// New creates a geocoder over s.
-func New(s *store.Store) *Geocoder { return &Geocoder{s: s} }
+// New creates a geocoder over r: a store (each query reads its current
+// view) or one pinned view.
+func New(r store.Reader) *Geocoder { return &Geocoder{r: r} }
 
 // Forward resolves a free-text address to candidate nodes, best first.
 // Matching is token-based: every query token must appear in the node's
@@ -45,8 +47,9 @@ func (g *Geocoder) Forward(query string, limit int) []Result {
 		return nil
 	}
 	var results []Result
-	m := g.s.Map()
-	g.s.ForEachPostingMatch(tokens, func(id osm.NodeID, c int) {
+	v := g.r.View()
+	m := v.Map()
+	v.ForEachPostingMatch(tokens, func(id osm.NodeID, c int) {
 		n := m.Node(id)
 		if n == nil {
 			return
@@ -80,7 +83,8 @@ func (g *Geocoder) Forward(query string, limit int) []Result {
 // Reverse finds the nearest addressable node (one with a name or address
 // tag) within maxMeters of ll.
 func (g *Geocoder) Reverse(ll geo.LatLng, maxMeters float64) (Result, bool) {
-	hits := g.s.NearestNodesWhere(ll, 1, maxMeters, func(n *osm.Node) bool {
+	v := g.r.View()
+	hits := v.NearestNodesWhere(ll, 1, maxMeters, func(n *osm.Node) bool {
 		return n.Tags.Get(osm.TagName) != "" || n.Tags.Get(osm.TagAddr) != "" ||
 			n.Tags.Get(osm.TagNumber) != ""
 	})
@@ -91,7 +95,7 @@ func (g *Geocoder) Reverse(ll geo.LatLng, maxMeters float64) (Result, bool) {
 	return Result{
 		NodeID:   n.ID,
 		Name:     n.Tags.Get(osm.TagName),
-		Position: g.s.Map().NodePosition(n),
+		Position: v.Map().NodePosition(n),
 		Score:    1,
 		Address:  n.Tags.Get(osm.TagAddr),
 	}, true
@@ -109,7 +113,7 @@ type RoadSnap struct {
 
 // SnapToRoad projects a raw position onto the nearest mapped way.
 func (g *Geocoder) SnapToRoad(ll geo.LatLng, maxMeters float64) (RoadSnap, bool) {
-	snap, ok := g.s.SnapToWay(ll, maxMeters)
+	snap, ok := g.r.View().SnapToWay(ll, maxMeters)
 	if !ok {
 		return RoadSnap{}, false
 	}

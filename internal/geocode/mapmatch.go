@@ -114,7 +114,8 @@ func (g *Geocoder) candidateSnaps(p geo.LatLng, maxMeters float64, k int) []Road
 	// Simpler: collect every way within range via the segment search and
 	// keep the best snap per way.
 	best := map[osm.WayID]RoadSnap{}
-	g.s.ForEachSegmentNear(p, maxMeters, func(wayID osm.WayID, a, b geo.LatLng) {
+	v := g.r.View()
+	v.ForEachSegmentNear(p, maxMeters, func(wayID osm.WayID, a, b geo.LatLng) {
 		cp, _ := geo.ClosestPointOnSegment(p, a, b)
 		d := geo.DistanceMeters(p, cp)
 		if d > maxMeters {
@@ -122,7 +123,7 @@ func (g *Geocoder) candidateSnaps(p geo.LatLng, maxMeters float64, k int) []Road
 		}
 		cur, ok := best[wayID]
 		if !ok || d < cur.DistanceMeters {
-			w := g.s.Map().Way(wayID)
+			w := v.Map().Way(wayID)
 			name := ""
 			if w != nil {
 				name = w.Tags.Get(osm.TagName)

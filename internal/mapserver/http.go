@@ -15,6 +15,7 @@ import (
 
 	"openflame/internal/admission"
 	"openflame/internal/fanout"
+	"openflame/internal/store"
 	"openflame/internal/tiles"
 	"openflame/internal/wire"
 )
@@ -25,10 +26,9 @@ import (
 const (
 	HeaderUser = "X-Flame-User" // e.g. "alice@cmu.edu"
 	HeaderApp  = "X-Flame-App"  // e.g. "campus-nav"
-	// HeaderGeneration carries the map generation observed when the read
-	// was admitted. A response that raced a concurrent write may include
-	// data from a newer generation; the ETag mechanism (not this header)
-	// is the correctness carrier for revalidation.
+	// HeaderGeneration carries the map generation of the store view the
+	// response was computed from: a read service's answer reflects exactly
+	// the writes of that generation, however many land meanwhile.
 	HeaderGeneration = "X-Flame-Generation"
 )
 
@@ -116,10 +116,10 @@ type service struct {
 	policy wire.Service
 	// decode parses one request body into the service's typed request.
 	decode func(body []byte) (wire.ConsistencyCarrier, error)
-	// compute answers a decoded request. The response is the caller's own
-	// copy, so attaching a session mark (SetSession) never mutates an entry
-	// shared through the query cache.
-	compute func(s *Server, ctx context.Context, req wire.ConsistencyCarrier) wire.SessionCarrier
+	// compute answers a decoded request over one pinned view. The response
+	// is the caller's own copy, so attaching a session mark (SetSession)
+	// never mutates an entry shared through the query cache.
+	compute func(s *Server, ctx context.Context, v *store.View, req wire.ConsistencyCarrier) wire.SessionCarrier
 }
 
 // services is the table. Routematrix falls under the route policy — it
@@ -131,7 +131,7 @@ var services = []service{
 	newService(wire.SvcRoute, wire.SvcRoute, cached(wire.SvcRoute, (*Server).routeUncached)),
 	newService(wire.SvcRouteMatrix, wire.SvcRoute, cached(wire.SvcRouteMatrix, (*Server).routeMatrixUncached)),
 	newService(wire.SvcLocalize, wire.SvcLocalize,
-		func(s *Server, _ context.Context, req wire.LocalizeRequest) wire.LocalizeResponse {
+		func(s *Server, _ context.Context, _ *store.View, req wire.LocalizeRequest) wire.LocalizeResponse {
 			return s.Localize(req)
 		}),
 }
@@ -144,15 +144,15 @@ func newService[Req, Resp any, PReq interface {
 }, PResp interface {
 	*Resp
 	wire.SessionCarrier
-}](name, policy wire.Service, compute func(*Server, context.Context, Req) Resp) service {
+}](name, policy wire.Service, compute func(*Server, context.Context, *store.View, Req) Resp) service {
 	return service{
 		name: name, path: "/" + string(name), policy: policy,
 		decode: func(body []byte) (wire.ConsistencyCarrier, error) {
 			req := PReq(new(Req))
 			return req, decodeJSON(body, req)
 		},
-		compute: func(s *Server, ctx context.Context, req wire.ConsistencyCarrier) wire.SessionCarrier {
-			resp := compute(s, ctx, *req.(PReq))
+		compute: func(s *Server, ctx context.Context, v *store.View, req wire.ConsistencyCarrier) wire.SessionCarrier {
+			resp := compute(s, ctx, v, *req.(PReq))
 			return PResp(&resp)
 		},
 	}
@@ -163,9 +163,9 @@ func newService[Req, Resp any, PReq interface {
 // hub, so all of them hit the same entries. ctx rides into the cache layer:
 // a cancelled request never starts a compute and a singleflight follower
 // detaches instead of waiting on a leader whose answer it will never send.
-func cached[Req, Resp any](svc wire.Service, compute func(*Server, Req) Resp) func(*Server, context.Context, Req) Resp {
-	return func(s *Server, ctx context.Context, req Req) Resp {
-		return cachedQuery(ctx, s, svc, req, func(r Req) Resp { return compute(s, r) })
+func cached[Req, Resp any](svc wire.Service, compute func(*Server, *store.View, Req) Resp) func(*Server, context.Context, *store.View, Req) Resp {
+	return func(s *Server, ctx context.Context, v *store.View, req Req) Resp {
+		return cachedQuery(ctx, s, v, svc, req, func(v *store.View, r Req) Resp { return compute(s, v, r) })
 	}
 }
 
@@ -301,9 +301,9 @@ func (s *Server) refuseStale(w http.ResponseWriter, msg string) {
 	_ = json.NewEncoder(w).Encode(wire.ErrorResponse{Error: msg, Session: &m})
 }
 
-// read is the one read pipeline, shared by the dedicated endpoints and
-// /v1/batch items. ctx is re-checked between stages, so a caller that hung
-// up mid-pipeline earns 503 immediately and never starts the next stage:
+// The read pipeline, shared by the dedicated endpoints and /v1/batch
+// items. ctx is re-checked between stages, so a caller that hung up
+// mid-pipeline earns 503 immediately and never starts the next stage:
 //
 //	decode    — a malformed body earns 400.
 //	freshness — the session envelope is stripped off the request (the
@@ -312,61 +312,70 @@ func (s *Server) refuseStale(w http.ResponseWriter, msg string) {
 //	            answers wire.StatusStaleReplica after the anti-entropy
 //	            grace. A wait abandoned by cancellation answers 503, not
 //	            412 — the replica was not proven stale.
-//	gate      — the caller's hook (nil = none), run on the calling
-//	            goroutine; it decides whether and how the rest runs. The
-//	            dedicated endpoints revalidate here — AFTER freshness: a
-//	            lagging replica must refuse a read rather than call the
-//	            reader's cached copy current from its own stale view.
-//	compute   — the service's table row.
-//	mark      — a sessioned answer carries the server's mark, taken AFTER
-//	            the compute so it covers every write the answer reflects.
+//	pin       — the caller loads ONE store view, after freshness, so it
+//	            holds every write the gate vouched for. A dedicated endpoint
+//	            stamps X-Flame-Generation and the ETag from it and
+//	            revalidates (a lagging replica refuses before it could call
+//	            the reader's cached copy current); a batch pins one view
+//	            for all its items.
+//	compute   — the service's table row, over the pinned view.
+//	mark      — a sessioned answer carries the pinned view's mark, which
+//	            claims exactly the writes the answer reflects.
 //
-// It returns what an answerFunc does.
-func (s *Server) read(ctx context.Context, svc *service, body []byte,
-	gate func(rest answerFunc) (interface{}, int, string)) (interface{}, int, string) {
+// admitRead runs decode and freshness; http.StatusOK means the request may
+// be answered.
+func (s *Server) admitRead(ctx context.Context, svc *service, body []byte) (wire.ConsistencyCarrier, *wire.ReadConsistency, int, string) {
 	req, err := svc.decode(body)
 	if err != nil {
-		return nil, http.StatusBadRequest, "bad request body: " + err.Error()
+		return nil, nil, http.StatusBadRequest, "bad request body: " + err.Error()
 	}
 	if ctx.Err() != nil {
-		return nil, http.StatusServiceUnavailable, "request cancelled"
+		return nil, nil, http.StatusServiceUnavailable, "request cancelled"
 	}
 	rc := req.TakeConsistency()
 	if !s.WaitFresh(ctx, rc) {
 		if ctx.Err() != nil {
-			return nil, http.StatusServiceUnavailable, "request cancelled"
+			return nil, nil, http.StatusServiceUnavailable, "request cancelled"
 		}
-		return nil, wire.StatusStaleReplica, s.staleError(rc)
+		return nil, nil, wire.StatusStaleReplica, s.staleError(rc)
 	}
-	rest := func() (interface{}, int, string) {
-		if ctx.Err() != nil {
-			return nil, http.StatusServiceUnavailable, "request cancelled"
-		}
-		v := svc.compute(s, ctx, req)
-		if ctx.Err() != nil {
-			// A detached singleflight follower carries a zero value;
-			// never dress it up as a 200.
-			return nil, http.StatusServiceUnavailable, "request cancelled"
-		}
-		if rc != nil {
-			m := s.SessionMark()
-			v.SetSession(&m)
-		}
-		return v, http.StatusOK, ""
+	return req, rc, http.StatusOK, ""
+}
+
+// answer runs compute and mark over the pinned view v. It returns what an
+// answerFunc does.
+func (s *Server) answer(ctx context.Context, svc *service, v *store.View, req wire.ConsistencyCarrier, rc *wire.ReadConsistency) (interface{}, int, string) {
+	if ctx.Err() != nil {
+		return nil, http.StatusServiceUnavailable, "request cancelled"
 	}
-	if gate != nil {
-		return gate(rest)
+	resp := svc.compute(s, ctx, v, req)
+	if ctx.Err() != nil {
+		// A detached singleflight follower carries a zero value; never
+		// dress it up as a 200.
+		return nil, http.StatusServiceUnavailable, "request cancelled"
 	}
-	return rest()
+	if rc != nil {
+		m := s.markAt(v.Seq)
+		resp.SetSession(&m)
+	}
+	return resp, http.StatusOK, ""
+}
+
+// stamp sets the generation and entity-tag headers of a read answered from
+// a view of generation gen.
+func stamp(w http.ResponseWriter, gen uint64, etag string) {
+	w.Header().Set(HeaderGeneration, strconv.FormatUint(gen, 10))
+	w.Header().Set("ETag", etag)
 }
 
 // jsonEndpoint serves one table row's dedicated POST endpoint: the §5.3
-// policy guard, then the read pipeline with a gate that stamps the
-// generation/ETag headers, answers If-None-Match revalidation — a request
-// whose ETag (map generation + request hash) still matches earns 304
-// without recomputing anything — and otherwise runs the compute off the
-// handler goroutine (see await). Only requests that decode successfully are
-// ETagged — a malformed body always earns its 400, never a 304.
+// policy guard, then the read pipeline; the pinned view's generation and
+// ETag are stamped on the response, and If-None-Match revalidation — a
+// request whose ETag (map generation + request hash) still matches earns
+// 304 without recomputing anything — runs before the compute, which runs
+// off the handler goroutine (see await). Only requests that decode
+// successfully are ETagged — a malformed body always earns its 400, never
+// a 304.
 func (s *Server) jsonEndpoint(svc *service) http.HandlerFunc {
 	return s.guard(svc.policy, func(w http.ResponseWriter, r *http.Request) {
 		body, ok := readBody(w, r, maxBodyBytes)
@@ -374,16 +383,20 @@ func (s *Server) jsonEndpoint(svc *service) http.HandlerFunc {
 			return
 		}
 		ctx := r.Context()
-		v, status, msg := s.read(ctx, svc, body, func(rest answerFunc) (interface{}, int, string) {
-			gen := s.Generation()
-			etag := etagFor(gen, string(svc.name), r.Header.Get(HeaderUser), r.Header.Get(HeaderApp), body)
-			w.Header().Set(HeaderGeneration, strconv.FormatUint(gen, 10))
-			w.Header().Set("ETag", etag)
+		req, rc, status, msg := s.admitRead(ctx, svc, body)
+		var v interface{}
+		if status == http.StatusOK {
+			view := s.store.View()
+			etag := etagFor(view.Gen, string(svc.name), r.Header.Get(HeaderUser), r.Header.Get(HeaderApp), body)
+			stamp(w, view.Gen, etag)
 			if notModified(r, etag) {
-				return nil, http.StatusNotModified, ""
+				status = http.StatusNotModified
+			} else {
+				v, status, msg = await(ctx, func() (interface{}, int, string) {
+					return s.answer(ctx, svc, view, req, rc)
+				})
 			}
-			return await(ctx, rest)
-		})
+		}
 		switch status {
 		case http.StatusOK:
 			writeJSON(w, v)
@@ -399,7 +412,9 @@ func (s *Server) jsonEndpoint(svc *service) http.HandlerFunc {
 
 // handleBatch serves POST /v1/batch: up to wire.MaxBatchItems heterogeneous
 // sub-requests answered in one round trip with per-sub-request status, so
-// one denied or malformed item never voids the others' answers.
+// one denied or malformed item never voids the others' answers. Every item
+// is answered from one view, pinned after every item's freshness gate, so
+// BatchResponse.Generation is exact for the whole batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		httpError(w, http.StatusServiceUnavailable, "request cancelled")
@@ -420,37 +435,40 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	user, app := r.Header.Get(HeaderUser), r.Header.Get(HeaderApp)
-	gen := s.Generation()
-	etag := etagFor(gen, "batch", user, app, body)
-	w.Header().Set(HeaderGeneration, strconv.FormatUint(gen, 10))
-	w.Header().Set("ETag", etag)
 	// The 304 short-circuit must not outrank session consistency: a batch
 	// whose items carry marks gets per-item freshness decisions (412s
 	// included), never a whole-batch "your copy is current" from a replica
-	// that may be lagging — mirroring the WaitFresh-before-ETag order of
+	// that may be lagging — mirroring the freshness-before-ETag order of
 	// the dedicated endpoints. notModified first: the probe decode only
 	// runs for actual conditional requests.
-	if notModified(r, etag) && !batchCarriesConsistency(breq) {
+	gen := s.Generation()
+	if etag := etagFor(gen, "batch", user, app, body); notModified(r, etag) && !batchCarriesConsistency(breq) {
+		stamp(w, gen, etag)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	respond(w, r, func() (interface{}, int, string) {
-		resp := wire.BatchResponse{
-			Results: make([]wire.BatchItemResult, len(breq.Items)),
-		}
-		// Items compute on a bounded pool: a batch of N route expansions
-		// costs max, not sum — the per-call path it replaces also ran
-		// them concurrently. Slots are index-aligned, so parallel
-		// completion cannot reorder results.
+	v, status, msg := await(r.Context(), func() (interface{}, int, string) {
+		// Items run on a bounded pool: a batch of N route expansions costs
+		// max, not sum. Slots are index-aligned, so parallel completion
+		// cannot reorder results.
+		items := make([]batchSlot, len(breq.Items))
 		fanout.ForEach(r.Context(), len(breq.Items), 0, func(ctx context.Context, i int) {
-			resp.Results[i] = s.batchItem(ctx, breq.Items[i], user, app)
+			items[i] = s.admitItem(ctx, breq.Items[i], user, app)
 		})
-		// Stamped after the last item so no item saw a newer map; when a
-		// write raced the batch, earlier items may reflect older
-		// generations (see wire.BatchResponse).
-		resp.Generation = s.Generation()
+		view := s.store.View()
+		resp := wire.BatchResponse{Generation: view.Gen, Results: make([]wire.BatchItemResult, len(items))}
+		fanout.ForEach(r.Context(), len(items), 0, func(ctx context.Context, i int) {
+			resp.Results[i] = s.answerItem(ctx, view, items[i])
+		})
 		return resp, http.StatusOK, ""
 	})
+	if status != http.StatusOK {
+		httpError(w, status, msg)
+		return
+	}
+	gen = v.(wire.BatchResponse).Generation
+	stamp(w, gen, etagFor(gen, "batch", user, app, body))
+	writeJSON(w, v)
 }
 
 // batchCarriesConsistency reports whether any item body carries a session
@@ -468,32 +486,52 @@ func batchCarriesConsistency(breq wire.BatchRequest) bool {
 	return false
 }
 
-// batchItem answers one batch sub-request with its individual status,
-// mirroring the dedicated endpoint's order: unknown service 404, then
-// policy 403, then the read pipeline (decode 400, stale-replica 412,
-// compute). Item bodies are full service requests, so session envelopes
-// ride through batches unchanged: a stale item fails alone (the client
-// re-runs it per-call against a sibling) and a fresh item's response body
-// carries the updated mark.
-func (s *Server) batchItem(ctx context.Context, it wire.BatchItem, user, app string) wire.BatchItemResult {
+// batchSlot is one batch item between the two halves of the read
+// pipeline: admitted (svc set) or already answered (res).
+type batchSlot struct {
+	svc *service
+	req wire.ConsistencyCarrier
+	rc  *wire.ReadConsistency
+	res wire.BatchItemResult
+}
+
+// admitItem runs the first half of one batch sub-request, mirroring the
+// dedicated endpoint's order: unknown service 404, then policy 403, then
+// decode 400 and stale-replica 412. Item bodies are full service requests,
+// so session envelopes ride through batches unchanged: a stale item fails
+// alone (the client re-runs it per-call against a sibling) and a fresh
+// item's response body carries the updated mark.
+func (s *Server) admitItem(ctx context.Context, it wire.BatchItem, user, app string) batchSlot {
 	svc := lookupService(it.Service)
 	if svc == nil {
-		return wire.BatchItemResult{
+		return batchSlot{res: wire.BatchItemResult{
 			Status: http.StatusNotFound,
 			Error:  fmt.Sprintf("unknown service %q", it.Service),
-		}
+		}}
 	}
 	if !s.auth.Allow(svc.policy, user, app) {
-		return wire.BatchItemResult{
+		return batchSlot{res: wire.BatchItemResult{
 			Status: http.StatusForbidden,
 			Error:  fmt.Sprintf("access to %s denied by policy", it.Service),
-		}
+		}}
 	}
-	v, status, msg := s.read(ctx, svc, it.Body, nil)
+	req, rc, status, msg := s.admitRead(ctx, svc, it.Body)
+	if status != http.StatusOK {
+		return batchSlot{res: wire.BatchItemResult{Status: status, Error: msg}}
+	}
+	return batchSlot{svc: svc, req: req, rc: rc}
+}
+
+// answerItem answers an admitted batch item over the batch's view.
+func (s *Server) answerItem(ctx context.Context, v *store.View, it batchSlot) wire.BatchItemResult {
+	if it.svc == nil {
+		return it.res
+	}
+	resp, status, msg := s.answer(ctx, it.svc, v, it.req, it.rc)
 	if status != http.StatusOK {
 		return wire.BatchItemResult{Status: status, Error: msg}
 	}
-	b, err := json.Marshal(v)
+	b, err := json.Marshal(resp)
 	if err != nil {
 		return wire.BatchItemResult{Status: http.StatusInternalServerError, Error: err.Error()}
 	}
@@ -518,8 +556,9 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 		}
 		since = n
 	}
-	w.Header().Set(HeaderGeneration, strconv.FormatUint(s.Generation(), 10))
-	writeJSON(w, s.ChangesSince(since))
+	v := s.store.View()
+	w.Header().Set(HeaderGeneration, strconv.FormatUint(v.Gen, 10))
+	writeJSON(w, s.changesAt(v, since))
 }
 
 // etagFor derives the entity tag of a read: the map generation plus a hash

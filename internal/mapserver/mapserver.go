@@ -39,7 +39,8 @@ type Config struct {
 	// Store, when non-nil, is a pre-built index over Map (e.g. attached
 	// from a persisted snapshot index via store.NewWithIndex) that the
 	// server adopts instead of running the full store.New rebuild. It must
-	// index exactly Map.
+	// index exactly Map. After New, node content is read only through the
+	// store's views: Map itself never sees a write.
 	Store *store.Store
 	// UseCH preprocesses the routing graph into a contraction hierarchy.
 	UseCH bool
@@ -95,8 +96,6 @@ const fingerprintStepMeters = 2
 type Server struct {
 	cfg      Config
 	store    *store.Store
-	geocoder *geocode.Geocoder
-	searcher *search.Searcher
 	g        *graph.Graph
 	gDist    *graph.Graph // distance-weighted variant for MetricDistance
 	fpdb     *loc.FingerprintDB
@@ -171,8 +170,6 @@ func New(cfg Config) (*Server, error) {
 	} else {
 		s.store = store.New(cfg.Map)
 	}
-	s.geocoder = geocode.New(s.store)
-	s.searcher = search.New(s.store)
 	s.g = graph.FromOSM(cfg.Map, graph.FootProfile)
 	s.gDist = graph.FromOSM(cfg.Map, graph.DistanceProfile(graph.FootProfile))
 	s.chReady = make(chan struct{})
@@ -193,7 +190,8 @@ func New(cfg Config) (*Server, error) {
 	// The registration level range is the discovery protocol's: a client
 	// sweeps exactly DefaultMinLevel..DefaultMaxLevel, so a cell outside it
 	// would be published and never found.
-	region := s2cell.RectRegion{Rect: s.store.Bounds().ExpandedMeters(coveragePadMeters)}
+	v := s.store.View()
+	region := s2cell.RectRegion{Rect: v.Bounds().ExpandedMeters(coveragePadMeters)}
 	s.coverage = s2cell.RegistrationCovering(region, discovery.DefaultMinLevel, discovery.DefaultMaxLevel)
 
 	if len(cfg.Beacons) > 0 {
@@ -210,7 +208,7 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Landmarks) > 0 {
 		s.visual = loc.NewVisualIndex(cfg.Landmarks)
 	}
-	s.tileC = tiles.NewCache(tiles.NewRenderer(cfg.Map, tiles.DefaultStyle()))
+	s.tileC = tiles.NewCache(tiles.NewLiveRenderer(s.store.Map, tiles.DefaultStyle()))
 	if cfg.QueryCacheEntries > 0 {
 		s.qcache = newQueryCache(cfg.QueryCacheEntries)
 	}
@@ -222,7 +220,7 @@ func New(cfg Config) (*Server, error) {
 	s.hub = watch.New(watch.Config{
 		Source: storeSource{st: s.store},
 		Eval:   s.watchEval,
-		Mark:   s.SessionMark,
+		Mark:   s.markAt,
 	})
 
 	// Portals: nodes tagged flame:portal, advertised with world positions.
@@ -232,8 +230,8 @@ func New(cfg Config) (*Server, error) {
 	// claimed by several nodes resolves to the highest node ID; the
 	// advertised list is sorted by portal ID.
 	byPortal := make(map[string]*osm.Node)
-	for _, nid := range s.store.PortalNodeIDs() {
-		if n := cfg.Map.Node(nid); n != nil {
+	for _, nid := range v.PortalNodeIDs() {
+		if n := v.Map().Node(nid); n != nil {
 			byPortal[n.Tags.Get(osm.TagPortalID)] = n
 		}
 	}
@@ -332,24 +330,24 @@ func (s *Server) AdmissionStats() admission.Stats { return s.adm.Stats() }
 // one is configured; like all cached services, the response must be
 // treated as immutable by callers).
 func (s *Server) Geocode(req wire.GeocodeRequest) wire.GeocodeResponse {
-	return cachedQuery(context.Background(), s, wire.SvcGeocode, req, s.geocodeUncached)
+	return cachedQuery(context.Background(), s, s.store.View(), wire.SvcGeocode, req, s.geocodeUncached)
 }
 
-func (s *Server) geocodeUncached(req wire.GeocodeRequest) wire.GeocodeResponse {
+func (s *Server) geocodeUncached(v *store.View, req wire.GeocodeRequest) wire.GeocodeResponse {
 	var resp wire.GeocodeResponse
-	for _, r := range s.geocoder.Forward(req.Query, req.Limit) {
-		resp.Results = append(resp.Results, s.toWireGeocode(r))
+	for _, r := range geocode.New(v).Forward(req.Query, req.Limit) {
+		resp.Results = append(resp.Results, s.toWireGeocode(v, r))
 	}
 	return resp
 }
 
-func (s *Server) toWireGeocode(r geocode.Result) wire.GeocodeResult {
+func (s *Server) toWireGeocode(v *store.View, r geocode.Result) wire.GeocodeResult {
 	out := wire.GeocodeResult{
 		NodeID: int64(r.NodeID), Name: r.Name, Position: r.Position,
 		Score: r.Score, Address: r.Address,
 	}
 	// Correct local-frame positions through the alignment.
-	if n := s.cfg.Map.Node(r.NodeID); n != nil {
+	if n := v.Map().Node(r.NodeID); n != nil {
 		out.Position = s.worldPos(n)
 	}
 	return out
@@ -357,37 +355,37 @@ func (s *Server) toWireGeocode(r geocode.Result) wire.GeocodeResult {
 
 // RGeocode answers a reverse-geocode request.
 func (s *Server) RGeocode(req wire.RGeocodeRequest) wire.RGeocodeResponse {
-	return cachedQuery(context.Background(), s, wire.SvcRGeocode, req, s.rgeocodeUncached)
+	return cachedQuery(context.Background(), s, s.store.View(), wire.SvcRGeocode, req, s.rgeocodeUncached)
 }
 
-func (s *Server) rgeocodeUncached(req wire.RGeocodeRequest) wire.RGeocodeResponse {
+func (s *Server) rgeocodeUncached(v *store.View, req wire.RGeocodeRequest) wire.RGeocodeResponse {
 	max := req.MaxMeters
 	if max <= 0 {
 		max = 250
 	}
-	r, ok := s.geocoder.Reverse(req.Position, max)
+	r, ok := geocode.New(v).Reverse(req.Position, max)
 	if !ok {
 		return wire.RGeocodeResponse{}
 	}
-	return wire.RGeocodeResponse{Found: true, Result: s.toWireGeocode(r)}
+	return wire.RGeocodeResponse{Found: true, Result: s.toWireGeocode(v, r)}
 }
 
 // Search answers a location-based search, tagging results with the server
 // name so the client can attribute merged results (§5.2).
 func (s *Server) Search(req wire.SearchRequest) wire.SearchResponse {
-	return cachedQuery(context.Background(), s, wire.SvcSearch, req, s.searchUncached)
+	return cachedQuery(context.Background(), s, s.store.View(), wire.SvcSearch, req, s.searchUncached)
 }
 
-func (s *Server) searchUncached(req wire.SearchRequest) wire.SearchResponse {
+func (s *Server) searchUncached(v *store.View, req wire.SearchRequest) wire.SearchResponse {
 	opt := search.Options{
 		Near:              req.Near,
 		MaxDistanceMeters: req.MaxDistanceMeters,
 		Limit:             req.Limit,
 	}
-	results := s.searcher.Search(req.Query, opt)
+	results := search.New(v).Search(req.Query, opt)
 	for i := range results {
 		results[i].Source = s.cfg.Name
-		if n := s.cfg.Map.Node(results[i].NodeID); n != nil {
+		if n := v.Map().Node(results[i].NodeID); n != nil {
 			results[i].Position = s.worldPos(n)
 		}
 	}
@@ -395,12 +393,12 @@ func (s *Server) searchUncached(req wire.SearchRequest) wire.SearchResponse {
 }
 
 // snapNode finds the routing-graph node to start from for a position.
-func (s *Server) snapNode(ll geo.LatLng) (int64, bool) {
-	if snap, ok := s.store.SnapToWay(ll, 250); ok && s.g.HasNode(int64(snap.NodeID)) {
+func (s *Server) snapNode(v *store.View, ll geo.LatLng) (int64, bool) {
+	if snap, ok := v.SnapToWay(ll, 250); ok && s.g.HasNode(int64(snap.NodeID)) {
 		return int64(snap.NodeID), true
 	}
 	// Fall back to the nearest graph node.
-	for _, hit := range s.store.NearestNodes(ll, 16, 500) {
+	for _, hit := range v.NearestNodes(ll, 16, 500) {
 		if s.g.HasNode(int64(hit.Node.ID)) {
 			return int64(hit.Node.ID), true
 		}
@@ -411,21 +409,21 @@ func (s *Server) snapNode(ll geo.LatLng) (int64, bool) {
 // Route answers an in-map routing request (§5.2: each server calculates the
 // route relevant to the region it covers).
 func (s *Server) Route(req wire.RouteRequest) wire.RouteResponse {
-	return cachedQuery(context.Background(), s, wire.SvcRoute, req, s.routeUncached)
+	return cachedQuery(context.Background(), s, s.store.View(), wire.SvcRoute, req, s.routeUncached)
 }
 
-func (s *Server) routeUncached(req wire.RouteRequest) wire.RouteResponse {
+func (s *Server) routeUncached(v *store.View, req wire.RouteRequest) wire.RouteResponse {
 	from := req.FromNode
 	to := req.ToNode
 	if from == 0 {
-		id, ok := s.snapNode(req.From)
+		id, ok := s.snapNode(v, req.From)
 		if !ok {
 			return wire.RouteResponse{}
 		}
 		from = id
 	}
 	if to == 0 {
-		id, ok := s.snapNode(req.To)
+		id, ok := s.snapNode(v, req.To)
 		if !ok {
 			return wire.RouteResponse{}
 		}
@@ -448,7 +446,7 @@ func (s *Server) routeUncached(req wire.RouteRequest) wire.RouteResponse {
 		resp.CostSeconds = p.Cost / 1.4
 	}
 	for _, id := range p.Nodes {
-		n := s.cfg.Map.Node(osm.NodeID(id))
+		n := v.Map().Node(osm.NodeID(id))
 		if n == nil {
 			continue
 		}
@@ -495,10 +493,10 @@ func (s *Server) CHActive() bool { return s.chTime.Load() != nil }
 // RouteMatrix prices all from×to pairs; unreachable pairs are -1. Where a
 // node ID is zero, the corresponding position (if provided) is snapped.
 func (s *Server) RouteMatrix(req wire.RouteMatrixRequest) wire.RouteMatrixResponse {
-	return cachedQuery(context.Background(), s, wire.SvcRouteMatrix, req, s.routeMatrixUncached)
+	return cachedQuery(context.Background(), s, s.store.View(), wire.SvcRouteMatrix, req, s.routeMatrixUncached)
 }
 
-func (s *Server) routeMatrixUncached(req wire.RouteMatrixRequest) wire.RouteMatrixResponse {
+func (s *Server) routeMatrixUncached(v *store.View, req wire.RouteMatrixRequest) wire.RouteMatrixResponse {
 	resolve := func(ids []int64, positions []geo.LatLng) []int64 {
 		out := make([]int64, len(ids))
 		for i, id := range ids {
@@ -507,7 +505,7 @@ func (s *Server) routeMatrixUncached(req wire.RouteMatrixRequest) wire.RouteMatr
 				continue
 			}
 			if i < len(positions) {
-				if snapped, ok := s.snapNode(positions[i]); ok {
+				if snapped, ok := s.snapNode(v, positions[i]); ok {
 					out[i] = snapped
 					continue
 				}
@@ -604,10 +602,10 @@ func (s *Server) Tile(c tiles.Coord) ([]byte, error) {
 // Portals returns the server's advertised portals.
 func (s *Server) Portals() []wire.Portal { return s.portals }
 
-// Generation returns the served map's mutation counter — the version every
+// Generation returns the current view's map generation — the version every
 // cached read is keyed on and the value of the X-Flame-Generation response
 // header.
-func (s *Server) Generation() uint64 { return s.store.Generation() }
+func (s *Server) Generation() uint64 { return s.store.View().Gen }
 
 // ApplyInventoryUpdate changes a node's tags (e.g. restocking a shelf) —
 // the independent map management the paper motivates (§1): no coordination
@@ -618,18 +616,23 @@ func (s *Server) Generation() uint64 { return s.store.Generation() }
 // appended to the store's change log, from which sibling replicas pull
 // anti-entropy (GET /v1/changes).
 func (s *Server) ApplyInventoryUpdate(id osm.NodeID, tags osm.Tags) bool {
-	n := s.cfg.Map.Node(id)
-	if n == nil {
+	return s.write(id, func() bool { return s.store.UpdateNodeTags(id, tags) })
+}
+
+// write runs one store write to node id and, when it applied, drops every
+// cached read it superseded: query results from prior generations, and
+// the tiles that could paint the node. The renderer draws the node at its
+// frame position (not the precise alignment), so that is the point whose
+// tiles go stale; tag writes never move a node, so any view gives it.
+func (s *Server) write(id osm.NodeID, apply func() bool) bool {
+	v := s.store.View()
+	n := v.Map().Node(id)
+	if n == nil || !apply() {
 		return false
 	}
-	// The renderer draws the node at its frame position (not the precise
-	// alignment), so that is the point whose tiles go stale.
-	pos := s.cfg.Map.NodePosition(n)
-	if !s.store.UpdateNodeTags(id, tags) {
-		return false
-	}
+	pos := v.Map().NodePosition(n)
 	if s.qcache != nil {
-		s.qcache.purgeBefore(s.store.Generation())
+		s.qcache.purgeBefore(s.Generation())
 	}
 	s.tileC.InvalidateRect(geo.Rect{MinLat: pos.Lat, MinLng: pos.Lng, MaxLat: pos.Lat, MaxLng: pos.Lng})
 	return true
@@ -639,7 +642,7 @@ func (s *Server) ApplyInventoryUpdate(id osm.NodeID, tags osm.Tags) bool {
 // "Generation-equivalent" position replicas compare after anti-entropy
 // (Generation itself also counts structural mutations and differs between
 // independently-built replicas).
-func (s *Server) ChangeSeq() uint64 { return s.store.ChangeSeq() }
+func (s *Server) ChangeSeq() uint64 { return s.store.View().Seq }
 
 // NoteSyncPosition records that this server has applied the named
 // origin's change log (incarnation log) through seq — called by the
@@ -672,14 +675,17 @@ func (s *Server) SyncPosition(origin string) (log, seq uint64) {
 	return p.log, p.seq
 }
 
-// SessionMark returns this server's current high-water mark: the envelope
-// stamped onto every sessioned read. Callers needing "no read saw older
-// state than this mark claims" must take it AFTER computing the answer.
-func (s *Server) SessionMark() wire.SessionMark {
-	return wire.SessionMark{
-		Origin: s.cfg.Name, Log: s.store.LogID(),
-		Seq: s.ChangeSeq(), Gen: s.Generation(),
-	}
+// SessionMark returns this server's mark at its current view.
+func (s *Server) SessionMark() wire.SessionMark { return s.markAt(s.ChangeSeq()) }
+
+// markAt returns the session mark of the view at change-log position seq:
+// the envelope stamped onto a sessioned answer computed over that view. It
+// claims exactly the writes the answer reflects — no more, so a reader
+// never demands writes it did not see, and no less, so it never reads
+// older state later. The generation follows from the constant Gen−Seq.
+func (s *Server) markAt(seq uint64) wire.SessionMark {
+	v := s.store.View()
+	return wire.SessionMark{Origin: s.cfg.Name, Log: s.store.LogID(), Seq: seq, Gen: v.Gen - v.Seq + seq}
 }
 
 // vouch reports whether this server can stand behind one session mark: it
@@ -754,16 +760,16 @@ func (s *Server) WaitFresh(ctx context.Context, rc *wire.ReadConsistency) bool {
 	}
 }
 
-// ChangesSince answers a replication pull: the logged changes after the
-// caller's cursor, bounded at wire.MaxChangesPerPull.
-func (s *Server) ChangesSince(since uint64) wire.ChangesResponse {
+// changesAt answers a replication pull from view v: the logged changes
+// after the caller's cursor, bounded at wire.MaxChangesPerPull.
+func (s *Server) changesAt(v *store.View, since uint64) wire.ChangesResponse {
 	resp := wire.ChangesResponse{
-		Seq:      s.store.ChangeSeq(),
-		FirstSeq: s.store.FirstChangeSeq(),
+		Seq:      v.Seq,
+		FirstSeq: v.FirstChangeSeq(),
 		Name:     s.cfg.Name,
 		LogID:    s.store.LogID(),
 	}
-	for _, ch := range s.store.ChangesSince(since, wire.MaxChangesPerPull) {
+	for _, ch := range v.ChangesSince(since, wire.MaxChangesPerPull) {
 		resp.Changes = append(resp.Changes, wire.Change{
 			Seq: ch.Seq, NodeID: int64(ch.NodeID), Tags: ch.Tags, Ver: ch.Ver,
 		})
@@ -772,48 +778,16 @@ func (s *Server) ChangesSince(since uint64) wire.ChangesResponse {
 }
 
 // ApplySyncChange applies one change pulled from a sibling replica,
-// honoring the change's node version: stale echoes (a sibling replaying
-// an old value after a newer local write) and replays are no-ops — no
-// generation bump, no re-log — which is what stops anti-entropy ping-pong
-// AND protects newer writes from being rolled back by late-arriving
-// history. Changes from pre-version peers (Ver 0) fall back to
-// tags-difference idempotence. Returns whether the map changed; a change
-// that applies invalidates the query cache and covering tiles exactly
-// like a local write.
+// honoring the change's node version (store.Store.ApplyReplicatedTags):
+// stale echoes (a sibling replaying an old value after a newer local
+// write) and replays are no-ops — no generation bump, no re-log — which is
+// what stops anti-entropy ping-pong AND protects newer writes from being
+// rolled back by late-arriving history. Returns whether the map changed; a
+// change that applies invalidates the query cache and covering tiles
+// exactly like a local write.
 func (s *Server) ApplySyncChange(ch wire.Change) bool {
 	id := osm.NodeID(ch.NodeID)
-	n := s.cfg.Map.Node(id)
-	if n == nil {
-		return false // node unknown here: replicas index the same map content
-	}
-	// The renderer draws the node at its frame position; that is the point
-	// whose tiles go stale if the change applies.
-	pos := s.cfg.Map.NodePosition(n)
-	tags := osm.Tags(ch.Tags).Clone()
-	var changed bool
-	if ch.Ver == 0 {
-		changed = !tagsEqual(n.Tags, ch.Tags) && s.store.UpdateNodeTags(id, tags)
-	} else {
-		changed = s.store.ApplyReplicatedTags(id, tags, ch.Ver)
-	}
-	if !changed {
-		return false
-	}
-	if s.qcache != nil {
-		s.qcache.purgeBefore(s.store.Generation())
-	}
-	s.tileC.InvalidateRect(geo.Rect{MinLat: pos.Lat, MinLng: pos.Lng, MaxLat: pos.Lat, MaxLng: pos.Lng})
-	return true
-}
-
-func tagsEqual(a osm.Tags, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
+	return s.write(id, func() bool {
+		return s.store.ApplyReplicatedTags(id, osm.Tags(ch.Tags).Clone(), ch.Ver)
+	})
 }

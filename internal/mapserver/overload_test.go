@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"openflame/internal/admission"
+	"openflame/internal/store"
 	"openflame/internal/wire"
 	"openflame/internal/worldgen"
 )
@@ -222,8 +223,8 @@ func TestCancelledContextSkipsCompute(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	called := false
-	resp := cachedQuery(ctx, srv, wire.SvcGeocode, wire.GeocodeRequest{Query: "x"},
-		func(wire.GeocodeRequest) wire.GeocodeResponse {
+	resp := cachedQuery(ctx, srv, srv.store.View(), wire.SvcGeocode, wire.GeocodeRequest{Query: "x"},
+		func(*store.View, wire.GeocodeRequest) wire.GeocodeResponse {
 			called = true
 			return wire.GeocodeResponse{}
 		})

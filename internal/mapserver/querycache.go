@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"openflame/internal/fanout"
+	"openflame/internal/store"
 	"openflame/internal/wire"
 )
 
@@ -136,51 +137,49 @@ func (s *Server) QueryCacheStats() QueryCacheStats {
 	}
 }
 
-// cachedQuery answers one service request through the server's query
-// cache: a hit returns the memoized response for the current generation; a
-// miss computes it (once across concurrent identical requests, via
-// singleflight) and caches it — but only when the generation is unchanged
-// after the computation, so every cached value is a consistent snapshot
-// read of exactly one map generation. A nil cache (the neutral
-// configuration) computes directly, reproducing the uncached server
-// exactly.
+// cachedQuery answers one service request over the pinned view v through
+// the server's query cache: a hit returns the memoized response for v's
+// generation; a miss computes it over v (once across concurrent identical
+// requests, via singleflight) and caches it. Every compute reads exactly
+// one view, so every cached value is exact at its generation; an entry
+// whose view a later write superseded can only be hit by readers still
+// pinned to that view, and the write's purgeBefore drops it. A nil cache
+// (the neutral configuration) computes directly, reproducing the uncached
+// server exactly.
 //
 // ctx is the caller's request context, honored two ways: a request already
 // cancelled never starts a compute, and a singleflight FOLLOWER whose
 // caller hangs up detaches immediately (returning the zero response, which
 // nobody reads — the HTTP layer answers 503 on ctx.Err()) while the leader
 // finishes for the cache and the surviving followers.
-func cachedQuery[Req, Resp any](ctx context.Context, s *Server, svc wire.Service, req Req, compute func(Req) Resp) Resp {
+func cachedQuery[Req, Resp any](ctx context.Context, s *Server, v *store.View, svc wire.Service, req Req,
+	compute func(*store.View, Req) Resp) Resp {
 	var zero Resp
 	if ctx.Err() != nil {
 		return zero
 	}
 	c := s.qcache
 	if c == nil {
-		return compute(req)
+		return compute(v, req)
 	}
 	kb, err := json.Marshal(req)
 	if err != nil {
-		return compute(req)
+		return compute(v, req)
 	}
 	key := string(svc) + "\x00" + string(kb)
-	gen := s.store.Generation()
+	gen := v.Gen
 	k := qcKey{gen: gen, key: key}
-	if v, ok := c.get(k); ok {
-		return v.(Resp)
+	if hit, ok := c.get(k); ok {
+		return hit.(Resp)
 	}
-	v, err := c.flight.DoCtx(ctx, fmt.Sprintf("%d\x00%s", gen, key), func() (interface{}, error) {
+	res, err := c.flight.DoCtx(ctx, fmt.Sprintf("%d\x00%s", gen, key), func() (interface{}, error) {
 		// A previous flight for this key may have finished between our
 		// miss and winning the flight; its cached value is current.
-		if v, ok := c.peek(k); ok {
-			return v, nil
+		if hit, ok := c.peek(k); ok {
+			return hit, nil
 		}
-		resp := compute(req)
-		// Cache only if no write landed mid-compute: a torn computation
-		// may mix two generations and must not be memoized under either.
-		if s.store.Generation() == gen {
-			c.put(k, resp)
-		}
+		resp := compute(v, req)
+		c.put(k, resp)
 		return resp, nil
 	})
 	if err != nil {
@@ -192,7 +191,7 @@ func cachedQuery[Req, Resp any](ctx context.Context, s *Server, svc wire.Service
 		if ctx.Err() != nil {
 			return zero
 		}
-		return compute(req)
+		return compute(v, req)
 	}
-	return v.(Resp)
+	return res.(Resp)
 }

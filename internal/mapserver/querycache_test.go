@@ -12,6 +12,7 @@ import (
 
 	"openflame/internal/geo"
 	"openflame/internal/osm"
+	"openflame/internal/store"
 	"openflame/internal/tiles"
 	"openflame/internal/wire"
 	"openflame/internal/worldgen"
@@ -130,7 +131,7 @@ func TestQueryCacheInvalidatedByWrite(t *testing.T) {
 func TestQueryCacheSingleflight(t *testing.T) {
 	srv := cachedCityServer(t, 16)
 	var computes atomic.Int32
-	compute := func(req wire.GeocodeRequest) wire.GeocodeResponse {
+	compute := func(_ *store.View, req wire.GeocodeRequest) wire.GeocodeResponse {
 		computes.Add(1)
 		time.Sleep(20 * time.Millisecond)
 		return wire.GeocodeResponse{Results: []wire.GeocodeResult{{Name: req.Query}}}
@@ -142,7 +143,7 @@ func TestQueryCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = cachedQuery(context.Background(), srv, "flight-test", wire.GeocodeRequest{Query: "hot"}, compute)
+			results[i] = cachedQuery(context.Background(), srv, srv.store.View(), "flight-test", wire.GeocodeRequest{Query: "hot"}, compute)
 		}(i)
 	}
 	wg.Wait()
@@ -155,7 +156,7 @@ func TestQueryCacheSingleflight(t *testing.T) {
 		}
 	}
 	// A different request computes independently.
-	cachedQuery(context.Background(), srv, "flight-test", wire.GeocodeRequest{Query: "cold"}, compute)
+	cachedQuery(context.Background(), srv, srv.store.View(), "flight-test", wire.GeocodeRequest{Query: "cold"}, compute)
 	if n := computes.Load(); n != 2 {
 		t.Fatalf("distinct query coalesced: computes = %d", n)
 	}
@@ -172,33 +173,6 @@ func TestQueryCacheEvictsAtCapacity(t *testing.T) {
 	}
 	if stats.Evicted == 0 {
 		t.Fatalf("no eviction recorded: %+v", stats)
-	}
-}
-
-// TestQueryCacheSkipsTornCompute pins the snapshot-read rule: a result
-// whose computation straddled a write (generation changed mid-compute)
-// must not be memoized under either generation.
-func TestQueryCacheSkipsTornCompute(t *testing.T) {
-	srv := cachedCityServer(t, 16)
-	var computes atomic.Int32
-	compute := func(req wire.GeocodeRequest) wire.GeocodeResponse {
-		computes.Add(1)
-		if computes.Load() == 1 {
-			// A write lands mid-compute.
-			srv.store.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.44, Lng: -79.99}})
-		}
-		return wire.GeocodeResponse{}
-	}
-	req := wire.GeocodeRequest{Query: "torn"}
-	cachedQuery(context.Background(), srv, "torn-test", req, compute)
-	cachedQuery(context.Background(), srv, "torn-test", req, compute)
-	if n := computes.Load(); n != 2 {
-		t.Fatalf("torn result was cached: computes = %d", n)
-	}
-	// The second compute saw a stable generation and is cached.
-	cachedQuery(context.Background(), srv, "torn-test", req, compute)
-	if n := computes.Load(); n != 2 {
-		t.Fatalf("stable result not cached: computes = %d", n)
 	}
 }
 
@@ -236,7 +210,7 @@ func TestQueryCachePanicDoesNotPoisonFollowers(t *testing.T) {
 	srv := cachedCityServer(t, 16)
 	var calls atomic.Int32
 	leaderIn := make(chan struct{})
-	compute := func(req wire.GeocodeRequest) wire.GeocodeResponse {
+	compute := func(_ *store.View, req wire.GeocodeRequest) wire.GeocodeResponse {
 		if calls.Add(1) == 1 {
 			close(leaderIn)
 			time.Sleep(30 * time.Millisecond)
@@ -252,10 +226,10 @@ func TestQueryCachePanicDoesNotPoisonFollowers(t *testing.T) {
 			}
 			close(leaderDone)
 		}()
-		cachedQuery(context.Background(), srv, "panic-test", wire.GeocodeRequest{Query: "x"}, compute)
+		cachedQuery(context.Background(), srv, srv.store.View(), "panic-test", wire.GeocodeRequest{Query: "x"}, compute)
 	}()
 	<-leaderIn
-	got := cachedQuery(context.Background(), srv, "panic-test", wire.GeocodeRequest{Query: "x"}, compute)
+	got := cachedQuery(context.Background(), srv, srv.store.View(), "panic-test", wire.GeocodeRequest{Query: "x"}, compute)
 	<-leaderDone
 	if len(got.Results) != 1 || got.Results[0].Name != "ok" {
 		t.Fatalf("follower result = %+v", got)

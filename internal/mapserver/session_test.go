@@ -277,7 +277,7 @@ func TestSessionEnvelopeInvisibleToCache(t *testing.T) {
 // cursors position.
 func TestChangesResponseCarriesName(t *testing.T) {
 	srv := cityServer(t)
-	if got := srv.ChangesSince(0).Name; got != "city" {
+	if got := srv.changesAt(srv.store.View(), 0).Name; got != "city" {
 		t.Fatalf("ChangesResponse.Name = %q", got)
 	}
 	ts := httptest.NewServer(srv.Handler())

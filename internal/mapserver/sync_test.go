@@ -409,3 +409,35 @@ func TestSyncerToleratesDeadPeer(t *testing.T) {
 		t.Fatalf("live peer's change not applied: %d", applied)
 	}
 }
+
+// TestSyncVerZeroFollowsEqualVersionRule: a change without a version (Ver
+// 0, as a peer omitting the field sends it) takes the same path as every
+// other change. Aimed at a node still at version 0 it is an equal-version
+// conflict, so replicas receiving the same pair in opposite orders keep
+// the same winner; aimed at a node already at version 1 or more it is
+// stale and ignored.
+func TestSyncVerZeroFollowsEqualVersionRule(t *testing.T) {
+	a, b := syncServer(t, "a"), syncServer(t, "b")
+	x := wire.Change{NodeID: 1, Tags: map[string]string{"name": "Shelf A", "product": "x-zero"}}
+	y := wire.Change{NodeID: 1, Tags: map[string]string{"name": "Shelf A", "product": "y-zero"}}
+	a.ApplySyncChange(x)
+	a.ApplySyncChange(y)
+	b.ApplySyncChange(y)
+	b.ApplySyncChange(x)
+	ta := a.Store().Map().Node(1).Tags.Get("product")
+	tb := b.Store().Map().Node(1).Tags.Get("product")
+	if ta != tb || ta != "y-zero" {
+		t.Fatalf("Ver-0 conflict diverged: a=%q b=%q, want both y-zero", ta, tb)
+	}
+
+	if !a.ApplyInventoryUpdate(2, osm.Tags{"name": "Shelf B", "product": "espresso"}) {
+		t.Fatal("update refused")
+	}
+	gen := a.Generation()
+	if a.ApplySyncChange(wire.Change{NodeID: 2, Tags: map[string]string{"name": "Shelf B", "product": "zzz"}}) {
+		t.Fatal("Ver-0 change overwrote a node at version 1")
+	}
+	if got := a.Store().Map().Node(2).Tags.Get("product"); got != "espresso" || a.Generation() != gen {
+		t.Fatalf("node 2 product = %q (gen %d -> %d) after a stale Ver-0 change", got, gen, a.Generation())
+	}
+}

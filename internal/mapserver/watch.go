@@ -29,10 +29,10 @@ const watchWriteWindow = 30 * time.Second
 type storeSource struct{ st *store.Store }
 
 func (ss storeSource) LogID() uint64     { return ss.st.LogID() }
-func (ss storeSource) ChangeSeq() uint64 { return ss.st.ChangeSeq() }
+func (ss storeSource) ChangeSeq() uint64 { return ss.st.View().Seq }
 
 func (ss storeSource) ChangesSince(since uint64) []watch.Change {
-	chs := ss.st.ChangesSince(since, 0)
+	chs := ss.st.View().ChangesSince(since, 0)
 	out := make([]watch.Change, len(chs))
 	for i, c := range chs {
 		out[i] = watch.Change{Seq: c.Seq, Pos: c.Pos}
@@ -42,17 +42,19 @@ func (ss storeSource) ChangesSince(since uint64) []watch.Change {
 
 func (ss storeSource) Notify() <-chan struct{} { return ss.st.ChangeNotify() }
 
-// watchEval answers one standing query for the hub — the same cached
-// search path every polled read takes, so watcher evaluations coalesce
-// with each other AND with ordinary /search traffic.
-func (s *Server) watchEval(ctx context.Context, req wire.SearchRequest) (wire.SearchResponse, error) {
-	resp := cachedQuery(ctx, s, wire.SvcSearch, req, s.searchUncached)
+// watchEval answers one standing query for the hub over one pinned view,
+// reporting the view's change-log position — the same cached search path
+// every polled read takes, so watcher evaluations coalesce with each other
+// AND with ordinary /search traffic.
+func (s *Server) watchEval(ctx context.Context, req wire.SearchRequest) (wire.SearchResponse, uint64, error) {
+	v := s.store.View()
+	resp := cachedQuery(ctx, s, v, wire.SvcSearch, req, s.searchUncached)
 	if ctx.Err() != nil {
 		// A detached singleflight follower carries a zero value; never
 		// materialize a group from it.
-		return wire.SearchResponse{}, ctx.Err()
+		return wire.SearchResponse{}, 0, ctx.Err()
 	}
-	return resp, nil
+	return resp, v.Seq, nil
 }
 
 // WatchStats snapshots the watch hub's counters.

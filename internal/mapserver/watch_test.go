@@ -181,8 +181,8 @@ func TestWatchInitThenDelta(t *testing.T) {
 	if delta.Session == nil || delta.Session.Seq == 0 {
 		t.Fatalf("delta session mark = %+v, want post-apply mark", delta.Session)
 	}
-	if delta.Seq != srv.Store().ChangeSeq() {
-		t.Fatalf("delta cursor seq = %d, want head %d", delta.Seq, srv.Store().ChangeSeq())
+	if delta.Seq != srv.ChangeSeq() {
+		t.Fatalf("delta cursor seq = %d, want head %d", delta.Seq, srv.ChangeSeq())
 	}
 }
 
@@ -216,7 +216,7 @@ func TestWatchResumeInitAfterCompactionGap(t *testing.T) {
 	// init cursor falls off the retained window. No watcher is connected,
 	// so no drain churns while this loops.
 	st := srv.Store()
-	for i := 0; st.FirstChangeSeq() <= init.Seq+1; i++ {
+	for i := 0; st.View().FirstChangeSeq() <= init.Seq+1; i++ {
 		if !srv.ApplyInventoryUpdate(nodeID, osm.Tags{"name": fmt.Sprintf("churn %d", i)}) {
 			t.Fatalf("churn update %d refused", i)
 		}
@@ -239,7 +239,7 @@ func TestWatchResumeInitAfterCompactionGap(t *testing.T) {
 func TestWatchShedsAtWatcherLimit(t *testing.T) {
 	srv2, bundle := watchServer(t, func(s *Server) {
 		s.hub = watch.New(watch.Config{
-			Source: storeSource{st: s.store}, Eval: s.watchEval, Mark: s.SessionMark, MaxWatchers: 1,
+			Source: storeSource{st: s.store}, Eval: s.watchEval, Mark: s.markAt, MaxWatchers: 1,
 		})
 	})
 	ts := httptest.NewServer(srv2.Handler())
@@ -337,7 +337,7 @@ func TestWatchPolicyFallsUnderSearch(t *testing.T) {
 func TestWatchStaleReplicaRefusal(t *testing.T) {
 	srv, ts, req, _ := watchFixture(t)
 	ahead := wire.SessionMark{
-		Origin: srv.Name(), Log: srv.Store().LogID(), Seq: srv.Store().ChangeSeq() + 100,
+		Origin: srv.Name(), Log: srv.Store().LogID(), Seq: srv.ChangeSeq() + 100,
 	}
 	req.Query.SetConsistency(&wire.ReadConsistency{Marks: []wire.SessionMark{ahead}})
 	_, res := openWatch(t, ts.Client(), ts.URL, req)

@@ -272,7 +272,10 @@ func (m *Map) compactLocked() {
 	sort.Slice(ovIDs, func(i, j int) bool { return ovIDs[i] < ovIDs[j] })
 
 	old := m.cols
-	b := newColBuilder(m.count, old.pool)
+	// The pool is clipped to its length: old may still be read through
+	// another map (WithNode shares columns), so the builder's appends must
+	// never land in old's spare capacity.
+	b := newColBuilder(m.count, old.pool[:len(old.pool):len(old.pool)])
 	oi, vi := 0, 0
 	for oi < old.len() || vi < len(ovIDs) {
 		switch {

@@ -141,17 +141,18 @@ type Frame struct {
 
 // Map is a collection of elements with a coordinate frame: "a portion of the
 // spatial namespace independently managed by an organization" (§3).
-// Maps are safe for concurrent reads; writers must hold no concurrent
-// readers (the map server serializes mutation).
+// Maps are safe for concurrent use. The in-place mutation methods (AddNode,
+// AddWay, RemoveNode, ...) build maps — world generation, import, XML,
+// centralized merging; a served map is never written in place: the store
+// derives each new state with WithNode and leaves the old map intact for
+// the readers still holding it.
 //
 // Node storage is columnar (see columns): the bulk of the nodes live in
 // packed, immutable, ID-sorted arrays; mutations land in a small overlay
 // map (plus a tombstone set for removals) that compaction folds back into
 // the columns amortized on the write path. Node and Nodes return views
 // materialized from the columns — fresh values the caller may read freely
-// but whose mutation never reaches the map. All writes go through the
-// mutation methods (AddNode, RemoveNode, ...), which preserve the
-// Generation contract exactly as the pointer layout did.
+// but whose mutation never reaches the map.
 type Map struct {
 	Name  string
 	Frame Frame
@@ -170,10 +171,9 @@ type Map struct {
 	nextNode  NodeID
 	nextWay   WayID
 	nextRel   RelationID
-	// gen counts successful mutations. Every write method bumps it under
-	// mu, so readers observing the same generation before and after a
-	// computation know they saw one consistent snapshot of the map — the
-	// versioning the server-side query and tile caches key on.
+	// gen counts successful mutations: every write method bumps it under
+	// mu, and a map WithNode derives carries its parent's plus one — the
+	// version the server-side query and tile caches key on.
 	gen uint64
 	// mapped pins the mmap'd snapshot backing cols when the map was loaded
 	// zero-copy (LoadSnapshotFile); nil otherwise.
@@ -271,6 +271,48 @@ func (m *Map) AddNode(n *Node) NodeID {
 	m.gen++
 	m.maybeCompactLocked()
 	return n.ID
+}
+
+// WithNode returns a new map holding m's content with n added (or, for an
+// existing ID, replaced), leaving m untouched — the persistent write behind
+// the store's read views. The result shares m's columns, ways and relations
+// and copies only the small overlay, so its cost is bounded by
+// compactMinPending, not by the map's size; once the overlay reaches that
+// count it folds into fresh columns. Its generation is m's plus one. n must
+// carry an ID, and neither map may be written in place afterwards.
+func (m *Map) WithNode(n *Node) *Map {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	out := &Map{
+		Name:      m.Name,
+		Frame:     m.Frame,
+		cols:      m.cols,
+		overlay:   make(map[NodeID]*Node, len(m.overlay)+1),
+		tomb:      make(map[NodeID]struct{}, len(m.tomb)),
+		count:     m.count,
+		ways:      m.ways,
+		relations: m.relations,
+		nextNode:  max(m.nextNode, n.ID),
+		nextWay:   m.nextWay,
+		nextRel:   m.nextRel,
+		gen:       m.gen + 1,
+		mapped:    m.mapped,
+	}
+	for id, on := range m.overlay {
+		out.overlay[id] = on
+	}
+	for id := range m.tomb {
+		out.tomb[id] = struct{}{}
+	}
+	if !m.hasNodeLocked(n.ID) {
+		out.count++
+	}
+	delete(out.tomb, n.ID)
+	out.overlay[n.ID] = n
+	if len(out.overlay)+len(out.tomb) >= compactMinPending {
+		out.compactLocked()
+	}
+	return out
 }
 
 // AddWay inserts a way, allocating an ID if w.ID is zero. All referenced

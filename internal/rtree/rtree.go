@@ -1,8 +1,8 @@
 // Package rtree implements the spatial indexes behind the map store's
-// reverse-geocode, nearest-neighbour, and viewport queries: a dynamic
-// R-tree with quadratic splits (this file) for mutable sets, and a static
-// STR bulk-loaded tree over packed parallel arrays (static.go) for the
-// immutable bulk that dominates a serving store.
+// reverse-geocode, nearest-neighbour, and viewport queries: a static STR
+// bulk-loaded tree over packed parallel arrays (static.go), which is what
+// a serving store holds, and a dynamic R-tree with quadratic splits (this
+// file) that the static tree is checked against.
 package rtree
 
 import (

@@ -312,20 +312,6 @@ func overlaps(q geo.Rect, minLat, minLng, maxLat, maxLng float64) bool {
 	return q.MinLat <= maxLat && minLat <= q.MaxLat && q.MinLng <= maxLng && minLng <= q.MaxLng
 }
 
-// Contains reports whether the tree holds item with exactly the given
-// bound (the identity the store's deletion overlay needs).
-func (s *Static[T]) Contains(bound geo.Rect, item T) bool {
-	found := false
-	s.Search(bound, func(b geo.Rect, it T) bool {
-		if it == item && b == bound {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // ForEach calls fn for every item in STR order. Returning false stops
 // early.
 func (s *Static[T]) ForEach(fn func(bound geo.Rect, item T) bool) {
@@ -359,15 +345,12 @@ var snnPool = sync.Pool{New: func() any {
 // to the item's bounding rectangle, matching the dynamic tree's semantics.
 // maxMeters <= 0 means unbounded.
 func (s *Static[T]) Nearest(ll geo.LatLng, k int, maxMeters float64) []Neighbor[T] {
-	return s.NearestAppend(nil, ll, k, maxMeters, nil)
+	return s.NearestAppend(nil, ll, k, maxMeters)
 }
 
-// NearestAppend is Nearest appending into out, optionally skipping items
-// (skip != nil returning true drops the item without counting it toward
-// k — how the store masks deletions layered over the immutable bulk). The
-// frontier heap is pooled; with a reused out buffer the query allocates
-// nothing.
-func (s *Static[T]) NearestAppend(out []Neighbor[T], ll geo.LatLng, k int, maxMeters float64, skip func(T) bool) []Neighbor[T] {
+// NearestAppend is Nearest appending into out. The frontier heap is
+// pooled; with a reused out buffer the query allocates nothing.
+func (s *Static[T]) NearestAppend(out []Neighbor[T], ll geo.LatLng, k int, maxMeters float64) []Neighbor[T] {
 	if k <= 0 || s.root < 0 {
 		return out
 	}
@@ -404,9 +387,6 @@ func (s *Static[T]) NearestAppend(out []Neighbor[T], ll geo.LatLng, k int, maxMe
 		lo, hi := lay.ChildLo[i], lay.ChildHi[i]
 		if i < leafEnd {
 			for c := lo; c < hi; c++ {
-				if skip != nil && skip(s.items[c]) {
-					continue
-				}
 				d := s.itemDist(ll, c)
 				if maxMeters > 0 && d > maxMeters {
 					continue

@@ -141,32 +141,6 @@ func TestStaticNearestParity(t *testing.T) {
 	}
 }
 
-func TestStaticNearestSkip(t *testing.T) {
-	ents := []Entry[int]{
-		{Bound: ptRect(geo.LatLng{Lat: 40, Lng: -80}), Item: 0},
-		{Bound: ptRect(geo.LatLng{Lat: 40.001, Lng: -80}), Item: 1},
-		{Bound: ptRect(geo.LatLng{Lat: 40.002, Lng: -80}), Item: 2},
-	}
-	st := BulkLoad(ents)
-	got := st.NearestAppend(nil, geo.LatLng{Lat: 40, Lng: -80}, 2, 0, func(it int) bool { return it == 0 })
-	if len(got) != 2 || got[0].Item != 1 || got[1].Item != 2 {
-		t.Fatalf("skip filter failed: %+v", got)
-	}
-}
-
-func TestStaticContains(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	_, st, ents := buildPair(rng, 500, true)
-	for i := 0; i < 500; i += 7 {
-		if !st.Contains(ents[i].Bound, ents[i].Item) {
-			t.Fatalf("Contains(%d) = false", i)
-		}
-	}
-	if st.Contains(ents[0].Bound, 99999) {
-		t.Fatal("Contains matched an absent item")
-	}
-}
-
 func TestStaticLayoutRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, n := range []int{0, 1, 100, 4000} {
@@ -295,9 +269,9 @@ func TestStaticNearestAllocsPin(t *testing.T) {
 	}
 	st := BulkLoad(ents)
 	buf := make([]Neighbor[int64], 0, 16)
-	buf = st.NearestAppend(buf[:0], geo.LatLng{Lat: 40.5, Lng: -79.5}, 10, 0, nil)
+	buf = st.NearestAppend(buf[:0], geo.LatLng{Lat: 40.5, Lng: -79.5}, 10, 0)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = st.NearestAppend(buf[:0], geo.LatLng{Lat: 40.5, Lng: -79.5}, 10, 0, nil)
+		buf = st.NearestAppend(buf[:0], geo.LatLng{Lat: 40.5, Lng: -79.5}, 10, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("Static.NearestAppend allocs/op = %v, want 0", allocs)
@@ -357,7 +331,7 @@ func BenchmarkNearestStatic(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = st.NearestAppend(buf[:0], geo.LatLng{Lat: 40.5, Lng: -79.5}, 10, 0, nil)
+		buf = st.NearestAppend(buf[:0], geo.LatLng{Lat: 40.5, Lng: -79.5}, 10, 0)
 	}
 }
 

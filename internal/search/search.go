@@ -49,13 +49,14 @@ const halfDistanceMeters = 500.0
 
 // Searcher runs queries against one store.
 type Searcher struct {
-	s *store.Store
+	r store.Reader
 }
 
-// New creates a searcher over s.
-func New(s *store.Store) *Searcher { return &Searcher{s: s} }
+// New creates a searcher over r: a store (each query reads its current
+// view) or one pinned view.
+func New(r store.Reader) *Searcher { return &Searcher{r: r} }
 
-// Search retrieves and ranks nodes matching the query.
+// Search retrieves and ranks nodes matching the query, reading one view.
 func (se *Searcher) Search(query string, opt Options) []Result {
 	limit := opt.Limit
 	if limit <= 0 {
@@ -65,9 +66,10 @@ func (se *Searcher) Search(query string, opt Options) []Result {
 	if len(tokens) == 0 {
 		return nil
 	}
-	m := se.s.Map()
+	v := se.r.View()
+	m := v.Map()
 	var results []Result
-	se.s.ForEachPostingMatch(tokens, func(id osm.NodeID, c int) {
+	v.ForEachPostingMatch(tokens, func(id osm.NodeID, c int) {
 		if opt.RequireAllTokens && c < len(tokens) {
 			return
 		}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,8 +40,7 @@ func attachTown(t testing.TB, nodes int) *osm.Map {
 			Tags: tags,
 		}))
 	}
-	// Stride 5 over 4-node ways leaves every fifth node way-free, so tests
-	// have unreferenced nodes they can RemoveNode.
+	// Stride 5 over 4-node ways leaves every fifth node way-free.
 	for i := 0; i+3 < len(ids); i += 5 {
 		if _, err := m.AddWay(&osm.Way{NodeIDs: ids[i : i+4],
 			Tags: osm.Tags{osm.TagHighway: "residential"}}); err != nil {
@@ -149,7 +149,8 @@ func sortedIDs(ns []*osm.Node) []osm.NodeID {
 }
 
 func TestAttachedStoreMatchesRebuilt(t *testing.T) {
-	rebuilt, attached := attachFixture(t, 400)
+	rs, as := attachFixture(t, 400)
+	rebuilt, attached := rs.View(), as.View()
 
 	if rebuilt.Bounds() != attached.Bounds() {
 		t.Fatalf("bounds: %+v != %+v", attached.Bounds(), rebuilt.Bounds())
@@ -199,70 +200,40 @@ func TestMutationAfterAttach(t *testing.T) {
 	_, s := attachFixture(t, 120)
 
 	// Update: token moves, posting lists stay consistent.
-	target := s.PortalNodeIDs()[0]
+	target := s.View().PortalNodeIDs()[0]
 	if !s.UpdateNodeTags(target, osm.Tags{osm.TagName: "Renamed Lighthouse",
 		osm.TagPortalID: "portal-0"}) {
 		t.Fatal("update refused")
 	}
-	if got := s.TokenPostings("lighthouse"); len(got) != 1 || got[0] != target {
+	v := s.View()
+	if got := v.TokenPostings("lighthouse"); len(got) != 1 || got[0] != target {
 		t.Fatalf("new token not indexed: %v", got)
 	}
-	if ids := s.PortalNodeIDs(); len(ids) == 0 || ids[0] != target {
+	if ids := v.PortalNodeIDs(); len(ids) == 0 || ids[0] != target {
 		t.Fatalf("portal posting lost after update: %v", ids)
 	}
-
-	// Insert: findable spatially and textually.
-	newID := s.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4701, Lng: -79.971},
-		Tags: osm.Tags{osm.TagName: "Brand New Kiosk"}})
-	hits := s.NearestNodes(geo.LatLng{Lat: 40.4701, Lng: -79.971}, 1, 50)
-	if len(hits) != 1 || hits[0].Node.ID != newID {
-		t.Fatalf("inserted node not nearest to itself: %+v", hits)
-	}
-	if got := s.TokenPostings("kiosk"); len(got) != 1 || got[0] != newID {
-		t.Fatalf("inserted node not in postings: %v", got)
-	}
-
-	// Delete a node that lives in the static (attached) tree: it must
-	// vanish from rect, nearest, and posting queries via the dead set.
-	// (Way-referenced nodes refuse removal, so find a free one.)
-	var victim osm.NodeID
-	var vpos geo.LatLng
-	for _, cand := range s.TokenPostings("place") {
-		p := s.Map().NodePosition(s.Map().Node(cand))
-		if s.RemoveNode(cand) {
-			victim, vpos = cand, p
-			break
+	for _, id := range v.TokenPostings("0") {
+		if id == target {
+			t.Fatal("old name token still indexed")
 		}
 	}
-	if victim == 0 {
-		t.Fatal("no removable node found")
-	}
-	for _, n := range s.NodesInRect(s.Bounds()) {
-		if n.ID == victim {
-			t.Fatal("deleted node still in rect results")
-		}
-	}
-	for _, h := range s.NearestNodes(vpos, 10, 0) {
-		if h.Node.ID == victim {
-			t.Fatal("deleted node still in nearest results")
-		}
-	}
-	for _, id := range s.TokenPostings("place") {
-		if id == victim {
-			t.Fatal("deleted node still in postings")
-		}
+	if got := v.PersistedIndex(); len(got.Tokens) != v.TokenCount()+1 {
+		t.Fatalf("exported %d tokens, view has %d plus the portal list", len(got.Tokens), v.TokenCount())
 	}
 }
 
 // TestMutateWhileReading hammers an attached store with concurrent readers
 // and one writer; run under -race this is the mutation-after-attach
 // safety check (the static columns alias an mmap, so it also proves
-// copy-on-write posting updates never scribble on the mapping).
+// copy-on-write posting updates never scribble on the mapping). Every
+// reader pins one view per round and checks that its postings and its map
+// agree: no read ever sees half a write.
 func TestMutateWhileReading(t *testing.T) {
 	_, s := attachFixture(t, 200)
-	ids := s.PortalNodeIDs()
+	ids := s.View().PortalNodeIDs()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	errs := make(chan error, 4)
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -274,12 +245,19 @@ func TestMutateWhileReading(t *testing.T) {
 					return
 				default:
 				}
+				v := s.View()
 				ll := geo.LatLng{Lat: 40.44 + rng.Float64()*0.02, Lng: -80.00 + rng.Float64()*0.02}
-				s.NearestNodes(ll, 3, 0)
-				s.NodesInRect(geo.Rect{MinLat: ll.Lat, MinLng: ll.Lng,
+				v.NearestNodes(ll, 3, 0)
+				v.NodesInRect(geo.Rect{MinLat: ll.Lat, MinLng: ll.Lng,
 					MaxLat: ll.Lat + 0.005, MaxLng: ll.Lng + 0.005})
-				s.TokenPostings("place")
-				s.SnapToWay(ll, 300)
+				v.SnapToWay(ll, 300)
+				id := ids[rng.Intn(len(ids))]
+				for _, tok := range TokenizeTags(v.Map().Node(id).Tags) {
+					if lst := v.TokenPostings(tok); sort.Search(len(lst), func(i int) bool { return lst[i] >= id }) == len(lst) {
+						errs <- fmt.Errorf("view %d: node %d's token %q not in its postings", v.Seq, id, tok)
+						return
+					}
+				}
 			}
 		}(int64(r))
 	}
@@ -290,52 +268,89 @@ func TestMutateWhileReading(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 }
 
-// TestOverlayCompaction drives enough mutations through an attached store
-// to trip the amortized re-bulk-load and verifies nothing is lost.
+// readsOf renders a deterministic transcript of every read a view answers
+// — spatial, textual and exported — node tags included, so two views that
+// answer alike render alike.
+func readsOf(v *View) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "bounds %v nodes %d tokens %d portals %v\n", v.Bounds(), v.NodeCount(), v.TokenCount(), v.PortalNodeIDs())
+	node := func(what string, n *osm.Node, d float64) {
+		fmt.Fprintf(&b, "%s %d %.9f %q\n", what, n.ID, d, canonicalTags(n.Tags))
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		ll := geo.LatLng{Lat: 40.44 + rng.Float64()*0.02, Lng: -80.00 + rng.Float64()*0.02}
+		for _, n := range v.NodesInRect(geo.Rect{MinLat: ll.Lat, MinLng: ll.Lng, MaxLat: ll.Lat + 0.004, MaxLng: ll.Lng + 0.004}) {
+			node("rect", n, 0)
+		}
+		for _, h := range v.NearestNodes(ll, 5, 0) {
+			node("nearest", h.Node, h.DistanceMeters)
+		}
+		for _, h := range v.NearestNodesWhere(ll, 2, 0, func(n *osm.Node) bool { return n.Tags.Has(osm.TagAmenity) }) {
+			node("where", h.Node, h.DistanceMeters)
+		}
+		if sn, ok := v.SnapToWay(ll, 500); ok {
+			fmt.Fprintf(&b, "snap %d %d %v %.9f\n", sn.Way.ID, sn.NodeID, sn.Position, sn.DistanceMeters)
+		}
+	}
+	v.ForEachPostingMatch([]string{"cafe", "renamed", "place"}, func(id osm.NodeID, hits int) {
+		fmt.Fprintf(&b, "match %d %d\n", id, hits)
+	})
+	idx := v.PersistedIndex()
+	fmt.Fprintf(&b, "index %v %v %v\n", idx.Tokens, idx.PostOff, idx.Postings)
+	return b.String()
+}
+
+// TestViewIsolation: a view taken before writes answers every read exactly
+// as it did before them — however many writes land, folds included.
+func TestViewIsolation(t *testing.T) {
+	_, s := attachFixture(t, 1200)
+	v := s.View()
+	before, log := readsOf(v), v.ChangesSince(0, 0)
+	for i, id := range v.TokenPostings("place") {
+		s.UpdateNodeTags(id, osm.Tags{osm.TagName: fmt.Sprintf("Renamed %d", i), osm.TagAmenity: "cafe"})
+	}
+	if s.View().Seq != uint64(len(v.TokenPostings("place"))) {
+		t.Fatalf("head at %d after %d writes", s.View().Seq, len(v.TokenPostings("place")))
+	}
+	if readsOf(v) != before || !reflect.DeepEqual(v.ChangesSince(0, 0), log) || v.Seq != 0 {
+		t.Fatal("a write changed what an earlier view answers")
+	}
+}
+
+// TestOverlayCompaction drives more distinct-node tag writes through an
+// attached store than compactMinPending, which folds both the map's node
+// overlay and the posting delta, and checks the current view answers every
+// read exactly like a store rebuilt from scratch over its map.
 func TestOverlayCompaction(t *testing.T) {
-	_, s := attachFixture(t, 50)
-	before := s.NodeCount()
-	var added []osm.NodeID
-	for i := 0; i < compactMinPending+200; i++ {
-		added = append(added, s.AddNode(&osm.Node{
-			Pos:  geo.LatLng{Lat: 40.43 + float64(i)*1e-5, Lng: -80.01},
-			Tags: osm.Tags{osm.TagName: "infill"},
-		}))
+	_, s := attachFixture(t, 1200)
+	ids := s.View().TokenPostings("place")
+	if len(ids) <= compactMinPending {
+		t.Fatalf("fixture has %d nodes, need more than %d", len(ids), compactMinPending)
 	}
-	// Compaction fired at the threshold and folded the overlay in; only
-	// the post-compaction remainder may still be pending.
-	if s.nodes.side.Len() >= compactMinPending {
-		t.Fatalf("side tree never compacted: %d pending", s.nodes.side.Len())
-	}
-	if s.nodes.static.Len() <= before {
-		t.Fatalf("static tree did not absorb the overlay: %d", s.nodes.static.Len())
-	}
-	if got := s.NodeCount(); got != before+len(added) {
-		t.Fatalf("node count %d, want %d", got, before+len(added))
-	}
-	// Every inserted node (pre- and post-compaction) is still findable.
-	found := sortedIDs(s.NodesInRect(geo.Rect{MinLat: 40.42, MinLng: -80.02,
-		MaxLat: 40.45, MaxLng: -80.00}))
-	for _, id := range added {
-		i := sort.Search(len(found), func(i int) bool { return found[i] >= id })
-		if i == len(found) || found[i] != id {
-			t.Fatalf("node %d lost after compaction", id)
+	for i, id := range ids {
+		tags := osm.Tags{osm.TagName: fmt.Sprintf("Renamed %d", i)}
+		if i%7 == 0 {
+			tags[osm.TagPortalID] = fmt.Sprintf("portal-renamed-%d", i)
+		}
+		if !s.UpdateNodeTags(id, tags) {
+			t.Fatalf("update of %d refused", id)
 		}
 	}
-	// Deletions survive compaction too: remove a static-tree node, compact
-	// again via more inserts, and it must stay gone.
-	victim := found[0]
-	if !s.RemoveNode(victim) {
-		t.Fatal("remove refused")
+	v := s.View()
+	if st := v.Map().StorageStats(); st.OverlayNodes >= compactMinPending {
+		t.Fatalf("node overlay never folded: %d pending", st.OverlayNodes)
 	}
-	for i := 0; i < compactMinPending+1; i++ {
-		s.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.431, Lng: -80.011}})
+	if len(v.post.delta) >= compactMinPending {
+		t.Fatalf("posting delta never folded: %d pending", len(v.post.delta))
 	}
-	for _, n := range s.NodesInRect(s.Bounds()) {
-		if n.ID == victim {
-			t.Fatal("deleted node resurrected by compaction")
-		}
+	if got, want := readsOf(v), readsOf(New(v.Map()).View()); got != want {
+		t.Fatal("current view answers differently from a store rebuilt over its map")
 	}
 }

@@ -19,27 +19,22 @@ func changelogFixture(t *testing.T) (*Store, osm.NodeID) {
 }
 
 // TestChangeLogRecordsTagUpdates: UpdateNodeTags appends monotonically
-// sequence-numbered records; structural mutations do not log.
+// sequence-numbered records.
 func TestChangeLogRecordsTagUpdates(t *testing.T) {
 	s, id := changelogFixture(t)
-	if got := s.ChangeSeq(); got != 0 {
+	if got := s.View().Seq; got != 0 {
 		t.Fatalf("fresh store ChangeSeq = %d", got)
 	}
 	for i := 1; i <= 3; i++ {
 		if !s.UpdateNodeTags(id, osm.Tags{"name": fmt.Sprintf("Shelf v%d", i)}) {
 			t.Fatalf("update %d refused", i)
 		}
-		if got := s.ChangeSeq(); got != uint64(i) {
+		if got := s.View().Seq; got != uint64(i) {
 			t.Fatalf("ChangeSeq after %d updates = %d", i, got)
 		}
 	}
-	// AddNode is structural: generation moves, the change log does not.
-	s.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.45, Lng: -79.98}})
-	if got := s.ChangeSeq(); got != 3 {
-		t.Fatalf("structural mutation logged: ChangeSeq = %d", got)
-	}
-
-	all := s.ChangesSince(0, 0)
+	v := s.View()
+	all := v.ChangesSince(0, 0)
 	if len(all) != 3 {
 		t.Fatalf("ChangesSince(0) = %d records", len(all))
 	}
@@ -52,13 +47,13 @@ func TestChangeLogRecordsTagUpdates(t *testing.T) {
 		t.Fatalf("latest record tags = %v", all[2].Tags)
 	}
 	// Windowing: since=2 returns only the third record; a limit truncates.
-	if got := s.ChangesSince(2, 0); len(got) != 1 || got[0].Seq != 3 {
+	if got := v.ChangesSince(2, 0); len(got) != 1 || got[0].Seq != 3 {
 		t.Fatalf("ChangesSince(2) = %+v", got)
 	}
-	if got := s.ChangesSince(0, 2); len(got) != 2 || got[1].Seq != 2 {
+	if got := v.ChangesSince(0, 2); len(got) != 2 || got[1].Seq != 2 {
 		t.Fatalf("ChangesSince(0, limit 2) = %+v", got)
 	}
-	if got := s.ChangesSince(3, 0); len(got) != 0 {
+	if got := v.ChangesSince(3, 0); len(got) != 0 {
 		t.Fatalf("ChangesSince(head) = %+v", got)
 	}
 }
@@ -70,7 +65,7 @@ func TestChangeLogSnapshotIsolation(t *testing.T) {
 	tags := osm.Tags{"name": "Original"}
 	s.UpdateNodeTags(id, tags)
 	tags["name"] = "Mutated after the fact"
-	if got := s.ChangesSince(0, 0)[0].Tags.Get("name"); got != "Original" {
+	if got := s.View().ChangesSince(0, 0)[0].Tags.Get("name"); got != "Original" {
 		t.Fatalf("logged tags aliased the caller's map: %q", got)
 	}
 }
@@ -84,23 +79,24 @@ func TestChangeLogCompaction(t *testing.T) {
 	for i := 0; i < total; i++ {
 		s.UpdateNodeTags(id, osm.Tags{"name": fmt.Sprintf("v%d", i)})
 	}
-	if got := s.ChangeSeq(); got != uint64(total) {
-		t.Fatalf("ChangeSeq = %d, want %d", got, total)
+	v := s.View()
+	if got := v.Seq; got != uint64(total) {
+		t.Fatalf("Seq = %d, want %d", got, total)
 	}
 	// Compaction fired once, at append 2*cap+1, keeping the last cap
 	// entries (seq cap+2 .. 2*cap+1); the 9 appends after it grew the
 	// retained window again.
-	if got := s.FirstChangeSeq(); got != uint64(changeLogCap+2) {
+	if got := v.FirstChangeSeq(); got != uint64(changeLogCap+2) {
 		t.Fatalf("FirstChangeSeq = %d, want %d", got, changeLogCap+2)
 	}
 	// A cursor inside the compacted prefix gets the whole retained suffix.
-	got := s.ChangesSince(1, 0)
-	if len(got) != changeLogCap+9 || got[0].Seq != s.FirstChangeSeq() {
+	got := v.ChangesSince(1, 0)
+	if len(got) != changeLogCap+9 || got[0].Seq != v.FirstChangeSeq() {
 		t.Fatalf("compacted pull: %d records starting at %d", len(got), got[0].Seq)
 	}
 	// A cursor in the retained window resumes exactly after itself.
-	mid := s.FirstChangeSeq() + 5
-	got = s.ChangesSince(mid, 0)
+	mid := v.FirstChangeSeq() + 5
+	got = v.ChangesSince(mid, 0)
 	if got[0].Seq != mid+1 {
 		t.Fatalf("mid-window pull starts at %d, want %d", got[0].Seq, mid+1)
 	}
@@ -115,7 +111,7 @@ func TestChangesSinceAbsurdCursor(t *testing.T) {
 		s.UpdateNodeTags(id, osm.Tags{"name": fmt.Sprintf("v%d", i)})
 	}
 	for _, since := range []uint64{3, 4, 1 << 62, math.MaxUint64} {
-		if got := s.ChangesSince(since, 0); len(got) != 0 {
+		if got := s.View().ChangesSince(since, 0); len(got) != 0 {
 			t.Fatalf("ChangesSince(%d) = %+v, want empty", since, got)
 		}
 	}
@@ -126,7 +122,7 @@ func TestChangesSinceAbsurdCursor(t *testing.T) {
 func TestChangeLogRecordsPosition(t *testing.T) {
 	s, id := changelogFixture(t)
 	s.UpdateNodeTags(id, osm.Tags{"name": "Shelf B"})
-	chs := s.ChangesSince(0, 0)
+	chs := s.View().ChangesSince(0, 0)
 	if len(chs) != 1 {
 		t.Fatalf("ChangesSince(0) = %d records", len(chs))
 	}

@@ -24,7 +24,8 @@ func TestDurableNodeVersions(t *testing.T) {
 
 	// Persist map + versions; "restart" into a fresh store.
 	var buf bytes.Buffer
-	if err := s.Map().WriteSnapshotVersions(&buf, s.NodeVersions()); err != nil {
+	vers0, v := s.NodeVersions()
+	if err := v.Map().WriteSnapshotVersions(&buf, vers0); err != nil {
 		t.Fatal(err)
 	}
 	m2, vers, err := osm.ReadSnapshotVersions(&buf)
@@ -38,12 +39,12 @@ func TestDurableNodeVersions(t *testing.T) {
 	if got := s2.NodeVersion(id); got != 0 {
 		t.Fatalf("unrestored store already versioned: %d", got)
 	}
-	before := s2.Generation()
+	before := s2.View()
 	s2.RestoreNodeVersions(vers)
 	if got := s2.NodeVersion(id); got != 3 {
 		t.Fatalf("restored version = %d, want 3", got)
 	}
-	if s2.Generation() != before || s2.ChangeSeq() != 0 {
+	if s2.View() != before {
 		t.Fatal("restoring versions mutated generation or change log")
 	}
 

@@ -10,7 +10,7 @@ import (
 )
 
 func TestForEachPostingMatchMerge(t *testing.T) {
-	s := New(townMap(t))
+	s := New(townMap(t)).View()
 	type hit struct {
 		id osm.NodeID
 		c  int
@@ -62,7 +62,7 @@ func TestTokenPostingsSorted(t *testing.T) {
 	if !s.UpdateNodeTags(25, osm.Tags{osm.TagName: "alpha"}) {
 		t.Fatal("update failed")
 	}
-	lst := s.TokenPostings("alpha")
+	lst := s.View().TokenPostings("alpha")
 	if len(lst) != 50 {
 		t.Fatalf("postings: %d", len(lst))
 	}
@@ -86,7 +86,7 @@ func TestForEachPostingMatchAllocsPin(t *testing.T) {
 		m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40 + float64(i)*1e-5, Lng: -80},
 			Tags: osm.Tags{osm.TagName: name}})
 	}
-	s := New(m)
+	s := New(m).View()
 	tokens := []string{"alpha", "beta"}
 	count := 0
 	got := testing.AllocsPerRun(100, func() {
@@ -110,7 +110,7 @@ func BenchmarkForEachPostingMatch(b *testing.B) {
 		m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40 + float64(i)*1e-5, Lng: -80},
 			Tags: osm.Tags{osm.TagName: name}})
 	}
-	s := New(m)
+	s := New(m).View()
 	tokens := []string{"alpha", "beta"}
 	b.ReportAllocs()
 	b.ResetTimer()

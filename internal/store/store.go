@@ -26,28 +26,16 @@ type SegmentRef struct {
 	Index int // segment i connects way node i and i+1
 }
 
-// Store indexes one osm.Map. Mutations go through the Store (not the
-// underlying map) so indexes stay consistent. Safe for concurrent use.
+// Store indexes one osm.Map and publishes it as a sequence of immutable
+// Views. A reader pins one view (View) and answers entirely from it; the
+// single writer builds view N+1 from view N plus one tag replacement and
+// publishes it atomically, so no read ever sees half a write. Safe for
+// concurrent use.
 type Store struct {
-	mu sync.RWMutex
-	m  *osm.Map
-	// The spatial indexes are static bulk-loaded trees with a small dynamic
-	// overlay for mutations (see spatialIndex); on a server booted from an
-	// indexed snapshot the static columns alias the mmap.
-	nodes *spatialIndex[osm.NodeID] // node positions (point rects)
-	segs  *spatialIndex[SegmentRef] // way segment bounds
-	// inv maps token → sorted posting list. Published lists are
-	// copy-on-write: a mid-list insert or any delete builds a fresh slice
-	// (tail appends only ever touch capacity beyond a reader's length), so
-	// ForEachPostingMatch can merge over them without copying.
-	inv map[string][]osm.NodeID
-	// bounds caches the map's geodetic bounds, maintained incrementally.
-	bounds geo.Rect
-	// changes is the sequence-numbered inventory-update log (tag
-	// replacements), bounded at changeLogCap entries; changeSeq is the head
-	// position. Replicas pull this log from each other for anti-entropy.
-	changes   []Change
-	changeSeq uint64
+	cur atomic.Pointer[View]
+	// mu serializes writers: it guards nodeVer and view publication (and
+	// with it the change log's shared backing array).
+	mu sync.Mutex
 	// logID identifies this log's incarnation (drawn at construction):
 	// a restarted store mints a new one, so consumers can tell "the log
 	// restarted" apart from "the log advanced" even when the new head has
@@ -62,6 +50,44 @@ type Store struct {
 	// consumers re-read the head and drain everything pending.
 	notify chan struct{}
 }
+
+// View is one immutable state of a Store: a map snapshot, its indexes, and
+// the change log through Seq. Every read a View answers reflects exactly
+// the writes up to Seq, however many writes land meanwhile.
+//
+// A tag write never moves a node, so positions, ways, both R-trees and the
+// bounds are built once and shared by every view; only node tags (the
+// map's small overlay) and posting lists differ between views.
+type View struct {
+	// Gen is the map generation the view serves — the version query caches
+	// and ETags key on. Seq is the change-log head: the last write the view
+	// holds (0 = none). Every write moves both by one, so Gen−Seq is
+	// constant for a store's lifetime.
+	Gen, Seq uint64
+
+	m      *osm.Map
+	nodes  *rtree.Static[osm.NodeID] // node positions (point rects)
+	segs   *rtree.Static[SegmentRef] // way segment bounds
+	bounds geo.Rect
+	post   postings
+	// changes is the retained suffix of the sequence-numbered change log,
+	// ending at Seq. Views append to one shared backing array; an older
+	// view never reads past its own length, so appends never reach it.
+	changes []Change
+}
+
+// Reader is what pins a view: a Store (its current view) or a View
+// (itself). Search and geocode take a Reader so one computation reads one
+// view whichever they were handed.
+type Reader interface {
+	View() *View
+}
+
+// View returns the current view.
+func (s *Store) View() *View { return s.cur.Load() }
+
+// View returns v itself, so a pinned view is a Reader.
+func (v *View) View() *View { return v }
 
 // Change is one sequence-numbered inventory update: the node's tags were
 // replaced wholesale with Tags. The log records tag replacements (the
@@ -92,6 +118,11 @@ type Change struct {
 // converges on every retained (and future) change.
 const changeLogCap = 4096
 
+// compactMinPending is the posting-delta size at which a write folds the
+// delta into a fresh base — the same constant osm.Map.WithNode folds its
+// node overlay at, so a write's copying is bounded by it.
+const compactMinPending = 1024
+
 // portalToken is the reserved inverted-index token whose posting list
 // holds every node carrying osm.TagPortalID, ascending by ID. Tokenize
 // only ever emits lowercase alphanumerics, so the NUL prefix cannot
@@ -102,17 +133,11 @@ const portalToken = "\x00portal"
 // New builds the indexes for m from scratch — the cold-start path (no
 // snapshot index, or a stale one). The three index families are
 // independent, so they build in parallel: node tree, segment tree, and
-// inverted text index each get a goroutine walking the (read-only,
-// RLock-shared) map. The map must not be mutated externally afterwards.
+// inverted text index each get a goroutine walking the (read-only) map. m
+// must not be written in place afterwards: writes go through the Store.
 func New(m *osm.Map) *Store {
-	s := &Store{
-		m:       m,
-		inv:     make(map[string][]osm.NodeID),
-		bounds:  geo.EmptyRect(),
-		nodeVer: make(map[osm.NodeID]uint64),
-		logID:   newLogID(),
-		notify:  make(chan struct{}, 1),
-	}
+	v := &View{Gen: m.Generation(), m: m}
+	inv := make(map[string][]osm.NodeID)
 	var wg sync.WaitGroup
 	wg.Add(3)
 	go func() {
@@ -125,8 +150,8 @@ func New(m *osm.Map) *Store {
 			ents = append(ents, rtree.Entry[osm.NodeID]{Bound: pointRect(pos), Item: n.ID})
 			return true
 		})
-		s.nodes = newSpatial(rtree.BulkLoad(ents))
-		s.bounds = bounds
+		v.nodes = rtree.BulkLoad(ents)
+		v.bounds = bounds
 	}()
 	go func() {
 		defer wg.Done()
@@ -143,24 +168,22 @@ func New(m *osm.Map) *Store {
 			}
 			return true
 		})
-		s.segs = newSpatial(rtree.BulkLoad(ents))
+		v.segs = rtree.BulkLoad(ents)
 	}()
 	go func() {
 		defer wg.Done()
 		// Nodes iterates in ascending ID order, so every insertPosting here
 		// is a tail append.
 		m.Nodes(func(n *osm.Node) bool {
-			for _, tok := range TokenizeTags(n.Tags) {
-				s.inv[tok] = insertPosting(s.inv[tok], n.ID)
-			}
-			if n.Tags[osm.TagPortalID] != "" {
-				s.inv[portalToken] = insertPosting(s.inv[portalToken], n.ID)
+			for _, tok := range indexTokens(n.Tags) {
+				inv[tok] = insertPosting(inv[tok], n.ID)
 			}
 			return true
 		})
 	}()
 	wg.Wait()
-	return s
+	v.post = postings{base: inv}
+	return newStore(v)
 }
 
 // NewWithIndex attaches a persisted snapshot index (osm.IndexData, already
@@ -205,95 +228,165 @@ func NewWithIndex(m *osm.Map, idx *osm.IndexData) (*Store, error) {
 			inv[tok] = idx.Postings[lo:hi:hi]
 		}
 	}
-	return &Store{
-		m:       m,
-		nodes:   newSpatial(nodeTree),
-		segs:    newSpatial(segTree),
-		inv:     inv,
-		bounds:  idx.Bounds,
-		nodeVer: make(map[osm.NodeID]uint64),
-		logID:   newLogID(),
-		notify:  make(chan struct{}, 1),
-	}, nil
+	return newStore(&View{
+		Gen:    m.Generation(),
+		m:      m,
+		nodes:  nodeTree,
+		segs:   segTree,
+		bounds: idx.Bounds,
+		post:   postings{base: inv},
+	}), nil
 }
 
-// PersistedIndex exports the serving indexes for snapshot persistence
-// (osm.WriteSnapshotVersionsIndexed). Both spatial overlays are compacted
-// first so the export is exactly two static trees; the inverted index
-// flattens into sorted tokens over one CSR postings arena. A server that
-// later attaches this export serves byte-identical results: BulkLoad is
-// deterministic and posting lists are persisted in full.
-func (s *Store) PersistedIndex() *osm.IndexData {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nodes.compact()
-	s.segs.compact()
-	idx := &osm.IndexData{
-		Bounds:    s.bounds,
-		NodeTree:  s.nodes.static.Layout(),
-		NodeItems: append([]osm.NodeID(nil), s.nodes.static.Items()...),
+func newStore(v *View) *Store {
+	s := &Store{
+		logID:   newLogID(),
+		nodeVer: make(map[osm.NodeID]uint64),
+		notify:  make(chan struct{}, 1),
 	}
-	segItems := s.segs.static.Items()
-	idx.SegTree = s.segs.static.Layout()
+	s.cur.Store(v)
+	return s
+}
+
+// PersistedIndex exports the view's serving indexes for snapshot
+// persistence (osm.WriteSnapshotVersionsIndexed): the two static trees
+// as-is, and the inverted index flattened into sorted tokens over one CSR
+// postings arena. A server that later attaches this export serves
+// byte-identical results: BulkLoad is deterministic and posting lists are
+// persisted in full.
+func (v *View) PersistedIndex() *osm.IndexData {
+	idx := &osm.IndexData{
+		Bounds:    v.bounds,
+		NodeTree:  v.nodes.Layout(),
+		NodeItems: append([]osm.NodeID(nil), v.nodes.Items()...),
+	}
+	segItems := v.segs.Items()
+	idx.SegTree = v.segs.Layout()
 	idx.SegWays = make([]int64, len(segItems))
 	idx.SegIdxs = make([]int32, len(segItems))
 	for i, ref := range segItems {
 		idx.SegWays[i] = int64(ref.WayID)
 		idx.SegIdxs[i] = int32(ref.Index)
 	}
-	idx.Tokens = make([]string, 0, len(s.inv))
-	for tok := range s.inv {
-		idx.Tokens = append(idx.Tokens, tok)
-	}
-	sort.Strings(idx.Tokens)
+	idx.Tokens = v.post.tokens()
 	idx.PostOff = make([]uint32, 1, len(idx.Tokens)+1)
 	for _, tok := range idx.Tokens {
-		idx.Postings = append(idx.Postings, s.inv[tok]...)
+		idx.Postings = append(idx.Postings, v.post.list(tok)...)
 		idx.PostOff = append(idx.PostOff, uint32(len(idx.Postings)))
 	}
 	return idx
 }
 
-// Map returns the underlying map.
-//
-// Aliasing contract: the returned *osm.Map is the live map the Store
-// indexes, handed out for READ-ONLY use (position lookups, iteration,
-// FindNodes). Callers must not invoke its write methods — AddNode, AddWay,
-// AddRelation, RemoveNode, RemoveWay — or mutate returned elements in
-// place: a direct write would bypass the R-tree and inverted index AND the
-// generation tracking the server-side query/tile caches key on, silently
-// serving stale or inconsistent results. All mutations go through Store
-// methods (AddNode, AddWay, UpdateNodeTags, RemoveNode), which maintain
-// the indexes and bump the map generation atomically under the Store lock.
-func (s *Store) Map() *osm.Map { return s.m }
-
-// Generation returns the underlying map's mutation counter. Every Store
-// mutation bumps it exactly once, so a reader observing an unchanged
-// generation across a computation saw one consistent snapshot. It is the
-// version the mapserver query cache keys results on.
-func (s *Store) Generation() uint64 { return s.m.Generation() }
+// Map returns the view's map, for READ-ONLY use (position lookups,
+// iteration, FindNodes). It holds exactly the writes through Seq and never
+// changes: later writes derive new maps (osm.Map.WithNode) and leave this
+// one alone. Calling its in-place write methods — AddNode, AddWay,
+// AddRelation, RemoveNode, RemoveWay — is forbidden: the map shares its
+// columns, ways and relations with every other view, and a direct write
+// would also bypass the indexes and generation the caches key on.
+func (v *View) Map() *osm.Map { return v.m }
 
 // Bounds returns the geodetic bounding rectangle of the indexed content.
-func (s *Store) Bounds() geo.Rect {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.bounds
+func (v *View) Bounds() geo.Rect { return v.bounds }
+
+// The reads bench/ and other store-level callers make on the current view.
+
+// Map returns the current view's map (see View.Map).
+func (s *Store) Map() *osm.Map { return s.View().Map() }
+
+// NearestNodes answers View.NearestNodes on the current view.
+func (s *Store) NearestNodes(ll geo.LatLng, k int, maxMeters float64) []NodeHit {
+	return s.View().NearestNodes(ll, k, maxMeters)
 }
+
+// SnapToWay answers View.SnapToWay on the current view.
+func (s *Store) SnapToWay(ll geo.LatLng, maxMeters float64) (Snap, bool) {
+	return s.View().SnapToWay(ll, maxMeters)
+}
+
+// PersistedIndex exports the current view's indexes (see
+// View.PersistedIndex).
+func (s *Store) PersistedIndex() *osm.IndexData { return s.View().PersistedIndex() }
 
 func pointRect(ll geo.LatLng) geo.Rect {
 	return geo.Rect{MinLat: ll.Lat, MinLng: ll.Lng, MaxLat: ll.Lat, MaxLng: ll.Lng}
 }
 
-func (s *Store) indexNode(n *osm.Node) {
-	pos := s.m.NodePosition(n)
-	s.nodes.insert(pointRect(pos), n.ID)
-	s.bounds = s.bounds.ExpandToInclude(pos)
-	for _, tok := range TokenizeTags(n.Tags) {
-		s.inv[tok] = insertPosting(s.inv[tok], n.ID)
+// indexTokens returns the posting lists a node with these tags belongs to:
+// its searchable tokens, plus the portal list when it is a portal.
+func indexTokens(tags osm.Tags) []string {
+	toks := TokenizeTags(tags)
+	if tags[osm.TagPortalID] != "" {
+		toks = append(toks, portalToken)
 	}
-	if n.Tags[osm.TagPortalID] != "" {
-		s.inv[portalToken] = insertPosting(s.inv[portalToken], n.ID)
+	return toks
+}
+
+// postings is one view's inverted index: an immutable base map plus a
+// small delta holding the lists writes replaced since the last fold (an
+// empty list shadows a base token that lost its last node). Published
+// lists are never written: a mid-list insert or any delete builds a fresh
+// slice, and a tail append only touches capacity beyond every published
+// length — so ForEachPostingMatch merges over them without copying.
+type postings struct {
+	base, delta map[string][]osm.NodeID
+}
+
+func (p postings) list(tok string) []osm.NodeID {
+	if l, ok := p.delta[tok]; ok {
+		return l
 	}
+	return p.base[tok]
+}
+
+// tokens returns every token with a non-empty list, sorted.
+func (p postings) tokens() []string {
+	out := make([]string, 0, len(p.base)+len(p.delta))
+	for tok := range p.base {
+		if _, ok := p.delta[tok]; !ok {
+			out = append(out, tok)
+		}
+	}
+	for tok, l := range p.delta {
+		if len(l) > 0 {
+			out = append(out, tok)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// moved returns p with node id taken out of the lists of the tokens it
+// lost and put into those it gained. It copies the delta and the touched
+// lists, never the base; a delta that reaches compactMinPending folds into
+// a fresh base.
+func (p postings) moved(id osm.NodeID, lost, gained []string) postings {
+	delta := make(map[string][]osm.NodeID, len(p.delta)+len(lost)+len(gained))
+	for tok, l := range p.delta {
+		delta[tok] = l
+	}
+	out := postings{base: p.base, delta: delta}
+	for _, tok := range lost {
+		delta[tok] = removePosting(out.list(tok), id)
+	}
+	for _, tok := range gained {
+		delta[tok] = insertPosting(out.list(tok), id)
+	}
+	if len(delta) < compactMinPending {
+		return out
+	}
+	base := make(map[string][]osm.NodeID, len(p.base)+len(delta))
+	for tok, l := range p.base {
+		base[tok] = l
+	}
+	for tok, l := range delta {
+		if len(l) == 0 {
+			delete(base, tok)
+		} else {
+			base[tok] = l
+		}
+	}
+	return postings{base: base}
 }
 
 // insertPosting adds id to a sorted posting list. The index build appends
@@ -325,67 +418,35 @@ func removePosting(lst []osm.NodeID, id osm.NodeID) []osm.NodeID {
 	return append(out, lst[i+1:]...)
 }
 
-func (s *Store) unindexNode(n *osm.Node) {
-	pos := s.m.NodePosition(n)
-	s.nodes.delete(pointRect(pos), n.ID)
-	toks := TokenizeTags(n.Tags)
-	if n.Tags[osm.TagPortalID] != "" {
-		toks = append(toks, portalToken)
-	}
-	for _, tok := range toks {
-		if lst := removePosting(s.inv[tok], n.ID); len(lst) == 0 {
-			delete(s.inv, tok)
-		} else {
-			s.inv[tok] = lst
+// tokenDiff returns the tokens in a but not in b.
+func tokenDiff(a, b []string) []string {
+	var out []string
+	for _, tok := range a {
+		found := false
+		for _, t := range b {
+			if t == tok {
+				found = true
+				break
+			}
+		}
+		if !found {
+			out = append(out, tok)
 		}
 	}
+	return out
 }
 
-func (s *Store) indexWay(w *osm.Way) {
-	nodes := s.m.WayNodes(w)
-	for i := 1; i < len(nodes); i++ {
-		a := s.m.NodePosition(nodes[i-1])
-		b := s.m.NodePosition(nodes[i])
-		r := geo.EmptyRect().ExpandToInclude(a).ExpandToInclude(b)
-		s.segs.insert(r, SegmentRef{WayID: w.ID, Index: i - 1})
-	}
-}
-
-// AddNode inserts a node into the map and indexes, returning its ID.
-func (s *Store) AddNode(n *osm.Node) osm.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.m.AddNode(n)
-	s.indexNode(n)
-	s.nodes.maybeCompact()
-	return id
-}
-
-// AddWay inserts a way into the map and indexes.
-func (s *Store) AddWay(w *osm.Way) (osm.WayID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id, err := s.m.AddWay(w)
-	if err != nil {
-		return 0, err
-	}
-	s.indexWay(w)
-	s.segs.maybeCompact()
-	return id, nil
-}
-
-// UpdateNodeTags replaces a node's tags, maintaining the inverted index.
-// The update is copy-on-write: the stored node is replaced by a fresh one,
-// so concurrent readers holding the old *osm.Node see a consistent (stale)
-// snapshot rather than a mutating map.
+// UpdateNodeTags replaces a node's tags and publishes the view that holds
+// the write. Readers holding an older view keep their (stale, consistent)
+// answers.
 func (s *Store) UpdateNodeTags(id osm.NodeID, tags osm.Tags) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.m.Node(id)
+	n := s.View().m.Node(id)
 	if n == nil {
 		return false
 	}
-	s.replaceTagsLocked(n, tags, s.nodeVer[id]+1)
+	s.publishLocked(n, tags, s.nodeVer[id]+1)
 	return true
 }
 
@@ -399,7 +460,7 @@ func (s *Store) UpdateNodeTags(id osm.NodeID, tags osm.Tags) bool {
 func (s *Store) ApplyReplicatedTags(id osm.NodeID, tags osm.Tags, ver uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.m.Node(id)
+	n := s.View().m.Node(id)
 	if n == nil {
 		return false
 	}
@@ -410,37 +471,38 @@ func (s *Store) ApplyReplicatedTags(id osm.NodeID, tags osm.Tags, ver uint64) bo
 	if ver == cur && canonicalTags(tags) <= canonicalTags(n.Tags) {
 		return false
 	}
-	s.replaceTagsLocked(n, tags, ver)
+	s.publishLocked(n, tags, ver)
 	return true
 }
 
 // NodeVersion returns a node's update version (0 = never tag-updated).
 func (s *Store) NodeVersion(id osm.NodeID) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.nodeVer[id]
 }
 
 // NodeVersions returns a copy of every non-zero node update version — the
 // state persisted alongside a map snapshot (osm.WriteSnapshotVersions) so a
-// restarted replica resumes versioning where it left off.
-func (s *Store) NodeVersions() map[osm.NodeID]uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// restarted replica resumes versioning where it left off — together with
+// the view they are exact at: persist that view's map and index with them.
+func (s *Store) NodeVersions() (map[osm.NodeID]uint64, *View) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make(map[osm.NodeID]uint64, len(s.nodeVer))
 	for id, v := range s.nodeVer {
 		out[id] = v
 	}
-	return out
+	return out, s.View()
 }
 
 // RestoreNodeVersions seeds node update versions from a persisted snapshot:
 // each node adopts the restored version unless it already holds a higher
-// one. No change is logged and the generation does not move — restoring
-// versions is bookkeeping, not a write. It closes the restart gap: a
-// replica that restarts and accepts writes while isolated from every
-// sibling would otherwise mint low versions that lose to the stale history
-// those siblings still hold.
+// one. No change is logged and no view is published — restoring versions
+// is bookkeeping, not a write. It closes the restart gap: a replica that
+// restarts and accepts writes while isolated from every sibling would
+// otherwise mint low versions that lose to the stale history those
+// siblings still hold.
 func (s *Store) RestoreNodeVersions(vers map[osm.NodeID]uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -451,26 +513,29 @@ func (s *Store) RestoreNodeVersions(vers map[osm.NodeID]uint64) {
 	}
 }
 
-// replaceTagsLocked swaps a node's tags copy-on-write, maintains the
-// indexes and version, and appends to the change log. Caller holds s.mu.
-func (s *Store) replaceTagsLocked(n *osm.Node, tags osm.Tags, ver uint64) {
-	s.unindexNode(n)
-	nn := &osm.Node{ID: n.ID, Pos: n.Pos, Local: n.Local, Tags: tags}
-	s.m.AddNode(nn) // replaces the entry under the map's own lock
-	s.indexNode(nn)
-	s.nodes.maybeCompact()
-	s.nodeVer[n.ID] = ver
-	s.changeSeq++
-	s.changes = append(s.changes, Change{
-		Seq: s.changeSeq, NodeID: n.ID, Tags: tags.Clone(), Ver: ver,
-		Pos: s.m.NodePosition(nn),
+// publishLocked builds the view holding one tag replacement on top of the
+// current one — new map, moved postings, one more change-log entry — and
+// publishes it. Caller holds s.mu.
+func (s *Store) publishLocked(n *osm.Node, tags osm.Tags, ver uint64) {
+	v := s.View()
+	nv := *v
+	nv.m = v.m.WithNode(&osm.Node{ID: n.ID, Pos: n.Pos, Local: n.Local, Tags: tags})
+	nv.Gen++
+	nv.Seq++
+	was, is := indexTokens(n.Tags), indexTokens(tags)
+	nv.post = v.post.moved(n.ID, tokenDiff(was, is), tokenDiff(is, was))
+	nv.changes = append(v.changes, Change{
+		Seq: nv.Seq, NodeID: n.ID, Tags: tags.Clone(), Ver: ver,
+		Pos: v.m.NodePosition(n),
 	})
 	// Compact lazily at 2x the cap so a hot write path past the cap pays
 	// an O(cap) copy once per cap writes, not on every write; between
 	// compactions the log retains AT LEAST the last changeLogCap changes.
-	if len(s.changes) > 2*changeLogCap {
-		s.changes = append([]Change(nil), s.changes[len(s.changes)-changeLogCap:]...)
+	if len(nv.changes) > 2*changeLogCap {
+		nv.changes = append([]Change(nil), nv.changes[len(nv.changes)-changeLogCap:]...)
 	}
+	s.nodeVer[n.ID] = ver
+	s.cur.Store(&nv)
 	// Wake any log consumer; the 1-buffered send coalesces and never blocks.
 	select {
 	case s.notify <- struct{}{}:
@@ -522,37 +587,23 @@ func (s *Store) LogID() uint64 { return s.logID }
 // ChangeNotify returns the change-log wakeup channel: a 1-buffered signal
 // that receives after every log append (coalesced — one pending signal may
 // cover many appends). Consumers treat a receive as "the head may have
-// moved" and drain via ChangesSince.
+// moved" and drain a fresh view's ChangesSince.
 func (s *Store) ChangeNotify() <-chan struct{} { return s.notify }
 
-// ChangeSeq returns the head position of the inventory-update log: the
-// sequence number of the most recent logged change (0 = none yet). Two
-// replicas reporting the same ChangeSeq after anti-entropy hold the same
-// logged content.
-func (s *Store) ChangeSeq() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.changeSeq
-}
-
-// FirstChangeSeq returns the oldest sequence number still retained in the
-// log (0 when the log is empty).
-func (s *Store) FirstChangeSeq() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.changes) == 0 {
+// FirstChangeSeq returns the oldest sequence number the view still retains
+// in its log (0 when the log is empty).
+func (v *View) FirstChangeSeq() uint64 {
+	if len(v.changes) == 0 {
 		return 0
 	}
-	return s.changes[0].Seq
+	return v.changes[0].Seq
 }
 
 // ChangesSince returns up to limit logged changes with Seq > since, oldest
 // first (limit <= 0 means all retained). The returned slice is a copy; the
 // Tags maps are shared and must be treated as immutable.
-func (s *Store) ChangesSince(since uint64, limit int) []Change {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.changes) == 0 {
+func (v *View) ChangesSince(since uint64, limit int) []Change {
+	if len(v.changes) == 0 {
 		return nil
 	}
 	// The log is contiguous: changes[i].Seq == changes[0].Seq + i. The
@@ -560,43 +611,25 @@ func (s *Store) ChangesSince(since uint64, limit int) []Change {
 	// (an absurd cursor must yield an empty answer, not an overflowed
 	// negative slice index).
 	var from int
-	if since >= s.changes[0].Seq {
-		delta := since - s.changes[0].Seq + 1
-		if delta >= uint64(len(s.changes)) {
+	if since >= v.changes[0].Seq {
+		delta := since - v.changes[0].Seq + 1
+		if delta >= uint64(len(v.changes)) {
 			return nil
 		}
 		from = int(delta)
 	}
-	out := s.changes[from:]
+	out := v.changes[from:]
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
 	return append([]Change(nil), out...)
 }
 
-// RemoveNode removes an unreferenced node from map and indexes.
-func (s *Store) RemoveNode(id osm.NodeID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.m.Node(id)
-	if n == nil {
-		return false
-	}
-	if err := s.m.RemoveNode(id); err != nil {
-		return false
-	}
-	s.unindexNode(n)
-	s.nodes.maybeCompact()
-	return true
-}
-
 // NodesInRect returns nodes whose position falls in r.
-func (s *Store) NodesInRect(r geo.Rect) []*osm.Node {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (v *View) NodesInRect(r geo.Rect) []*osm.Node {
 	var out []*osm.Node
-	s.nodes.search(r, func(_ geo.Rect, id osm.NodeID) bool {
-		if n := s.m.Node(id); n != nil {
+	v.nodes.Search(r, func(_ geo.Rect, id osm.NodeID) bool {
+		if n := v.m.Node(id); n != nil {
 			out = append(out, n)
 		}
 		return true
@@ -612,13 +645,11 @@ type NodeHit struct {
 
 // NearestNodes returns up to k nodes closest to ll within maxMeters
 // (<=0 for unbounded), closest first.
-func (s *Store) NearestNodes(ll geo.LatLng, k int, maxMeters float64) []NodeHit {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	nbrs := s.nodes.nearest(ll, k, maxMeters)
+func (v *View) NearestNodes(ll geo.LatLng, k int, maxMeters float64) []NodeHit {
+	nbrs := v.nodes.Nearest(ll, k, maxMeters)
 	out := make([]NodeHit, 0, len(nbrs))
 	for _, nb := range nbrs {
-		if n := s.m.Node(nb.Item); n != nil {
+		if n := v.m.Node(nb.Item); n != nil {
 			out = append(out, NodeHit{Node: n, DistanceMeters: nb.DistanceMeters})
 		}
 	}
@@ -628,9 +659,9 @@ func (s *Store) NearestNodes(ll geo.LatLng, k int, maxMeters float64) []NodeHit 
 // NearestNodesWhere returns up to k nodes satisfying pred closest to ll.
 // It expands the candidate pool geometrically until enough matches are
 // found or the pool is exhausted.
-func (s *Store) NearestNodesWhere(ll geo.LatLng, k int, maxMeters float64, pred func(*osm.Node) bool) []NodeHit {
+func (v *View) NearestNodesWhere(ll geo.LatLng, k int, maxMeters float64, pred func(*osm.Node) bool) []NodeHit {
 	for pool := k * 4; ; pool *= 4 {
-		hits := s.NearestNodes(ll, pool, maxMeters)
+		hits := v.NearestNodes(ll, pool, maxMeters)
 		var out []NodeHit
 		for _, h := range hits {
 			if pred(h.Node) {
@@ -659,26 +690,11 @@ type Snap struct {
 
 // SnapToWay projects ll onto the nearest way within maxMeters.
 // It returns false if no way is near.
-func (s *Store) SnapToWay(ll geo.LatLng, maxMeters float64) (Snap, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	// Candidate segments: those whose bounds fall within the search box.
-	search := pointRect(ll).ExpandedMeters(maxMeters)
+func (v *View) SnapToWay(ll geo.LatLng, maxMeters float64) (Snap, bool) {
 	best := Snap{DistanceMeters: maxMeters + 1}
 	found := false
-	s.segs.search(search, func(_ geo.Rect, ref SegmentRef) bool {
-		w := s.m.Way(ref.WayID)
-		if w == nil || ref.Index+1 >= len(w.NodeIDs) {
-			return true
-		}
-		na := s.m.Node(w.NodeIDs[ref.Index])
-		nb := s.m.Node(w.NodeIDs[ref.Index+1])
-		if na == nil || nb == nil {
-			return true
-		}
-		pa := s.m.NodePosition(na)
-		pb := s.m.NodePosition(nb)
-		cp, t := geo.ClosestPointOnSegment(ll, pa, pb)
+	v.forEachSegment(ll, maxMeters, func(w *osm.Way, na, nb *osm.Node) {
+		cp, t := geo.ClosestPointOnSegment(ll, v.m.NodePosition(na), v.m.NodePosition(nb))
 		d := geo.DistanceMeters(ll, cp)
 		if d < best.DistanceMeters {
 			nodeID := na.ID
@@ -688,7 +704,6 @@ func (s *Store) SnapToWay(ll geo.LatLng, maxMeters float64) (Snap, bool) {
 			best = Snap{Way: w, Position: cp, DistanceMeters: d, NodeID: nodeID}
 			found = true
 		}
-		return true
 	})
 	if !found || best.DistanceMeters > maxMeters {
 		return Snap{}, false
@@ -699,31 +714,34 @@ func (s *Store) SnapToWay(ll geo.LatLng, maxMeters float64) (Snap, bool) {
 // ForEachSegmentNear calls fn for every way segment whose bounding box
 // lies within maxMeters of ll, passing the owning way and the segment's
 // endpoint positions. Used by the map matcher to enumerate candidate ways.
-func (s *Store) ForEachSegmentNear(ll geo.LatLng, maxMeters float64, fn func(wayID osm.WayID, a, b geo.LatLng)) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (v *View) ForEachSegmentNear(ll geo.LatLng, maxMeters float64, fn func(wayID osm.WayID, a, b geo.LatLng)) {
+	v.forEachSegment(ll, maxMeters, func(w *osm.Way, na, nb *osm.Node) {
+		fn(w.ID, v.m.NodePosition(na), v.m.NodePosition(nb))
+	})
+}
+
+// forEachSegment resolves every segment whose bounds fall within maxMeters
+// of ll to its way and endpoint nodes.
+func (v *View) forEachSegment(ll geo.LatLng, maxMeters float64, fn func(w *osm.Way, na, nb *osm.Node)) {
 	search := pointRect(ll).ExpandedMeters(maxMeters)
-	s.segs.search(search, func(_ geo.Rect, ref SegmentRef) bool {
-		w := s.m.Way(ref.WayID)
+	v.segs.Search(search, func(_ geo.Rect, ref SegmentRef) bool {
+		w := v.m.Way(ref.WayID)
 		if w == nil || ref.Index+1 >= len(w.NodeIDs) {
 			return true
 		}
-		na := s.m.Node(w.NodeIDs[ref.Index])
-		nb := s.m.Node(w.NodeIDs[ref.Index+1])
-		if na == nil || nb == nil {
-			return true
+		na := v.m.Node(w.NodeIDs[ref.Index])
+		nb := v.m.Node(w.NodeIDs[ref.Index+1])
+		if na != nil && nb != nil {
+			fn(w, na, nb)
 		}
-		fn(w.ID, s.m.NodePosition(na), s.m.NodePosition(nb))
 		return true
 	})
 }
 
 // TokenPostings returns the node IDs whose tags contain the token, in
 // ascending ID order. The returned slice is the caller's to keep.
-func (s *Store) TokenPostings(token string) []osm.NodeID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]osm.NodeID(nil), s.inv[strings.ToLower(token)]...)
+func (v *View) TokenPostings(token string) []osm.NodeID {
+	return append([]osm.NodeID(nil), v.post.list(strings.ToLower(token))...)
 }
 
 // ForEachPostingMatch merges the sorted posting lists of the given
@@ -732,12 +750,10 @@ func (s *Store) TokenPostings(token string) []osm.NodeID {
 // containing it. This is the retrieval core of search and forward geocode:
 // a k-way merge over the shared lists in place of the map[NodeID]int the
 // per-query intersection used to allocate and rehash.
-func (s *Store) ForEachPostingMatch(tokens []string, fn func(id osm.NodeID, hits int)) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (v *View) ForEachPostingMatch(tokens []string, fn func(id osm.NodeID, hits int)) {
 	lists := make([][]osm.NodeID, 0, len(tokens))
 	for _, tok := range tokens {
-		if lst := s.inv[tok]; len(lst) > 0 {
+		if lst := v.post.list(tok); len(lst) > 0 {
 			lists = append(lists, lst)
 		}
 	}
@@ -769,31 +785,23 @@ func (s *Store) ForEachPostingMatch(tokens []string, fn func(id osm.NodeID, hits
 
 // TokenCount returns the number of distinct indexed tokens (the internal
 // portal posting list is bookkeeping, not a searchable token).
-func (s *Store) TokenCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := len(s.inv)
-	if _, ok := s.inv[portalToken]; ok {
+func (v *View) TokenCount() int {
+	n := len(v.post.tokens())
+	if len(v.post.list(portalToken)) > 0 {
 		n--
 	}
 	return n
 }
 
 // NodeCount returns the number of indexed nodes.
-func (s *Store) NodeCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.nodes.len()
-}
+func (v *View) NodeCount() int { return v.nodes.Len() }
 
 // PortalNodeIDs returns the IDs of every node tagged as a portal,
 // ascending. It reads the reserved portal posting list, so it is O(answer)
 // — no map walk — and comes straight off the snapshot on an attached
 // server.
-func (s *Store) PortalNodeIDs() []osm.NodeID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]osm.NodeID(nil), s.inv[portalToken]...)
+func (v *View) PortalNodeIDs() []osm.NodeID {
+	return append([]osm.NodeID(nil), v.post.list(portalToken)...)
 }
 
 // Tokenize splits free text into lowercase alphanumeric tokens.

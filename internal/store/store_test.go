@@ -32,7 +32,7 @@ func townMap(t *testing.T) *osm.Map {
 }
 
 func TestNodesInRect(t *testing.T) {
-	s := New(townMap(t))
+	s := New(townMap(t)).View()
 	r := geo.Rect{MinLat: 40.4404, MinLng: -79.9953, MaxLat: 40.4416, MaxLng: -79.9949}
 	got := s.NodesInRect(r)
 	if len(got) != 2 {
@@ -41,7 +41,7 @@ func TestNodesInRect(t *testing.T) {
 }
 
 func TestNearestNodes(t *testing.T) {
-	s := New(townMap(t))
+	s := New(townMap(t)).View()
 	q := geo.LatLng{Lat: 40.4405, Lng: -79.9950} // at the cafe
 	hits := s.NearestNodes(q, 2, 0)
 	if len(hits) != 2 {
@@ -66,7 +66,7 @@ func TestNearestNodes(t *testing.T) {
 }
 
 func TestNearestNodesWhere(t *testing.T) {
-	s := New(townMap(t))
+	s := New(townMap(t)).View()
 	q := geo.LatLng{Lat: 40.4400, Lng: -79.9960}
 	cafes := s.NearestNodesWhere(q, 2, 0, func(n *osm.Node) bool {
 		return n.Tags.Get(osm.TagAmenity) == "cafe"
@@ -80,7 +80,7 @@ func TestNearestNodesWhere(t *testing.T) {
 }
 
 func TestSnapToWay(t *testing.T) {
-	s := New(townMap(t))
+	s := New(townMap(t)).View()
 	// 30m east of the street's midpoint.
 	mid := geo.LatLng{Lat: 40.4405, Lng: -79.9960}
 	q := geo.Offset(mid, 30, 90)
@@ -105,7 +105,7 @@ func TestSnapToWay(t *testing.T) {
 }
 
 func TestSnapPicksNearerEndpoint(t *testing.T) {
-	s := New(townMap(t))
+	s := New(townMap(t)).View()
 	// Near the north end of the street: endpoint should be node c (id 3).
 	q := geo.Offset(geo.LatLng{Lat: 40.4419, Lng: -79.9960}, 5, 90)
 	snap, ok := s.SnapToWay(q, 50)
@@ -118,7 +118,7 @@ func TestSnapPicksNearerEndpoint(t *testing.T) {
 }
 
 func TestTokenPostings(t *testing.T) {
-	s := New(townMap(t))
+	s := New(townMap(t)).View()
 	cafes := s.TokenPostings("cafe")
 	if len(cafes) != 2 {
 		t.Fatalf("cafe postings = %v", cafes)
@@ -138,7 +138,7 @@ func TestTokenPostings(t *testing.T) {
 
 func TestUpdateNodeTagsReindexes(t *testing.T) {
 	s := New(townMap(t))
-	ids := s.TokenPostings("grocery")
+	ids := s.View().TokenPostings("grocery")
 	if len(ids) != 1 {
 		t.Fatal("setup")
 	}
@@ -146,10 +146,10 @@ func TestUpdateNodeTagsReindexes(t *testing.T) {
 	if !ok {
 		t.Fatal("update failed")
 	}
-	if got := s.TokenPostings("grocery"); len(got) != 0 {
+	if got := s.View().TokenPostings("grocery"); len(got) != 0 {
 		t.Fatalf("stale postings: %v", got)
 	}
-	if got := s.TokenPostings("bakery"); len(got) != 1 {
+	if got := s.View().TokenPostings("bakery"); len(got) != 1 {
 		t.Fatalf("new postings: %v", got)
 	}
 	if s.UpdateNodeTags(9999, nil) {
@@ -157,42 +157,16 @@ func TestUpdateNodeTagsReindexes(t *testing.T) {
 	}
 }
 
-func TestAddRemoveNode(t *testing.T) {
-	s := New(townMap(t))
-	before := s.NodeCount()
-	id := s.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4430, Lng: -79.9945},
-		Tags: osm.Tags{osm.TagAmenity: "library"}})
-	if s.NodeCount() != before+1 {
-		t.Fatal("count not bumped")
-	}
-	if got := s.TokenPostings("library"); len(got) != 1 || got[0] != id {
-		t.Fatalf("library postings = %v", got)
-	}
-	if !s.RemoveNode(id) {
-		t.Fatal("remove failed")
-	}
-	if got := s.TokenPostings("library"); len(got) != 0 {
-		t.Fatalf("postings after remove = %v", got)
-	}
-	// Way-referenced node cannot be removed.
-	if s.RemoveNode(1) {
-		t.Fatal("removed way node")
-	}
-	if s.RemoveNode(9999) {
-		t.Fatal("removed missing node")
-	}
-}
-
 func TestBounds(t *testing.T) {
 	s := New(townMap(t))
-	b := s.Bounds()
+	b := s.View().Bounds()
 	if !b.Contains(geo.LatLng{Lat: 40.4410, Lng: -79.9955}) {
 		t.Fatalf("bounds = %v", b)
 	}
-	// Bounds extend with additions.
-	s.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.5, Lng: -79.9}})
-	if !s.Bounds().Contains(geo.LatLng{Lat: 40.5, Lng: -79.9}) {
-		t.Fatal("bounds not extended")
+	// Tag writes never move a node, so every view shares the bounds.
+	s.UpdateNodeTags(4, osm.Tags{osm.TagName: "Renamed"})
+	if got := s.View().Bounds(); got != b {
+		t.Fatalf("bounds moved by a tag write: %v -> %v", b, got)
 	}
 }
 
@@ -247,7 +221,7 @@ func TestLocalFrameStore(t *testing.T) {
 	anchor := geo.LatLng{Lat: 40.44, Lng: -79.99}
 	m := osm.NewMap("indoor", osm.Frame{Kind: osm.FrameLocal, Anchor: anchor})
 	m.AddNode(&osm.Node{Local: geo.Point{X: 10, Y: 10}, Tags: osm.Tags{osm.TagProduct: "seaweed"}})
-	s := New(m)
+	s := New(m).View()
 	hits := s.NearestNodes(anchor, 1, 100)
 	if len(hits) != 1 {
 		t.Fatal("local node not indexed geodetically")
@@ -260,36 +234,29 @@ func TestLocalFrameStore(t *testing.T) {
 func TestStoreGeneration(t *testing.T) {
 	m := townMap(t)
 	s := New(m)
-	g0 := s.Generation()
-	if g0 == 0 {
-		t.Fatal("built map reports generation 0")
+	v0 := s.View()
+	if v0.Gen == 0 || v0.Gen != m.Generation() || v0.Seq != 0 {
+		t.Fatalf("boot view at gen %d seq %d, map at %d", v0.Gen, v0.Seq, m.Generation())
 	}
-	id := s.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4430, Lng: -79.9945},
-		Tags: osm.Tags{osm.TagName: "Pop-Up Stand"}})
-	if g := s.Generation(); g != g0+1 {
-		t.Fatalf("AddNode: generation %d -> %d", g0, g)
+	// A tag replacement is exactly one mutation, even though it reindexes,
+	// and it moves the view's Gen and Seq together.
+	for i := uint64(1); i <= 3; i++ {
+		if !s.UpdateNodeTags(4, osm.Tags{osm.TagName: "Pop-Up Stand"}) {
+			t.Fatal("update failed")
+		}
+		if v := s.View(); v.Gen != v0.Gen+i || v.Seq != i || v.Map().Generation() != v.Gen {
+			t.Fatalf("after %d writes: gen %d seq %d (map %d)", i, v.Gen, v.Seq, v.Map().Generation())
+		}
 	}
-	// A tag replacement is exactly one mutation, even though it reindexes.
-	if !s.UpdateNodeTags(id, osm.Tags{osm.TagName: "Pop-Down Stand"}) {
-		t.Fatal("update failed")
+	// Failed mutations publish nothing, and the boot map is never written.
+	v := s.View()
+	if s.UpdateNodeTags(99999, osm.Tags{}) || s.ApplyReplicatedTags(4, osm.Tags{}, 1) {
+		t.Fatal("refused write applied")
 	}
-	if g := s.Generation(); g != g0+2 {
-		t.Fatalf("UpdateNodeTags: generation = %d, want %d", g, g0+2)
+	if s.View() != v {
+		t.Fatal("failed mutations published a view")
 	}
-	// Failed mutations leave the generation alone.
-	if s.UpdateNodeTags(99999, osm.Tags{}) {
-		t.Fatal("update of absent node succeeded")
-	}
-	if s.RemoveNode(99999) {
-		t.Fatal("removal of absent node succeeded")
-	}
-	if g := s.Generation(); g != g0+2 {
-		t.Fatalf("failed mutations moved generation to %d", g)
-	}
-	if !s.RemoveNode(id) {
-		t.Fatal("removal failed")
-	}
-	if g := s.Generation(); g != g0+3 {
-		t.Fatalf("RemoveNode: generation = %d, want %d", g, g0+3)
+	if m.Generation() != v0.Gen || m.Node(4).Tags.Get(osm.TagName) != "Bean There Cafe" {
+		t.Fatal("a store write reached the boot map")
 	}
 }

@@ -118,24 +118,33 @@ func DefaultStyle() Style {
 
 // Renderer rasterizes one map into tiles.
 type Renderer struct {
-	m     *osm.Map
-	style Style
+	current func() *osm.Map
+	style   Style
 }
 
 // NewRenderer creates a renderer for m.
 func NewRenderer(m *osm.Map, style Style) *Renderer {
-	return &Renderer{m: m, style: style}
+	return NewLiveRenderer(func() *osm.Map { return m }, style)
+}
+
+// NewLiveRenderer creates a renderer that draws each tile from the map
+// current returns when the render starts — a store's current view map, so
+// tiles a write invalidated re-render with the write.
+func NewLiveRenderer(current func() *osm.Map, style Style) *Renderer {
+	return &Renderer{current: current, style: style}
 }
 
 // Render rasterizes the tile. Content outside the tile is clipped by the
 // canvas bounds; geometry is drawn in layer order: buildings, indoor areas,
 // roads, POIs.
-func (r *Renderer) Render(c Coord) *raster.Canvas {
+func (r *Renderer) Render(c Coord) *raster.Canvas { return r.render(r.current(), c) }
+
+func (r *Renderer) render(m *osm.Map, c Coord) *raster.Canvas {
 	canvas := raster.NewCanvas(Size, Size, r.style.Background)
 	// Skip work when the map is entirely outside the tile (padded so
 	// strokes near the edge still appear).
 	tb := c.Bounds().Expanded(0.001, 0.001)
-	if !r.m.Bounds().Intersects(tb) {
+	if !m.Bounds().Intersects(tb) {
 		return canvas
 	}
 	type poly struct {
@@ -144,8 +153,8 @@ func (r *Renderer) Render(c Coord) *raster.Canvas {
 	}
 	var fills []poly
 	var lines []poly
-	r.m.Ways(func(w *osm.Way) bool {
-		nodes := r.m.WayNodes(w)
+	m.Ways(func(w *osm.Way) bool {
+		nodes := m.WayNodes(w)
 		if len(nodes) < 2 {
 			return true
 		}
@@ -153,7 +162,7 @@ func (r *Renderer) Render(c Coord) *raster.Canvas {
 		ys := make([]float64, len(nodes))
 		visible := false
 		for i, n := range nodes {
-			pos := r.m.NodePosition(n)
+			pos := m.NodePosition(n)
 			xs[i], ys[i] = c.project(pos)
 			if xs[i] >= -Size && xs[i] <= 2*Size && ys[i] >= -Size && ys[i] <= 2*Size {
 				visible = true
@@ -190,12 +199,12 @@ func (r *Renderer) Render(c Coord) *raster.Canvas {
 		canvas.DrawPolyline(p.xs, p.ys, thickness, p.col)
 	}
 	// POIs: named or tagged point features.
-	r.m.Nodes(func(n *osm.Node) bool {
+	m.Nodes(func(n *osm.Node) bool {
 		if n.Tags.Get(osm.TagName) == "" && !n.Tags.Has(osm.TagAmenity) &&
 			!n.Tags.Has(osm.TagShop) && !n.Tags.Has(osm.TagProduct) {
 			return true
 		}
-		x, y := c.project(r.m.NodePosition(n))
+		x, y := c.project(m.NodePosition(n))
 		if x < -4 || x > Size+4 || y < -4 || y > Size+4 {
 			return true
 		}
@@ -206,9 +215,11 @@ func (r *Renderer) Render(c Coord) *raster.Canvas {
 }
 
 // RenderPNG renders the tile and encodes it as PNG.
-func (r *Renderer) RenderPNG(c Coord) ([]byte, error) {
+func (r *Renderer) RenderPNG(c Coord) ([]byte, error) { return r.renderPNG(r.current(), c) }
+
+func (r *Renderer) renderPNG(m *osm.Map, c Coord) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := r.Render(c).EncodePNG(&buf); err != nil {
+	if err := r.render(m, c).EncodePNG(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -230,12 +241,12 @@ func NewCache(r *Renderer) *Cache {
 }
 
 // Get returns the PNG bytes for the tile, rendering on first use. A
-// render that raced a map write is served but not memoized: the write's
-// InvalidateRect cannot drop a tile that is not cached yet, so inserting
-// it would permanently re-cache pre-write pixels. The generation re-check
-// under the cache lock closes that window — if the generation still reads
-// as it did before the render, the invalidation for any newer write has
-// not run yet and will see our entry.
+// render from a map that a write superseded meanwhile is served but not
+// memoized: the write's InvalidateRect cannot drop a tile that is not
+// cached yet, so inserting it would permanently re-cache pre-write pixels.
+// The generation re-check under the cache lock closes that window — if
+// the current map is still the one rendered, the invalidation for any
+// newer write has not run yet and will see our entry.
 func (c *Cache) Get(coord Coord) ([]byte, error) {
 	c.mu.Lock()
 	if b, ok := c.m[coord]; ok {
@@ -245,13 +256,14 @@ func (c *Cache) Get(coord Coord) ([]byte, error) {
 	}
 	c.Misses++
 	c.mu.Unlock()
-	gen := c.r.m.Generation()
-	b, err := c.r.RenderPNG(coord)
+	m := c.r.current()
+	gen := m.Generation()
+	b, err := c.r.renderPNG(m, coord)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	if c.r.m.Generation() == gen {
+	if c.r.current().Generation() == gen {
 		c.m[coord] = b
 	}
 	c.mu.Unlock()

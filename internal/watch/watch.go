@@ -21,13 +21,16 @@
 //     position is sound AND complete as a routing key).
 //
 // Cursor discipline: every event carries a (log incarnation, sequence)
-// cursor. A subscriber resuming from a cursor the log still covers — same
-// incarnation, no compacted gap, no affecting change — is acknowledged
-// with a sync event; ANY doubt (dead incarnation after a restart, cursor
-// behind FirstChangeSeq, an affecting change in the replayed span, a torn
-// evaluation) yields a fresh init snapshot instead. Over-claiming a cursor
-// is the one unrecoverable sin (a silent gap); under-claiming merely costs
-// a re-snapshot the client diffs away.
+// cursor, and every evaluation reports the sequence its answer is exact at
+// (the mapserver computes it over one pinned store view), so a group's
+// cursor is always exact. A subscriber resuming from a cursor the log
+// still covers — same incarnation, no compacted gap, no affecting change —
+// is acknowledged with a sync event; anything else (dead incarnation after
+// a restart, cursor behind FirstChangeSeq, an affecting change in the
+// replayed span, a group not yet re-evaluated past the drain cursor)
+// yields a fresh init snapshot instead. Over-claiming a cursor is the one
+// unrecoverable sin (a silent gap); under-claiming merely costs a
+// re-snapshot the client diffs away.
 package watch
 
 import (
@@ -65,18 +68,20 @@ type Source interface {
 	Notify() <-chan struct{}
 }
 
-// Evaluator answers a standing query — the mapserver passes its cached
-// search path, so concurrent evaluations of one query coalesce via
-// singleflight and repeats hit the generation-keyed cache.
-type Evaluator func(ctx context.Context, req wire.SearchRequest) (wire.SearchResponse, error)
+// Evaluator answers a standing query and reports the change-log sequence
+// the answer is exact at — the mapserver passes its cached search path
+// over one pinned view, so concurrent evaluations of one query coalesce
+// via singleflight and repeats hit the generation-keyed cache.
+type Evaluator func(ctx context.Context, req wire.SearchRequest) (wire.SearchResponse, uint64, error)
 
 // Config assembles a Hub.
 type Config struct {
 	Source Source
 	Eval   Evaluator
-	// Mark returns the server's current session mark; events carry it so
-	// watch composes with read-your-writes.
-	Mark func() wire.SessionMark
+	// Mark returns the server's session mark at a change-log sequence;
+	// every event carries the mark at its cursor, so watch composes with
+	// read-your-writes.
+	Mark func(seq uint64) wire.SessionMark
 	// MaxWatchers bounds concurrent subscriptions (0 = default 1024;
 	// negative = unlimited). Subscribe returns ErrOverloaded beyond it.
 	MaxWatchers int
@@ -127,8 +132,8 @@ type group struct {
 	order []search.Result
 	seq   uint64
 	// stale forces re-evaluation on the next drain even without a
-	// matching change — set when the group (re)materialized behind the
-	// drain cursor.
+	// matching change — set when the group materialized behind the drain
+	// cursor or its last evaluation failed.
 	stale bool
 }
 
@@ -233,53 +238,29 @@ func (h *Hub) Subscribe(ctx context.Context, req wire.SubscribeRequest) (*Subscr
 	// Reserve the slot while the snapshot evaluates outside the lock.
 	h.watchers++
 
-	var (
-		seq   uint64
-		resp  wire.SearchResponse
-		torn  bool
-		fresh bool // this call evaluated the snapshot below
-		g     *group
-	)
-	// Find a materialized group, or materialize one ourselves. The loop
-	// re-checks after evaluating because a concurrent subscriber may have
-	// materialized (or the last unsubscriber dropped) the group while the
-	// lock was released.
-	for {
-		g = h.groups[key]
-		if g != nil && h.materializedLocked(g) {
-			break
-		}
-		if fresh {
-			if g == nil {
-				g = &group{key: key, query: query, subs: make(map[*Subscriber]struct{})}
-				h.groups[key] = g
-			}
-			g.order = resp.Results
-			g.last = Materialize(resp.Results)
-			g.seq = seq
-			// Torn snapshots under-claim their cursor; a group joining
-			// behind a running drain missed batches. Either way the next
-			// drain re-evaluates before anyone may sync-resume against it.
-			g.stale = torn || (h.running && h.cursor > g.seq)
-			break
-		}
+	// Materialize the group unless a subscriber already did: evaluate
+	// outside the lock, then adopt whichever state is in place once it is
+	// retaken (a concurrent subscriber may have materialized meanwhile).
+	g := h.groups[key]
+	if g == nil {
 		h.mu.Unlock()
-		// Evaluate a snapshot pinned to a known log position: capture the
-		// head, evaluate, and re-check. A head that moved mid-evaluation
-		// (torn) still yields a usable snapshot — claimed at the EARLIER
-		// seq, so the cursor under-promises and the drain's re-evaluation
-		// diffs any overlap away — but it can never vouch for a sync
-		// resume.
-		var err error
-		seq, resp, torn, err = h.snapshot(ctx, query)
+		resp, seq, err := h.cfg.Eval(ctx, query)
+		h.mu.Lock()
 		if err != nil {
-			h.mu.Lock()
 			h.watchers--
 			h.mu.Unlock()
 			return nil, err
 		}
-		fresh = true
-		h.mu.Lock()
+		h.stats.initEvals++
+		if g = h.groups[key]; g == nil {
+			g = &group{key: key, query: query, subs: make(map[*Subscriber]struct{}),
+				order: resp.Results, last: Materialize(resp.Results), seq: seq}
+			// A group joining behind a running drain missed its batches:
+			// the next drain re-evaluates it before anyone may sync-resume
+			// against it.
+			g.stale = h.running && h.cursor > seq
+			h.groups[key] = g
+		}
 	}
 	defer h.mu.Unlock()
 
@@ -288,13 +269,13 @@ func (h *Hub) Subscribe(ctx context.Context, req wire.SubscribeRequest) (*Subscr
 
 	// Resume decision: a sync acknowledgement requires the cursor's log
 	// incarnation to be alive, the span (req.Seq, g.seq] to be fully
-	// retained, none of it to affect this query, and the group state to be
-	// exact (not torn). Anything else re-snapshots.
+	// retained, none of it to affect this query, and the group not to be
+	// stale. Anything else re-snapshots.
 	ev := wire.Event{Type: wire.EventInit, Log: h.cfg.Source.LogID(), Seq: g.seq, Results: g.order}
 	if h.resumableLocked(req, g) {
 		ev = wire.Event{Type: wire.EventSync, Log: h.cfg.Source.LogID(), Seq: g.seq}
 	}
-	mark := h.cfg.Mark()
+	mark := h.cfg.Mark(g.seq)
 	ev.Session = &mark
 	h.sendLocked(sub, ev)
 
@@ -304,31 +285,6 @@ func (h *Hub) Subscribe(ctx context.Context, req wire.SubscribeRequest) (*Subscr
 	return sub, nil
 }
 
-// materializedLocked reports whether g holds usable state (caller holds
-// h.mu).
-func (h *Hub) materializedLocked(g *group) bool { return g.last != nil }
-
-// snapshot evaluates the query pinned against the change-log head.
-func (h *Hub) snapshot(ctx context.Context, query wire.SearchRequest) (seq uint64, resp wire.SearchResponse, torn bool, err error) {
-	const tornRetries = 3
-	for attempt := 0; ; attempt++ {
-		seq = h.cfg.Source.ChangeSeq()
-		resp, err = h.cfg.Eval(ctx, query)
-		if err != nil {
-			return 0, wire.SearchResponse{}, false, err
-		}
-		h.mu.Lock()
-		h.stats.initEvals++
-		h.mu.Unlock()
-		if h.cfg.Source.ChangeSeq() == seq {
-			return seq, resp, false, nil
-		}
-		if attempt == tornRetries {
-			return seq, resp, true, nil
-		}
-	}
-}
-
 // resumableLocked decides sync vs init for a resume cursor against the
 // group's exact state.
 func (h *Hub) resumableLocked(req wire.SubscribeRequest, g *group) bool {
@@ -336,7 +292,7 @@ func (h *Hub) resumableLocked(req wire.SubscribeRequest, g *group) bool {
 		return false // fresh subscription, or a dead incarnation
 	}
 	if g.stale {
-		return false // group state not exact at g.seq
+		return false // group not re-evaluated past the drain cursor
 	}
 	if req.Seq > g.seq {
 		return false // cursor from the future (restart raced); re-snapshot
@@ -460,9 +416,6 @@ func (h *Hub) drainOnce(stop chan struct{}) {
 		return
 	}
 	for _, g := range h.groups {
-		if g.last == nil {
-			continue // still materializing in a Subscribe call
-		}
 		if g.stale || gap {
 			affected = append(affected, g)
 			continue
@@ -478,19 +431,20 @@ func (h *Hub) drainOnce(stop chan struct{}) {
 	eval := h.cfg.Eval
 	h.mu.Unlock()
 
-	// Evaluate outside the lock — the evaluator takes store locks and (in
-	// the mapserver) rides the generation-keyed query cache.
+	// Evaluate outside the lock — the evaluator computes (in the
+	// mapserver) through the generation-keyed query cache.
 	type evalOut struct {
 		g    *group
 		resp wire.SearchResponse
+		seq  uint64
 		err  error
 	}
 	outs := make([]evalOut, 0, len(affected))
 	for _, g := range affected {
-		resp, err := eval(context.Background(), g.query)
-		outs = append(outs, evalOut{g: g, resp: resp, err: err})
+		resp, seq, err := eval(context.Background(), g.query)
+		outs = append(outs, evalOut{g: g, resp: resp, seq: seq, err: err})
 	}
-	mark := h.cfg.Mark()
+	mark := h.cfg.Mark(head)
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -513,9 +467,10 @@ func (h *Hub) drainOnce(stop chan struct{}) {
 		updated, removed := Diff(g.last, out.resp.Results)
 		g.order = out.resp.Results
 		g.last = Materialize(out.resp.Results)
-		g.seq = head
+		g.seq = out.seq
 		g.stale = false
-		ev := wire.Event{Type: wire.EventSync, Log: logID, Seq: head, Session: &mark}
+		evMark := h.cfg.Mark(out.seq)
+		ev := wire.Event{Type: wire.EventSync, Log: logID, Seq: out.seq, Session: &evMark}
 		if len(updated) > 0 || len(removed) > 0 {
 			ev.Type = wire.EventDelta
 			ev.Updated = updated
@@ -529,7 +484,7 @@ func (h *Hub) drainOnce(stop chan struct{}) {
 	// is untouched by the batch, and a persisted cursor that keeps pace
 	// with the head never falls behind compaction.
 	for _, g := range h.groups {
-		if g.last == nil || evaluated[g] || g.stale {
+		if evaluated[g] || g.stale {
 			continue
 		}
 		if g.seq >= head {

@@ -94,6 +94,7 @@ type fakeWorld struct {
 	mu      sync.Mutex
 	results []search.Result
 	evals   int
+	src     *fakeSource // the log the answers are exact at
 }
 
 func (w *fakeWorld) set(rs ...search.Result) {
@@ -102,10 +103,11 @@ func (w *fakeWorld) set(rs ...search.Result) {
 	w.results = rs
 }
 
-func (w *fakeWorld) eval(ctx context.Context, req wire.SearchRequest) (wire.SearchResponse, error) {
+func (w *fakeWorld) eval(ctx context.Context, req wire.SearchRequest) (wire.SearchResponse, uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.evals++
+	seq := w.src.ChangeSeq()
 	var out []search.Result
 	for _, r := range w.results {
 		if req.Near == nil || req.MaxDistanceMeters <= 0 ||
@@ -113,7 +115,7 @@ func (w *fakeWorld) eval(ctx context.Context, req wire.SearchRequest) (wire.Sear
 			out = append(out, r)
 		}
 	}
-	return wire.SearchResponse{Results: out}, nil
+	return wire.SearchResponse{Results: out}, seq, nil
 }
 
 var (
@@ -132,11 +134,12 @@ func regionQuery() wire.SearchRequest {
 }
 
 func newHub(src *fakeSource, w *fakeWorld, tweak func(*watch.Config)) *watch.Hub {
+	w.src = src
 	cfg := watch.Config{
 		Source: src,
 		Eval:   w.eval,
-		Mark: func() wire.SessionMark {
-			return wire.SessionMark{Origin: "test", Log: src.LogID(), Seq: src.ChangeSeq()}
+		Mark: func(seq uint64) wire.SessionMark {
+			return wire.SessionMark{Origin: "test", Log: src.LogID(), Seq: seq}
 		},
 	}
 	if tweak != nil {
@@ -486,5 +489,58 @@ func TestDistinctQueriesEvaluateIndependently(t *testing.T) {
 	}
 	if got := after.Evals - before.Evals; got != 2 {
 		t.Fatalf("batch cost %d evaluations, want 2 (one per affected group)", got)
+	}
+}
+
+// TestConcurrentSubscribesEvaluateOnce: every evaluation reports the
+// sequence its answer is exact at, so a subscribe evaluates its snapshot
+// exactly once however fast the log moves — N concurrent subscribes to N
+// distinct queries during continuous writes cost exactly N evaluations.
+func TestConcurrentSubscribesEvaluateOnce(t *testing.T) {
+	src := newFakeSource()
+	world := &fakeWorld{}
+	world.set(res(1, "shelf a", inside))
+	hub := newHub(src, world, nil)
+
+	stop := make(chan struct{})
+	writer := make(chan struct{})
+	go func() {
+		defer close(writer)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				src.add(inside)
+			}
+		}
+	}()
+	const n = 16
+	subs := make([]*watch.Subscriber, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			q := regionQuery()
+			q.Limit = i + 1 // a distinct canonical query per subscriber
+			subs[i], errs[i] = hub.Subscribe(context.Background(), wire.SubscribeRequest{Query: q})
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	<-writer
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("subscribe %d: %v", i, err)
+		}
+		defer subs[i].Close()
+		if ev := recvEvent(t, subs[i]); ev.Type != wire.EventInit || ev.Session == nil || ev.Session.Seq != ev.Seq {
+			t.Fatalf("subscriber %d first event = %+v, want an init marked at its cursor", i, ev)
+		}
+	}
+	if got := hub.Stats().InitEvals; got != n {
+		t.Fatalf("%d concurrent subscribes cost %d init evaluations, want %d", n, got, n)
 	}
 }

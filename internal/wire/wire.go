@@ -73,10 +73,11 @@ type ReadConsistency struct {
 }
 
 // SessionMark is one origin's high-water mark: the server's identity, its
-// change-log incarnation, and its log head taken after the answer was
-// computed (so the mark covers every write the answer reflects). Gen is
-// the map generation (advisory — generations are only comparable on the
-// same member; cross-replica comparisons go through Origin+Log+Seq).
+// change-log incarnation, and the log position of the store view the
+// answer was computed from (so the mark claims exactly the writes the
+// answer reflects). Gen is the map generation (advisory — generations are
+// only comparable on the same member; cross-replica comparisons go
+// through Origin+Log+Seq).
 type SessionMark struct {
 	Origin string `json:"origin"`
 	// Log identifies the origin's change-log INCARNATION (drawn at store
@@ -300,8 +301,9 @@ const SvcChanges Service = "changes"
 // log: the node's tags were replaced wholesale with Tags. Ver is the
 // node's update version at the origin — receivers apply a change only if
 // it is newer than what they hold, so a replica's echo of an old value
-// can never roll back a newer write (0 = sent by a pre-version peer; the
-// receiver falls back to tags-difference idempotence).
+// can never roll back a newer write. An equal version (0 included, as an
+// omitted field decodes) is a concurrent write: every receiver keeps the
+// canonically larger tag set.
 type Change struct {
 	Seq    uint64            `json:"seq"`
 	NodeID int64             `json:"nodeId"`
@@ -365,10 +367,9 @@ type BatchItemResult struct {
 }
 
 // BatchResponse answers a batch: one result per item, index-aligned with
-// the request. Generation is the map generation observed after the last
-// item was answered — no item saw a newer map; when no write raced the
-// batch (the common case) every item is a consistent snapshot at exactly
-// this generation.
+// the request. Every item is answered from one store view, and Generation
+// is that view's map generation: each answer reflects exactly the writes
+// of this generation.
 type BatchResponse struct {
 	Generation uint64            `json:"generation"`
 	Results    []BatchItemResult `json:"results"`
