@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
@@ -202,7 +203,10 @@ func (o *options) buildServer() (*mapserver.Server, error) {
 }
 
 // saveSnapshot persists the served map and its node versions for the next
-// boot, all taken from one store view.
+// boot, all taken from one store view. The file is written beside the old
+// one, synced, renamed over it and the directory synced, so a crash leaves
+// either the old snapshot or the complete new one, never a renamed file
+// whose bytes never reached the disk.
 func (o *options) saveSnapshot(srv *mapserver.Server) error {
 	if o.snapshotPath == "" {
 		return nil
@@ -220,11 +224,24 @@ func (o *options) saveSnapshot(srv *mapserver.Server) error {
 		os.Remove(tmp)
 		return err
 	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, o.snapshotPath)
+	if err := os.Rename(tmp, o.snapshotPath); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(o.snapshotPath))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // advertiseURL is the URL published in the discovery DNS records.

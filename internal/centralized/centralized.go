@@ -36,13 +36,13 @@ type Source struct {
 
 // System is the centralized mapping system.
 type System struct {
-	merged   *osm.Map
-	store    *store.Store
-	geocoder *geocode.Geocoder
-	searcher *search.Searcher
-	g        *graph.Graph
-	ch       *graph.CH
-	tileC    *tiles.Cache
+	merged      *osm.Map
+	store       *store.Store
+	geocoder    *geocode.Geocoder
+	searcher    *search.Searcher
+	g           *graph.Graph
+	ch          *graph.CH
+	prerendered *tiles.Cache
 
 	// PreprocessDuration records the last full preprocessing pass (E11's
 	// centralized cost).
@@ -57,7 +57,9 @@ func Build(sources []Source, profile graph.Profile) (*System, error) {
 	if profile == nil {
 		profile = graph.FootProfile
 	}
-	s := &System{sources: sources, profile: profile}
+	// The system keeps its own source list: an update replaces a source's
+	// map with a derived one and never touches the caller's.
+	s := &System{sources: append([]Source(nil), sources...), profile: profile}
 	if err := s.Rebuild(); err != nil {
 		return nil, err
 	}
@@ -78,7 +80,7 @@ func (s *System) Rebuild() error {
 	s.searcher = search.New(s.store)
 	s.g = graph.FromOSM(merged, s.profile)
 	s.ch = graph.BuildCH(s.g)
-	s.tileC = tiles.NewCache(tiles.NewRenderer(merged, tiles.DefaultStyle()))
+	s.prerendered = tiles.NewCache(tiles.NewRenderer(merged, tiles.DefaultStyle()))
 	s.PreprocessDuration = time.Since(start)
 	return nil
 }
@@ -86,7 +88,7 @@ func (s *System) Rebuild() error {
 // PrerenderTiles fills the tile cache over the merged bounds for the zoom
 // range, returning the number of tiles rendered.
 func (s *System) PrerenderTiles(zMin, zMax int) (int, error) {
-	return s.tileC.Prerender(s.merged.Bounds(), zMin, zMax)
+	return s.prerendered.Prerender(s.merged.Bounds(), zMin, zMax)
 }
 
 // MergeSources combines constituent maps into one geodetic map: node
@@ -256,10 +258,10 @@ func (s *System) snap(ll geo.LatLng) (int64, bool) {
 
 // Tile serves from the pre-rendered cache.
 func (s *System) Tile(c tiles.Coord) ([]byte, error) {
-	if c.Z < 0 || c.Z > tiles.MaxZoom {
-		return nil, fmt.Errorf("centralized: zoom %d out of range", c.Z)
+	if !c.Valid() {
+		return nil, fmt.Errorf("centralized: tile %v out of range", c)
 	}
-	return s.tileC.Get(c)
+	return s.prerendered.Get(c)
 }
 
 // UpdateAndRebuild applies a tag update to a merged node and pays the full
@@ -272,8 +274,7 @@ func (s *System) UpdateAndRebuild(src int, nodeInSource osm.NodeID, tags osm.Tag
 	if n == nil {
 		return fmt.Errorf("centralized: node %d not in source %d", nodeInSource, src)
 	}
-	// Write the tag replacement through AddNode: Node() returns a view, so
-	// assigning n.Tags in place would be lost on a compacted map.
-	s.sources[src].Map.AddNode(&osm.Node{ID: n.ID, Pos: n.Pos, Local: n.Local, Tags: tags})
+	// Derive the source's next map: a built map is never written in place.
+	s.sources[src].Map = s.sources[src].Map.WithNode(&osm.Node{ID: n.ID, Pos: n.Pos, Local: n.Local, Tags: tags})
 	return s.Rebuild()
 }

@@ -142,36 +142,6 @@ func FootProfile(tags osm.Tags) float64 {
 	}
 }
 
-// CarProfile is a driving cost model using maxspeed (km/h, default by road
-// class).
-func CarProfile(tags osm.Tags) float64 {
-	hw := tags.Get(osm.TagHighway)
-	var kmh float64
-	switch hw {
-	case "motorway":
-		kmh = 100
-	case "trunk":
-		kmh = 80
-	case "primary":
-		kmh = 60
-	case "secondary":
-		kmh = 50
-	case "tertiary", "residential":
-		kmh = 40
-	case "service":
-		kmh = 20
-	default:
-		return -1
-	}
-	if ms := tags.Get(osm.TagMaxSpeed); ms != "" {
-		var v float64
-		if _, err := fmt.Sscanf(ms, "%f", &v); err == nil && v > 0 {
-			kmh = v
-		}
-	}
-	return 3.6 / kmh // seconds per meter
-}
-
 // DistanceProfile adapts a profile into a distance-metric weighting: ways
 // the profile excludes stay excluded, everything else costs 1 unit per
 // meter, so path costs are lengths (§4: routes may optimize distance

@@ -311,23 +311,12 @@ func TestFromOSMOneway(t *testing.T) {
 		Tags: osm.Tags{osm.TagHighway: "residential", osm.TagOneway: "yes"}}); err != nil {
 		t.Fatal(err)
 	}
-	g := FromOSM(m, CarProfile)
+	g := FromOSM(m, FootProfile)
 	if _, err := g.Dijkstra(int64(a), int64(bb)); err != nil {
 		t.Fatal("forward blocked")
 	}
 	if _, err := g.Dijkstra(int64(bb), int64(a)); !errors.Is(err, ErrNoPath) {
 		t.Fatal("oneway violated")
-	}
-}
-
-func TestCarProfileMaxSpeed(t *testing.T) {
-	slow := CarProfile(osm.Tags{osm.TagHighway: "residential"})
-	fast := CarProfile(osm.Tags{osm.TagHighway: "residential", osm.TagMaxSpeed: "80"})
-	if fast >= slow {
-		t.Fatalf("maxspeed ignored: %v vs %v", fast, slow)
-	}
-	if CarProfile(osm.Tags{osm.TagHighway: "footway"}) > 0 {
-		t.Fatal("car on footway")
 	}
 }
 

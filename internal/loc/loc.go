@@ -304,29 +304,3 @@ func (d *DeadReckoner) Reset(p geo.Point) {
 // Estimate returns the current position estimate and its 1-sigma
 // uncertainty in meters.
 func (d *DeadReckoner) Estimate() (geo.Point, float64) { return d.pos, d.sigma }
-
-// SelectBest picks the most plausible fix given a prior position estimate
-// with uncertainty priorSigma (meters): it maximizes
-// confidence × exp(−(dist/σ)²/2) where σ combines prior and fix sigma.
-// With no prior (priorSigma <= 0), the highest-confidence fix wins. The
-// returned bool is false when fixes is empty — "the most plausible result
-// is returned to the application" (§5.2).
-func SelectBest(fixes []Fix, prior geo.Point, priorSigma float64) (Fix, bool) {
-	if len(fixes) == 0 {
-		return Fix{}, false
-	}
-	best := -1
-	bestScore := math.Inf(-1)
-	for i, f := range fixes {
-		score := f.Confidence
-		if priorSigma > 0 {
-			sigma := priorSigma + f.SigmaMeters + 1
-			d := f.Local.Dist(prior)
-			score *= math.Exp(-(d * d) / (2 * sigma * sigma))
-		}
-		if score > bestScore {
-			bestScore, best = score, i
-		}
-	}
-	return fixes[best], true
-}

@@ -187,24 +187,6 @@ func TestDeadReckonerDrift(t *testing.T) {
 	}
 }
 
-func TestSelectBestUsesPrior(t *testing.T) {
-	good := Fix{Local: geo.Point{X: 10, Y: 10}, SigmaMeters: 3, Confidence: 0.7, Source: "store"}
-	outlier := Fix{Local: geo.Point{X: 400, Y: -200}, SigmaMeters: 3, Confidence: 0.9, Source: "wrong-map"}
-	// Prior near the good fix: despite lower confidence, it wins.
-	got, ok := SelectBest([]Fix{outlier, good}, geo.Point{X: 12, Y: 9}, 5)
-	if !ok || got.Source != "store" {
-		t.Fatalf("SelectBest = %+v", got)
-	}
-	// No prior: confidence wins.
-	got, _ = SelectBest([]Fix{outlier, good}, geo.Point{}, 0)
-	if got.Source != "wrong-map" {
-		t.Fatalf("no-prior SelectBest = %+v", got)
-	}
-	if _, ok := SelectBest(nil, geo.Point{}, 0); ok {
-		t.Fatal("empty fixes selected")
-	}
-}
-
 func TestSynthesizeRSSICueDropsWeakBeacons(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	far := []Beacon{{ID: "far", Pos: geo.Point{X: 100000, Y: 0}}}

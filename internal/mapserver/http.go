@@ -681,19 +681,29 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad tile coordinates")
 		return
 	}
-	png, err := s.Tile(tiles.Coord{Z: z, X: x, Y: y})
+	c := tiles.Coord{Z: z, X: x, Y: y}
+	if !c.Valid() {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("tile %v out of range", c))
+		return
+	}
+	v := s.store.View()
+	png, err := s.tileAt(r.Context(), v, c)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		if r.Context().Err() != nil {
+			httpError(w, http.StatusServiceUnavailable, "request cancelled")
+			return
+		}
+		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	// Tiles revalidate on content: the serve path is a cache lookup, so
 	// hashing the bytes is cheap, and a matching ETag skips the transfer.
-	// Content (not generation) tags mean a write that invalidated OTHER
-	// tiles leaves this tile's ETag — and its 304s — intact.
+	// Content (not generation) tags mean a write that did not change this
+	// tile's pixels leaves its ETag — and its 304s — intact.
 	h := fnv.New64a()
 	_, _ = h.Write(png)
 	etag := fmt.Sprintf("%q", fmt.Sprintf("t-%016x", h.Sum64()))
-	w.Header().Set(HeaderGeneration, strconv.FormatUint(s.Generation(), 10))
+	w.Header().Set(HeaderGeneration, strconv.FormatUint(v.Gen, 10))
 	w.Header().Set("ETag", etag)
 	if notModified(r, etag) {
 		w.WriteHeader(http.StatusNotModified)

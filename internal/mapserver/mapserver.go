@@ -55,8 +55,8 @@ type Config struct {
 	// Auth is the access policy; nil means fully public.
 	Auth *Policy
 	// QueryCacheEntries, when > 0, enables the generation-keyed query
-	// result cache (search, geocode, rgeocode, route, route-matrix) with
-	// that many entries, LRU-evicted. Zero disables the cache, reproducing
+	// result cache (search, geocode, rgeocode, route, route-matrix, tiles)
+	// with that many entries, LRU-evicted. Zero disables the cache, reproducing
 	// the uncached server exactly.
 	QueryCacheEntries int
 	// ConsistencyWait bounds how long a read carrying a session mark this
@@ -101,7 +101,6 @@ type Server struct {
 	fpdb     *loc.FingerprintDB
 	fiducial *loc.FiducialIndex
 	visual   *loc.VisualIndex
-	tileC    *tiles.Cache
 	qcache   *queryCache
 	coverage []s2cell.CellID
 	portals  []wire.Portal
@@ -208,7 +207,6 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Landmarks) > 0 {
 		s.visual = loc.NewVisualIndex(cfg.Landmarks)
 	}
-	s.tileC = tiles.NewCache(tiles.NewLiveRenderer(s.store.Map, tiles.DefaultStyle()))
 	if cfg.QueryCacheEntries > 0 {
 		s.qcache = newQueryCache(cfg.QueryCacheEntries)
 	}
@@ -226,9 +224,9 @@ func New(cfg Config) (*Server, error) {
 	// Portals: nodes tagged flame:portal, advertised with world positions.
 	// The store's reserved portal posting list replaces the old full-map
 	// walk — O(portals) off the index, which on an attached server means no
-	// node pages are touched at all. Matching Map.PortalNodes, a portal ID
-	// claimed by several nodes resolves to the highest node ID; the
-	// advertised list is sorted by portal ID.
+	// node pages are touched at all. A portal ID claimed by several nodes
+	// resolves to the highest node ID; the advertised list is sorted by
+	// portal ID.
 	byPortal := make(map[string]*osm.Node)
 	for _, nid := range v.PortalNodeIDs() {
 		if n := v.Map().Node(nid); n != nil {
@@ -591,12 +589,21 @@ func (s *Server) localToWorld(p geo.Point) geo.LatLng {
 	return s.cfg.Map.NodePosition(n)
 }
 
-// Tile renders (or serves from cache) the PNG tile.
+// Tile answers the PNG tile c from the current view. A coordinate that
+// names no tile is an error and never reaches the cache.
 func (s *Server) Tile(c tiles.Coord) ([]byte, error) {
-	if c.Z < 0 || c.Z > tiles.MaxZoom {
-		return nil, fmt.Errorf("mapserver: zoom %d out of range", c.Z)
+	if !c.Valid() {
+		return nil, fmt.Errorf("mapserver: tile %v out of range", c)
 	}
-	return s.tileC.Get(c)
+	return s.tileAt(context.Background(), s.store.View(), c)
+}
+
+// tileAt renders tile c (which must be Valid) from the pinned view v's map,
+// memoized in the query cache under v's generation like every other read.
+func (s *Server) tileAt(ctx context.Context, v *store.View, c tiles.Coord) ([]byte, error) {
+	return cachedResult(ctx, s, v, wire.SvcTiles, c, func(v *store.View, c tiles.Coord) ([]byte, error) {
+		return tiles.NewRenderer(v.Map(), tiles.DefaultStyle()).RenderPNG(c)
+	})
 }
 
 // Portals returns the server's advertised portals.
@@ -609,32 +616,25 @@ func (s *Server) Generation() uint64 { return s.store.View().Gen }
 
 // ApplyInventoryUpdate changes a node's tags (e.g. restocking a shelf) —
 // the independent map management the paper motivates (§1): no coordination
-// with any central authority. The write invalidates every cached read
-// derived from the old map: query results from prior generations are
-// purged, and rendered tiles the node could have painted are dropped so
-// the next fetch re-renders instead of serving stale pixels. The update is
-// appended to the store's change log, from which sibling replicas pull
-// anti-entropy (GET /v1/changes).
+// with any central authority. The write retires every cached read derived
+// from the old map — query results and rendered tiles alike — so the next
+// fetch computes over the new view instead of serving stale content. The
+// update is appended to the store's change log, from which sibling
+// replicas pull anti-entropy (GET /v1/changes).
 func (s *Server) ApplyInventoryUpdate(id osm.NodeID, tags osm.Tags) bool {
-	return s.write(id, func() bool { return s.store.UpdateNodeTags(id, tags) })
+	return s.write(func() bool { return s.store.UpdateNodeTags(id, tags) })
 }
 
-// write runs one store write to node id and, when it applied, drops every
-// cached read it superseded: query results from prior generations, and
-// the tiles that could paint the node. The renderer draws the node at its
-// frame position (not the precise alignment), so that is the point whose
-// tiles go stale; tag writes never move a node, so any view gives it.
-func (s *Server) write(id osm.NodeID, apply func() bool) bool {
-	v := s.store.View()
-	n := v.Map().Node(id)
-	if n == nil || !apply() {
+// write runs one store write and, when it applied, purges every cache entry
+// from the generations it superseded (the generation key already keeps
+// them from hitting; purging returns their LRU slots at once).
+func (s *Server) write(apply func() bool) bool {
+	if !apply() {
 		return false
 	}
-	pos := v.Map().NodePosition(n)
 	if s.qcache != nil {
 		s.qcache.purgeBefore(s.Generation())
 	}
-	s.tileC.InvalidateRect(geo.Rect{MinLat: pos.Lat, MinLng: pos.Lng, MaxLat: pos.Lat, MaxLng: pos.Lng})
 	return true
 }
 
@@ -783,11 +783,10 @@ func (s *Server) changesAt(v *store.View, since uint64) wire.ChangesResponse {
 // write) and replays are no-ops — no generation bump, no re-log — which is
 // what stops anti-entropy ping-pong AND protects newer writes from being
 // rolled back by late-arriving history. Returns whether the map changed; a
-// change that applies invalidates the query cache and covering tiles
-// exactly like a local write.
+// change that applies retires cached reads exactly like a local write.
 func (s *Server) ApplySyncChange(ch wire.Change) bool {
 	id := osm.NodeID(ch.NodeID)
-	return s.write(id, func() bool {
+	return s.write(func() bool {
 		return s.store.ApplyReplicatedTags(id, osm.Tags(ch.Tags).Clone(), ch.Ver)
 	})
 }

@@ -154,9 +154,18 @@ func (s *Server) QueryCacheStats() QueryCacheStats {
 // finishes for the cache and the surviving followers.
 func cachedQuery[Req, Resp any](ctx context.Context, s *Server, v *store.View, svc wire.Service, req Req,
 	compute func(*store.View, Req) Resp) Resp {
+	resp, _ := cachedResult(ctx, s, v, svc, req, func(v *store.View, r Req) (Resp, error) { return compute(v, r), nil })
+	return resp
+}
+
+// cachedResult is cachedQuery for a compute that can fail (a tile render).
+// A failed compute is never cached: its error reaches the caller, and a
+// cancelled caller gets ctx.Err() instead of a response.
+func cachedResult[Req, Resp any](ctx context.Context, s *Server, v *store.View, svc wire.Service, req Req,
+	compute func(*store.View, Req) (Resp, error)) (Resp, error) {
 	var zero Resp
-	if ctx.Err() != nil {
-		return zero
+	if err := ctx.Err(); err != nil {
+		return zero, err
 	}
 	c := s.qcache
 	if c == nil {
@@ -170,7 +179,7 @@ func cachedQuery[Req, Resp any](ctx context.Context, s *Server, v *store.View, s
 	gen := v.Gen
 	k := qcKey{gen: gen, key: key}
 	if hit, ok := c.get(k); ok {
-		return hit.(Resp)
+		return hit.(Resp), nil
 	}
 	res, err := c.flight.DoCtx(ctx, fmt.Sprintf("%d\x00%s", gen, key), func() (interface{}, error) {
 		// A previous flight for this key may have finished between our
@@ -178,20 +187,24 @@ func cachedQuery[Req, Resp any](ctx context.Context, s *Server, v *store.View, s
 		if hit, ok := c.peek(k); ok {
 			return hit, nil
 		}
-		resp := compute(v, req)
+		resp, err := compute(v, req)
+		if err != nil {
+			return nil, err
+		}
 		c.put(k, resp)
 		return resp, nil
 	})
 	if err != nil {
-		// Two distinct failures land here. A detached follower (our ctx
-		// died while the leader computed) returns the unread zero value.
-		// A leader panic — contained by Group, handed to followers as an
-		// error — falls back to computing independently rather than crash
-		// on the nil shared value.
+		// Three failures land here. A detached follower (our ctx died
+		// while the leader computed) returns ctx.Err(). A failed compute
+		// or a leader panic — contained by Group, handed to followers as
+		// an error — falls back to computing independently, so each
+		// caller gets its own answer or its own error and the shared nil
+		// value is never read.
 		if ctx.Err() != nil {
-			return zero
+			return zero, ctx.Err()
 		}
 		return compute(v, req)
 	}
-	return res.(Resp)
+	return res.(Resp), nil
 }

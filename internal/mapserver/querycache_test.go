@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,5 +238,89 @@ func TestQueryCachePanicDoesNotPoisonFollowers(t *testing.T) {
 	<-leaderDone
 	if len(got.Results) != 1 || got.Results[0].Name != "ok" {
 		t.Fatalf("follower result = %+v", got)
+	}
+}
+
+// TestTilesBoundedByQueryCache: tiles are memoized in the server's one
+// bounded query cache, so 200 distinct tiles through a 64-entry cache leave
+// exactly 64 entries; a coordinate that names no tile is refused with 400
+// and adds none; every 200 is stamped with the generation it was rendered
+// from; and a write retires every cached tile.
+func TestTilesBoundedByQueryCache(t *testing.T) {
+	entrance := geo.LatLng{Lat: 40.4415, Lng: -79.9955}
+	bundle := worldgen.GenStore(worldgen.DefaultStoreParams("Corner Grocery", entrance))
+	srv, err := New(Config{Name: "corner-grocery", Map: bundle.Map, QueryCacheEntries: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	get := func(path string, want int) {
+		t.Helper()
+		res, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != want {
+			t.Fatalf("GET %s: status %d, want %d", path, res.StatusCode, want)
+		}
+		if want == http.StatusOK && res.Header.Get(HeaderGeneration) != strconv.FormatUint(srv.Generation(), 10) {
+			t.Fatalf("GET %s: generation %q, want %d", path, res.Header.Get(HeaderGeneration), srv.Generation())
+		}
+	}
+
+	origin := tiles.FromLatLng(entrance, 20)
+	for i := 0; i < 200; i++ {
+		get(fmt.Sprintf("/tiles/%v.png", tiles.Coord{Z: 20, X: origin.X - 10 + i%20, Y: origin.Y - 5 + i/20}), http.StatusOK)
+	}
+	st := srv.QueryCacheStats()
+	if st.Entries != 64 || st.Evicted != 200-64 {
+		t.Fatalf("200 tiles through a 64-entry cache: %+v", st)
+	}
+
+	for _, c := range []tiles.Coord{{Z: 22, X: -1, Y: 0}, {Z: 22, X: 1 << 22, Y: 0}, {Z: 3, X: 0, Y: 8}, {Z: 23, X: 0, Y: 0}} {
+		get(fmt.Sprintf("/tiles/%v.png", c), http.StatusBadRequest)
+		if _, err := srv.Tile(c); err == nil {
+			t.Fatalf("Tile(%v) rendered a coordinate that names no tile", c)
+		}
+	}
+	if after := srv.QueryCacheStats(); after.Entries != st.Entries || after.Misses != st.Misses {
+		t.Fatalf("refused coordinates reached the cache: before %+v, after %+v", st, after)
+	}
+
+	shelf := bundle.Map.FindNodes(func(n *osm.Node) bool { return n.Tags.Has(osm.TagProduct) })[0]
+	if !srv.ApplyInventoryUpdate(shelf.ID, osm.Tags{osm.TagIndoor: "yes"}) {
+		t.Fatal("update failed")
+	}
+	if after := srv.QueryCacheStats(); after.Entries != 0 || after.Purged != 64 {
+		t.Fatalf("a write left cached tiles behind: %+v", after)
+	}
+	get(fmt.Sprintf("/tiles/%v.png", origin), http.StatusOK)
+}
+
+// TestCachedResultNeverCachesFailure: a failed compute (a tile render
+// error) reaches its caller and leaves no entry behind, and a cancelled
+// caller gets its context's error rather than an empty answer it could
+// serve as a 200.
+func TestCachedResultNeverCachesFailure(t *testing.T) {
+	srv := cachedCityServer(t, 16)
+	v := srv.store.View()
+	boom := errors.New("render failed")
+	calls := 0
+	fail := func(*store.View, tiles.Coord) ([]byte, error) { calls++; return nil, boom }
+	for i := 0; i < 2; i++ {
+		if _, err := cachedResult(context.Background(), srv, v, wire.SvcTiles, tiles.Coord{Z: 1}, fail); !errors.Is(err, boom) {
+			t.Fatalf("call %d: err %v, want the render error", i, err)
+		}
+	}
+	if st := srv.QueryCacheStats(); st.Entries != 0 || calls < 2 {
+		t.Fatalf("a failed render was cached: %+v after %d computes", st, calls)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ok := func(*store.View, tiles.Coord) ([]byte, error) { return []byte("png"), nil }
+	if b, err := cachedResult(ctx, srv, v, wire.SvcTiles, tiles.Coord{Z: 1}, ok); err == nil || b != nil {
+		t.Fatalf("cancelled caller got (%q, %v), want the context error", b, err)
 	}
 }

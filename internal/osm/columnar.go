@@ -234,33 +234,34 @@ func (m *Map) StorageStats() StorageStats {
 	return st
 }
 
-// Compact merges the mutation overlay into the columnar block. Reads and
-// writes both work without compaction (it runs amortized on the write
-// path); forcing it is useful before snapshotting or measuring. The map's
-// Generation does not move: compaction changes representation, not content.
+// Compact merges the overlay into the columnar block. Like AddNode it is
+// construction-only: reads work without it (AddNode and WithNode compact
+// amortized), and forcing it is useful before snapshotting or measuring.
+// The map's Generation does not move: compaction changes representation,
+// not content.
 func (m *Map) Compact() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.compactLocked()
 }
 
-// compactMinPending is the overlay size below which the write path never
-// compacts: tiny maps and trickle writes stay in the overlay where a
+// compactMinPending is the overlay size below which AddNode and WithNode
+// never compact: tiny maps and trickle writes stay in the overlay where a
 // rebuild would cost more than it saves.
 const compactMinPending = 1024
 
-// maybeCompactLocked compacts when the pending overlay+tombstone set has
-// grown to a fixed fraction of the packed block, so a bulk load of n nodes
-// pays O(n) total rebuild work amortized (geometric growth), not O(n²).
+// maybeCompactLocked compacts when the overlay has grown to a fixed
+// fraction of the packed block, so a bulk load of n nodes pays O(n) total
+// rebuild work amortized (geometric growth), not O(n²).
 func (m *Map) maybeCompactLocked() {
-	pending := len(m.overlay) + len(m.tomb)
+	pending := len(m.overlay)
 	if pending >= compactMinPending && pending*4 >= m.cols.len() {
 		m.compactLocked()
 	}
 }
 
 func (m *Map) compactLocked() {
-	if len(m.overlay) == 0 && len(m.tomb) == 0 {
+	if len(m.overlay) == 0 {
 		return
 	}
 	// Sort the overlay IDs once; the packed block is already sorted, so the
@@ -280,10 +281,7 @@ func (m *Map) compactLocked() {
 	for oi < old.len() || vi < len(ovIDs) {
 		switch {
 		case vi == len(ovIDs) || (oi < old.len() && old.ids[oi] < ovIDs[vi]):
-			id := NodeID(old.ids[oi])
-			if _, dead := m.tomb[id]; !dead {
-				b.add(id, old.pos(oi), old.local(oi), old.tags(oi))
-			}
+			b.add(NodeID(old.ids[oi]), old.pos(oi), old.local(oi), old.tags(oi))
 			oi++
 		default:
 			id := NodeID(ovIDs[vi])
@@ -297,5 +295,4 @@ func (m *Map) compactLocked() {
 	}
 	m.cols = b.finish()
 	m.overlay = make(map[NodeID]*Node)
-	m.tomb = make(map[NodeID]struct{})
 }

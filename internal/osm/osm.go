@@ -141,30 +141,28 @@ type Frame struct {
 
 // Map is a collection of elements with a coordinate frame: "a portion of the
 // spatial namespace independently managed by an organization" (§3).
-// Maps are safe for concurrent use. The in-place mutation methods (AddNode,
-// AddWay, RemoveNode, ...) build maps — world generation, import, XML,
-// centralized merging; a served map is never written in place: the store
-// derives each new state with WithNode and leaves the old map intact for
-// the readers still holding it.
+// Maps are safe for concurrent use. AddNode, AddWay, AddRelation and
+// Compact are construction-only: they build a map (world generation,
+// import, XML, centralized merging) before anything reads it. Once built,
+// a map is never written in place — the store and the centralized
+// pipeline derive each next state with WithNode and leave the old map
+// intact for the readers still holding it.
 //
 // Node storage is columnar (see columns): the bulk of the nodes live in
-// packed, immutable, ID-sorted arrays; mutations land in a small overlay
-// map (plus a tombstone set for removals) that compaction folds back into
-// the columns amortized on the write path. Node and Nodes return views
-// materialized from the columns — fresh values the caller may read freely
-// but whose mutation never reaches the map.
+// packed, immutable, ID-sorted arrays; added or replaced nodes land in a
+// small overlay map that compaction folds back into the columns. Node and
+// Nodes return views materialized from the columns — fresh values the
+// caller may read freely but whose mutation never reaches the map.
 type Map struct {
 	Name  string
 	Frame Frame
 
 	mu sync.RWMutex
 	// cols is the packed block; overlay holds nodes added or replaced since
-	// the last compaction (stored by reference, as AddNode documents);
-	// tomb marks packed nodes removed since. overlay and tomb are disjoint.
+	// the last compaction (stored by reference, as AddNode documents).
 	cols    *columns
 	overlay map[NodeID]*Node
-	tomb    map[NodeID]struct{}
-	// count is the live node population across both layers.
+	// count is the node population across both layers.
 	count     int
 	ways      map[WayID]*Way
 	relations map[RelationID]*Relation
@@ -173,7 +171,7 @@ type Map struct {
 	nextRel   RelationID
 	// gen counts successful mutations: every write method bumps it under
 	// mu, and a map WithNode derives carries its parent's plus one — the
-	// version the server-side query and tile caches key on.
+	// version the server-side query cache keys on.
 	gen uint64
 	// mapped pins the mmap'd snapshot backing cols when the map was loaded
 	// zero-copy (LoadSnapshotFile); nil otherwise.
@@ -181,9 +179,8 @@ type Map struct {
 }
 
 // Generation returns the map's mutation counter: zero for a fresh map,
-// monotonically increasing by one per successful mutation (adds, removes,
-// replacements). Failed mutations (rejected ways, refused removals) do not
-// bump it.
+// monotonically increasing by one per successful mutation (adds and
+// replacements). A rejected way does not bump it.
 func (m *Map) Generation() uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -197,7 +194,6 @@ func NewMap(name string, frame Frame) *Map {
 		Frame:     frame,
 		cols:      emptyColumns(),
 		overlay:   make(map[NodeID]*Node),
-		tomb:      make(map[NodeID]struct{}),
 		ways:      make(map[WayID]*Way),
 		relations: make(map[RelationID]*Relation),
 	}
@@ -213,7 +209,6 @@ func newMapFromColumns(name string, frame Frame, cols *columns,
 		Frame:     frame,
 		cols:      cols,
 		overlay:   make(map[NodeID]*Node),
-		tomb:      make(map[NodeID]struct{}),
 		count:     cols.len(),
 		ways:      ways,
 		relations: relations,
@@ -240,13 +235,11 @@ func newMapFromColumns(name string, frame Frame, cols *columns,
 	return m
 }
 
-// hasNodeLocked reports whether id is live, caller holds mu (read or write).
+// hasNodeLocked reports whether id is present, caller holds mu (read or
+// write).
 func (m *Map) hasNodeLocked(id NodeID) bool {
 	if _, ok := m.overlay[id]; ok {
 		return true
-	}
-	if _, dead := m.tomb[id]; dead {
-		return false
 	}
 	return m.cols.find(id) >= 0
 }
@@ -266,7 +259,6 @@ func (m *Map) AddNode(n *Node) NodeID {
 	if !m.hasNodeLocked(n.ID) {
 		m.count++
 	}
-	delete(m.tomb, n.ID)
 	m.overlay[n.ID] = n
 	m.gen++
 	m.maybeCompactLocked()
@@ -288,7 +280,6 @@ func (m *Map) WithNode(n *Node) *Map {
 		Frame:     m.Frame,
 		cols:      m.cols,
 		overlay:   make(map[NodeID]*Node, len(m.overlay)+1),
-		tomb:      make(map[NodeID]struct{}, len(m.tomb)),
 		count:     m.count,
 		ways:      m.ways,
 		relations: m.relations,
@@ -301,15 +292,11 @@ func (m *Map) WithNode(n *Node) *Map {
 	for id, on := range m.overlay {
 		out.overlay[id] = on
 	}
-	for id := range m.tomb {
-		out.tomb[id] = struct{}{}
-	}
 	if !m.hasNodeLocked(n.ID) {
 		out.count++
 	}
-	delete(out.tomb, n.ID)
 	out.overlay[n.ID] = n
-	if len(out.overlay)+len(out.tomb) >= compactMinPending {
+	if len(out.overlay) >= compactMinPending {
 		out.compactLocked()
 	}
 	return out
@@ -360,10 +347,6 @@ func (m *Map) Node(id NodeID) *Node {
 		m.mu.RUnlock()
 		return n
 	}
-	if _, dead := m.tomb[id]; dead {
-		m.mu.RUnlock()
-		return nil
-	}
 	cols := m.cols
 	m.mu.RUnlock()
 	// cols is immutable once published: materialize outside the lock.
@@ -386,40 +369,6 @@ func (m *Map) Relation(id RelationID) *Relation {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.relations[id]
-}
-
-// RemoveNode deletes a node if no way references it.
-func (m *Map) RemoveNode(id NodeID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, w := range m.ways {
-		for _, nid := range w.NodeIDs {
-			if nid == id {
-				return fmt.Errorf("osm: node %d still referenced by way %d", id, w.ID)
-			}
-		}
-	}
-	if !m.hasNodeLocked(id) {
-		return nil
-	}
-	delete(m.overlay, id)
-	if m.cols.find(id) >= 0 {
-		m.tomb[id] = struct{}{}
-	}
-	m.count--
-	m.gen++
-	m.maybeCompactLocked()
-	return nil
-}
-
-// RemoveWay deletes a way.
-func (m *Map) RemoveWay(id WayID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.ways[id]; ok {
-		delete(m.ways, id)
-		m.gen++
-	}
 }
 
 // NodeCount returns the number of nodes.
@@ -450,15 +399,12 @@ func (m *Map) RelationCount() int {
 // assumptions of pointer identity across walks, and the iteration sees one
 // consistent snapshot of membership as of the call.
 func (m *Map) Nodes(fn func(*Node) bool) {
-	cols, ov, tomb := m.nodeSnapshot()
+	cols, ov := m.nodeSnapshot()
 	oi, vi := 0, 0
 	for oi < cols.len() || vi < len(ov) {
 		if vi == len(ov) || (oi < cols.len() && cols.ids[oi] < int64(ov[vi].ID)) {
-			id := NodeID(cols.ids[oi])
-			if _, dead := tomb[id]; !dead {
-				if !fn(cols.node(oi)) {
-					return
-				}
+			if !fn(cols.node(oi)) {
+				return
 			}
 			oi++
 			continue
@@ -474,9 +420,9 @@ func (m *Map) Nodes(fn func(*Node) bool) {
 }
 
 // nodeSnapshot captures a consistent view of the node layers: the packed
-// block (immutable), the overlay sorted by ID, and the tombstones. Taken
-// under RLock; safe to iterate after release.
-func (m *Map) nodeSnapshot() (*columns, []*Node, map[NodeID]struct{}) {
+// block (immutable) and the overlay sorted by ID. Taken under RLock; safe
+// to iterate after release.
+func (m *Map) nodeSnapshot() (*columns, []*Node) {
 	m.mu.RLock()
 	cols := m.cols
 	var ov []*Node
@@ -486,16 +432,9 @@ func (m *Map) nodeSnapshot() (*columns, []*Node, map[NodeID]struct{}) {
 			ov = append(ov, n)
 		}
 	}
-	var tomb map[NodeID]struct{}
-	if len(m.tomb) > 0 {
-		tomb = make(map[NodeID]struct{}, len(m.tomb))
-		for id := range m.tomb {
-			tomb[id] = struct{}{}
-		}
-	}
 	m.mu.RUnlock()
 	sort.Slice(ov, func(i, j int) bool { return ov[i].ID < ov[j].ID })
-	return cols, ov, tomb
+	return cols, ov
 }
 
 // Ways calls fn for each way in ascending ID order.
@@ -539,7 +478,7 @@ func (m *Map) Relations(fn func(*Relation) bool) {
 }
 
 // WayNodes resolves a way's node IDs to nodes (views), skipping dangling
-// references.
+// references (AddWay refuses them, but a decoded snapshot may carry them).
 func (m *Map) WayNodes(w *Way) []*Node {
 	out := make([]*Node, 0, len(w.NodeIDs))
 	m.mu.RLock()
@@ -547,9 +486,6 @@ func (m *Map) WayNodes(w *Way) []*Node {
 	for _, id := range w.NodeIDs {
 		if n, ok := m.overlay[id]; ok {
 			out = append(out, n)
-			continue
-		}
-		if _, dead := m.tomb[id]; dead {
 			continue
 		}
 		if i := cols.find(id); i >= 0 {
@@ -596,15 +532,12 @@ func rotate(p geo.Point, deg float64) geo.Point {
 // NodePosition, so local maps are bounded via their anchor).
 func (m *Map) Bounds() geo.Rect {
 	r := geo.EmptyRect()
-	cols, ov, tomb := m.nodeSnapshot()
-	// Packed entries that are tombstoned or shadowed by an overlay
-	// replacement must not contribute their (stale) position.
-	skip := tomb
+	cols, ov := m.nodeSnapshot()
+	// Packed entries shadowed by an overlay replacement must not
+	// contribute their (stale) position.
+	var skip map[NodeID]struct{}
 	if len(ov) > 0 {
-		skip = make(map[NodeID]struct{}, len(tomb)+len(ov))
-		for id := range tomb {
-			skip[id] = struct{}{}
-		}
+		skip = make(map[NodeID]struct{}, len(ov))
 		for _, n := range ov {
 			skip[n.ID] = struct{}{}
 		}
@@ -644,8 +577,8 @@ func (m *Map) Bounds() geo.Rect {
 //
 // This is a full linear walk — O(nodes) regardless of how many match — so
 // it has no place on a serving path: servers answer tag and text queries
-// from store.Store's inverted index and portal discovery from
-// store.Store.PortalNodeIDs. Its remaining legitimate uses are one-off
+// from store.View's inverted index and portal discovery from
+// store.View.PortalNodeIDs. Its remaining legitimate uses are one-off
 // offline passes over a map (import tooling, examples, tests) where no
 // store exists yet and an arbitrary predicate beats building one.
 func (m *Map) FindNodes(pred func(*Node) bool) []*Node {
@@ -653,24 +586,6 @@ func (m *Map) FindNodes(pred func(*Node) bool) []*Node {
 	m.Nodes(func(n *Node) bool {
 		if pred(n) {
 			out = append(out, n)
-		}
-		return true
-	})
-	return out
-}
-
-// PortalNodes returns nodes tagged as cross-map portals, keyed by portal
-// ID; an ID claimed by several nodes resolves to the highest node ID.
-//
-// Like FindNodes this is a full linear walk, kept for store-less tooling
-// and tests. The serving path (mapserver.New) discovers portals through
-// store.Store.PortalNodeIDs, which reads a persisted posting list instead
-// of touching every node.
-func (m *Map) PortalNodes() map[string]*Node {
-	out := make(map[string]*Node)
-	m.Nodes(func(n *Node) bool {
-		if id := n.Tags.Get(TagPortalID); id != "" {
-			out[id] = n
 		}
 		return true
 	})

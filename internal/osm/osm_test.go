@@ -68,20 +68,6 @@ func TestAddWayMissingNode(t *testing.T) {
 	}
 }
 
-func TestRemoveNodeReferenced(t *testing.T) {
-	m := geodeticMap(t)
-	if err := m.RemoveNode(1); err == nil {
-		t.Fatal("removing referenced node succeeded")
-	}
-	m.RemoveWay(1)
-	if err := m.RemoveNode(1); err != nil {
-		t.Fatalf("remove after way deletion: %v", err)
-	}
-	if m.Node(1) != nil {
-		t.Fatal("node still present")
-	}
-}
-
 func TestIterationOrder(t *testing.T) {
 	m := geodeticMap(t)
 	var ids []NodeID
@@ -157,8 +143,8 @@ func TestFindNodesAndPortals(t *testing.T) {
 	if len(cafes) != 1 || cafes[0].Tags.Get(TagName) != "Bean There" {
 		t.Fatalf("cafes = %v", cafes)
 	}
-	portals := m.PortalNodes()
-	if len(portals) != 1 || portals["door-1"] == nil {
+	portals := m.FindNodes(func(n *Node) bool { return n.Tags.Has(TagPortalID) })
+	if len(portals) != 1 || portals[0].Tags.Get(TagPortalID) != "door-1" {
 		t.Fatalf("portals = %v", portals)
 	}
 }
@@ -283,36 +269,24 @@ func TestGenerationMonotonic(t *testing.T) {
 	if g := m.Generation(); g != 3 {
 		t.Fatalf("after way add generation = %d", g)
 	}
-	// Failed mutations must not bump.
+	// A failed mutation must not bump.
 	if _, err := m.AddWay(&Way{NodeIDs: []NodeID{999}}); err == nil {
 		t.Fatal("dangling way accepted")
 	}
-	if err := m.RemoveNode(a); err == nil {
-		t.Fatal("referenced node removed")
-	}
 	if g := m.Generation(); g != 3 {
-		t.Fatalf("failed mutations bumped generation to %d", g)
+		t.Fatalf("failed mutation bumped generation to %d", g)
 	}
 	m.AddRelation(&Relation{Members: []Member{{Type: MemberWay, Ref: int64(w)}}})
 	if g := m.Generation(); g != 4 {
 		t.Fatalf("after relation generation = %d", g)
 	}
-	m.RemoveWay(w)
-	if g := m.Generation(); g != 5 {
-		t.Fatalf("after way removal generation = %d", g)
+	// A derived map carries its parent's generation plus one and leaves
+	// the parent's alone.
+	next := m.WithNode(&Node{ID: a, Pos: geo.LatLng{Lat: 1, Lng: 1}, Tags: Tags{TagName: "a"}})
+	if g := next.Generation(); g != 5 {
+		t.Fatalf("derived map generation = %d", g)
 	}
-	// No-op removals must not bump either.
-	m.RemoveWay(w)
-	if err := m.RemoveNode(12345); err != nil {
-		t.Fatal(err)
-	}
-	if g := m.Generation(); g != 5 {
-		t.Fatalf("no-op removals bumped generation to %d", g)
-	}
-	if err := m.RemoveNode(a); err != nil {
-		t.Fatal(err)
-	}
-	if g := m.Generation(); g != 6 {
-		t.Fatalf("after node removal generation = %d", g)
+	if g := m.Generation(); g != 4 || m.Node(a).Tags.Has(TagName) {
+		t.Fatalf("WithNode wrote its parent: generation %d, node %+v", g, m.Node(a))
 	}
 }

@@ -26,7 +26,8 @@ const snapshotV2 = 2
 // snapshot is the gob preamble every snapshot file opens with; only
 // Version is ever set. The other fields (and snapNode/snapWay) are what v1
 // carried inline: gob transmits the full type descriptor ahead of the
-// value, so they are part of the v2 byte layout and stay.
+// value, so they are part of the v2 byte layout and stay. Readers never
+// decode into it — see readVersion.
 
 type snapshot struct {
 	Version   int
@@ -96,12 +97,12 @@ func ReadSnapshotVersions(r io.Reader) (*Map, map[NodeID]uint64, error) {
 // future — never a misparse.
 func ReadSnapshotIndexed(r io.Reader) (*Map, map[NodeID]uint64, *IndexData, error) {
 	cr := &countingReader{r: r}
-	var snap snapshot
-	if err := gob.NewDecoder(cr).Decode(&snap); err != nil {
+	version, err := readVersion(cr)
+	if err != nil {
 		return nil, nil, nil, fmt.Errorf("osm: snapshot decode: %w", err)
 	}
-	if snap.Version != snapshotV2 {
-		return nil, nil, nil, fmt.Errorf("osm: unsupported snapshot version %d", snap.Version)
+	if version != snapshotV2 {
+		return nil, nil, nil, fmt.Errorf("osm: unsupported snapshot version %d", version)
 	}
 	base := cr.n
 	rest, err := io.ReadAll(cr)
@@ -109,6 +110,20 @@ func ReadSnapshotIndexed(r io.Reader) (*Map, map[NodeID]uint64, *IndexData, erro
 		return nil, nil, nil, fmt.Errorf("osm: snapshot v2 read: %w", err)
 	}
 	return decodeV2(rest, base, false)
+}
+
+// readVersion decodes the gob preamble a snapshot opens with and returns
+// only its Version. Every other field of the wire value is skipped, never
+// allocated: gob trusts a map's entry count before reading its entries, so
+// decoding a retired v1 document (or a hostile preamble) into the full
+// snapshot struct could allocate gigabytes from a hundred bytes. r must be
+// an io.ByteReader so gob consumes exactly the one message.
+func readVersion(r io.Reader) (int, error) {
+	var probe struct{ Version int }
+	if err := gob.NewDecoder(r).Decode(&probe); err != nil {
+		return 0, err
+	}
+	return probe.Version, nil
 }
 
 // LoadSnapshotFile reads a snapshot from disk. Where the platform supports

@@ -13,7 +13,8 @@ import (
 // back a map whose every column agrees with its NodeCount (walking the
 // nodes and serializing them dereferences each column and both tag CSRs).
 // Seeds: the plain and indexed fixtures, the retired v1 golden, and
-// truncations of each; they run as ordinary tests under `go test`.
+// truncations of each, plus the two hostile map counts (preamble and
+// trailer); they run as ordinary tests under `go test`.
 func FuzzReadSnapshotIndexed(f *testing.F) {
 	var plain, indexed bytes.Buffer
 	if err := snapshotFixture(f).WriteSnapshotVersions(&plain, map[NodeID]uint64{1: 7}); err != nil {
@@ -33,6 +34,9 @@ func FuzzReadSnapshotIndexed(f *testing.F) {
 		f.Add(seed[:len(seed)-1])
 	}
 	f.Add([]byte{})
+	probe, trailer := hostileSnapshots(f)
+	f.Add(probe)
+	f.Add(trailer)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, _, idx, err := ReadSnapshotIndexed(bytes.NewReader(data))

@@ -4,7 +4,6 @@ package osm
 
 import (
 	"bytes"
-	"encoding/gob"
 	"os"
 	"syscall"
 )
@@ -36,9 +35,8 @@ func loadSnapshotMapped(path string) (*Map, map[NodeID]uint64, *IndexData, bool,
 	if err != nil {
 		return nil, nil, nil, false, nil
 	}
-	var snap snapshot
 	br := bytes.NewReader(data)
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil || snap.Version != snapshotV2 {
+	if version, err := readVersion(br); err != nil || version != snapshotV2 {
 		syscall.Munmap(data)
 		return nil, nil, nil, false, nil
 	}

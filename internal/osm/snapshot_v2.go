@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"unsafe"
 
@@ -354,9 +355,16 @@ func decodeV2(data []byte, base int64, alias bool) (*Map, map[NodeID]uint64, *In
 		}
 	}
 
-	// bytes.Reader is an io.ByteReader, so gob consumes exactly one message
-	// and trr.Len() tells us where the trailer ends — anything after it is
-	// the optional persisted-index tail.
+	// The trailer's maps carry gob entry counts that a decode into
+	// v2Trailer would trust before reading a single entry. A discarding
+	// decode first walks every entry the counts claim, so a count the bytes
+	// cannot back fails here instead of allocating. bytes.Reader is an
+	// io.ByteReader, so gob consumes exactly one message and trr.Len()
+	// tells us where the trailer ends — anything after it is the optional
+	// persisted-index tail.
+	if err := gob.NewDecoder(bytes.NewReader(data[off:])).DecodeValue(reflect.Value{}); err != nil {
+		return nil, nil, nil, fmt.Errorf("osm: snapshot v2 trailer: %w", err)
+	}
 	trr := bytes.NewReader(data[off:])
 	var tr v2Trailer
 	if err := gob.NewDecoder(trr).Decode(&tr); err != nil {

@@ -21,13 +21,10 @@ func walkFixture(b testing.TB, n int) *Map {
 
 func TestNodesWalkAscending(t *testing.T) {
 	m := walkFixture(t, 3000)
-	// Mix in overlay entries and a tombstone so the merge path is the one
-	// under test, not just the packed fast path.
+	// Mix in overlay entries (a replacement and an addition) so the merge
+	// path is the one under test, not just the packed fast path.
 	m.AddNode(&Node{ID: 1500, Pos: geo.LatLng{Lat: 41, Lng: -80}, Tags: Tags{TagName: "replaced"}})
 	m.AddNode(&Node{Pos: geo.LatLng{Lat: 42, Lng: -80}})
-	if err := m.RemoveNode(10); err != nil {
-		t.Fatal(err)
-	}
 	var prev NodeID
 	count := 0
 	m.Nodes(func(n *Node) bool {

@@ -280,8 +280,8 @@ func (v *View) PersistedIndex() *osm.IndexData {
 // Map returns the view's map, for READ-ONLY use (position lookups,
 // iteration, FindNodes). It holds exactly the writes through Seq and never
 // changes: later writes derive new maps (osm.Map.WithNode) and leave this
-// one alone. Calling its in-place write methods — AddNode, AddWay,
-// AddRelation, RemoveNode, RemoveWay — is forbidden: the map shares its
+// one alone. Calling its construction-only write methods — AddNode,
+// AddWay, AddRelation, Compact — is forbidden: the map shares its
 // columns, ways and relations with every other view, and a direct write
 // would also bypass the indexes and generation the caches key on.
 func (v *View) Map() *osm.Map { return v.m }

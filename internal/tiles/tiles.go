@@ -1,8 +1,15 @@
 // Package tiles implements the tile rendering service (§4): Web-Mercator
-// tile addressing, a style-driven renderer that rasterizes a map's ways and
-// POIs into 256×256 PNG tiles, a pre-rendered tile cache (the centralized
-// pipeline of Figure 1), and client-side compositing of tiles arriving from
-// multiple federated servers (§5.2).
+// tile addressing, a style-driven renderer that rasterizes one map's ways
+// and POIs into 256×256 PNG tiles, a pre-rendered tile store (the
+// centralized pipeline of Figure 1), and client-side compositing of tiles
+// arriving from multiple federated servers (§5.2).
+//
+// A Renderer draws exactly the map it was built over, and a built map is
+// never written in place, so a tile is a pure function of (map,
+// coordinate) and a rendered tile never goes stale while its map lives. A
+// map server renders each tile from one pinned store view's map and
+// memoizes it in its generation-keyed query cache; Cache memoizes the
+// tiles of one map that never changes.
 package tiles
 
 import (
@@ -28,6 +35,15 @@ type Coord struct {
 	Z int `json:"z"`
 	X int `json:"x"`
 	Y int `json:"y"`
+}
+
+// Valid reports whether c names a tile: 0 ≤ Z ≤ MaxZoom and 0 ≤ X, Y < 2^Z.
+func (c Coord) Valid() bool {
+	if c.Z < 0 || c.Z > MaxZoom {
+		return false
+	}
+	n := 1 << uint(c.Z)
+	return c.X >= 0 && c.X < n && c.Y >= 0 && c.Y < n
 }
 
 // String implements fmt.Stringer ("z/x/y").
@@ -118,28 +134,20 @@ func DefaultStyle() Style {
 
 // Renderer rasterizes one map into tiles.
 type Renderer struct {
-	current func() *osm.Map
-	style   Style
+	m     *osm.Map
+	style Style
 }
 
 // NewRenderer creates a renderer for m.
 func NewRenderer(m *osm.Map, style Style) *Renderer {
-	return NewLiveRenderer(func() *osm.Map { return m }, style)
-}
-
-// NewLiveRenderer creates a renderer that draws each tile from the map
-// current returns when the render starts — a store's current view map, so
-// tiles a write invalidated re-render with the write.
-func NewLiveRenderer(current func() *osm.Map, style Style) *Renderer {
-	return &Renderer{current: current, style: style}
+	return &Renderer{m: m, style: style}
 }
 
 // Render rasterizes the tile. Content outside the tile is clipped by the
 // canvas bounds; geometry is drawn in layer order: buildings, indoor areas,
 // roads, POIs.
-func (r *Renderer) Render(c Coord) *raster.Canvas { return r.render(r.current(), c) }
-
-func (r *Renderer) render(m *osm.Map, c Coord) *raster.Canvas {
+func (r *Renderer) Render(c Coord) *raster.Canvas {
+	m := r.m
 	canvas := raster.NewCanvas(Size, Size, r.style.Background)
 	// Skip work when the map is entirely outside the tile (padded so
 	// strokes near the edge still appear).
@@ -215,18 +223,17 @@ func (r *Renderer) render(m *osm.Map, c Coord) *raster.Canvas {
 }
 
 // RenderPNG renders the tile and encodes it as PNG.
-func (r *Renderer) RenderPNG(c Coord) ([]byte, error) { return r.renderPNG(r.current(), c) }
-
-func (r *Renderer) renderPNG(m *osm.Map, c Coord) ([]byte, error) {
+func (r *Renderer) RenderPNG(c Coord) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := r.render(m, c).EncodePNG(&buf); err != nil {
+	if err := r.Render(c).EncodePNG(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
 // Cache pre-renders and memoizes tiles — the "pre-rendered tiles" store of
-// the centralized architecture (Figure 1). Safe for concurrent use.
+// the centralized architecture (Figure 1). Its renderer's map never
+// changes, so an entry never goes stale. Safe for concurrent use.
 type Cache struct {
 	r  *Renderer
 	mu sync.Mutex
@@ -240,13 +247,8 @@ func NewCache(r *Renderer) *Cache {
 	return &Cache{r: r, m: make(map[Coord][]byte)}
 }
 
-// Get returns the PNG bytes for the tile, rendering on first use. A
-// render from a map that a write superseded meanwhile is served but not
-// memoized: the write's InvalidateRect cannot drop a tile that is not
-// cached yet, so inserting it would permanently re-cache pre-write pixels.
-// The generation re-check under the cache lock closes that window — if
-// the current map is still the one rendered, the invalidation for any
-// newer write has not run yet and will see our entry.
+// Get returns the PNG bytes for the tile, rendering on first use. A render
+// error is returned, never memoized.
 func (c *Cache) Get(coord Coord) ([]byte, error) {
 	c.mu.Lock()
 	if b, ok := c.m[coord]; ok {
@@ -256,16 +258,12 @@ func (c *Cache) Get(coord Coord) ([]byte, error) {
 	}
 	c.Misses++
 	c.mu.Unlock()
-	m := c.r.current()
-	gen := m.Generation()
-	b, err := c.r.renderPNG(m, coord)
+	b, err := c.r.RenderPNG(coord)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	if c.r.current().Generation() == gen {
-		c.m[coord] = b
-	}
+	c.m[coord] = b
 	c.mu.Unlock()
 	return b, nil
 }
@@ -290,39 +288,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
-}
-
-// InvalidateRect drops cached tiles whose coverage intersects r, returning
-// how many were dropped. Each tile's bounds are padded by 5% of its span
-// before the test: strokes and POI dots bleed a few pixels across tile
-// edges, so content changing just outside a tile can still change its
-// pixels. Dropped tiles re-render on next Get.
-func (c *Cache) InvalidateRect(r geo.Rect) int {
-	if r.IsEmpty() {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for coord := range c.m {
-		b := coord.Bounds()
-		pad := 0.05
-		b = b.Expanded((b.MaxLat-b.MinLat)*pad, (b.MaxLng-b.MinLng)*pad)
-		if b.Intersects(r) {
-			delete(c.m, coord)
-			n++
-		}
-	}
-	return n
-}
-
-// InvalidateAll drops every cached tile, returning how many were dropped.
-func (c *Cache) InvalidateAll() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.m)
-	c.m = make(map[Coord][]byte)
-	return n
 }
 
 // Stitch composites tiles for the same coordinate rendered by multiple map

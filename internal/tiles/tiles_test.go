@@ -37,6 +37,20 @@ func TestTileBoundsRoundTrip(t *testing.T) {
 	}
 }
 
+func TestCoordValid(t *testing.T) {
+	for _, c := range []Coord{{0, 0, 0}, {1, 1, 1}, {MaxZoom, 1<<MaxZoom - 1, 0}} {
+		if !c.Valid() {
+			t.Errorf("%v rejected", c)
+		}
+	}
+	for _, c := range []Coord{{-1, 0, 0}, {MaxZoom + 1, 0, 0}, {22, -1, 0}, {22, 0, -1},
+		{22, 1 << 22, 0}, {3, 0, 8}, {0, 1, 0}} {
+		if c.Valid() {
+			t.Errorf("%v accepted", c)
+		}
+	}
+}
+
 func TestTileBoundsAdjacent(t *testing.T) {
 	c := Coord{Z: 10, X: 300, Y: 380}
 	right := Coord{Z: 10, X: 301, Y: 380}
@@ -233,70 +247,5 @@ func BenchmarkRenderTileZ16(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Render(c)
-	}
-}
-
-func TestCacheInvalidateRect(t *testing.T) {
-	m := townMap(t)
-	cache := NewCache(NewRenderer(m, DefaultStyle()))
-	poi := geo.LatLng{Lat: 40.4405, Lng: -79.9950} // the cafe
-	near := FromLatLng(poi, 16)
-	far := FromLatLng(geo.LatLng{Lat: -33, Lng: 151}, 16) // Sydney
-	for _, c := range []Coord{near, far} {
-		if _, err := cache.Get(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := cache.InvalidateRect(geo.EmptyRect().ExpandToInclude(poi)); n < 1 {
-		t.Fatalf("invalidated %d tiles, want >= 1", n)
-	}
-	if cache.Len() == 0 {
-		t.Fatal("unrelated tile was invalidated too")
-	}
-	// The dropped tile re-renders on next use.
-	misses := cache.Misses
-	if _, err := cache.Get(near); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Misses != misses+1 {
-		t.Fatal("invalidated tile served from cache")
-	}
-	// An empty rect invalidates nothing.
-	if n := cache.InvalidateRect(geo.EmptyRect()); n != 0 {
-		t.Fatalf("empty rect invalidated %d tiles", n)
-	}
-}
-
-// TestCacheInvalidateRectPadding pins the edge-bleed rule: a point on the
-// boundary between two tiles invalidates both, because strokes and POI
-// dots paint a few pixels into the neighbor.
-func TestCacheInvalidateRectPadding(t *testing.T) {
-	m := townMap(t)
-	cache := NewCache(NewRenderer(m, DefaultStyle()))
-	c := FromLatLng(geo.LatLng{Lat: 40.4405, Lng: -79.9950}, 15)
-	right := Coord{Z: c.Z, X: c.X + 1, Y: c.Y}
-	for _, coord := range []Coord{c, right} {
-		if _, err := cache.Get(coord); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A point on the shared edge (the left tile's max longitude).
-	edge := geo.LatLng{Lat: 40.4405, Lng: c.Bounds().MaxLng}
-	if n := cache.InvalidateRect(geo.EmptyRect().ExpandToInclude(edge)); n != 2 {
-		t.Fatalf("edge point invalidated %d tiles, want both neighbors", n)
-	}
-}
-
-func TestCacheInvalidateAll(t *testing.T) {
-	m := townMap(t)
-	cache := NewCache(NewRenderer(m, DefaultStyle()))
-	if _, err := cache.Get(FromLatLng(geo.LatLng{Lat: 40.4405, Lng: -79.9950}, 15)); err != nil {
-		t.Fatal(err)
-	}
-	if n := cache.InvalidateAll(); n != 1 {
-		t.Fatalf("dropped %d tiles", n)
-	}
-	if cache.Len() != 0 {
-		t.Fatalf("cache still holds %d tiles", cache.Len())
 	}
 }

@@ -27,7 +27,7 @@
 // still covers — same incarnation, no compacted gap, no affecting change —
 // is acknowledged with a sync event; anything else (dead incarnation after
 // a restart, cursor behind FirstChangeSeq, an affecting change in the
-// replayed span, a group not yet re-evaluated past the drain cursor)
+// replayed span, a group not yet re-evaluated past the log head)
 // yields a fresh init snapshot instead. Over-claiming a cursor is the one
 // unrecoverable sin (a silent gap); under-claiming merely costs a
 // re-snapshot the client diffs away.
@@ -132,8 +132,8 @@ type group struct {
 	order []search.Result
 	seq   uint64
 	// stale forces re-evaluation on the next drain even without a
-	// matching change — set when the group materialized behind the drain
-	// cursor or its last evaluation failed.
+	// matching change — set when the group materialized behind the log
+	// head or its last evaluation failed.
 	stale bool
 }
 
@@ -167,6 +167,10 @@ type Hub struct {
 	cursor   uint64 // drain position; valid while running
 	running  bool
 	stop     chan struct{}
+	// wake runs a drain pass without a new write (buffered, coalesced):
+	// a group that joined behind the log head must be checked against the
+	// changes its snapshot missed.
+	wake chan struct{}
 
 	stats struct {
 		drains, evals, initEvals, events, dropped uint64
@@ -181,7 +185,7 @@ func New(cfg Config) *Hub {
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = defaultBuffer
 	}
-	return &Hub{cfg: cfg, groups: make(map[string]*group)}
+	return &Hub{cfg: cfg, groups: make(map[string]*group), wake: make(chan struct{}, 1)}
 }
 
 // Stats snapshots the hub counters.
@@ -224,6 +228,17 @@ func affects(q wire.SearchRequest, pos geo.LatLng) bool {
 	return geo.DistanceMeters(*q.Near, pos) <= q.MaxDistanceMeters
 }
 
+// missed reports whether any of changes lies past g's state and can alter
+// its query's result set.
+func missed(g *group, changes []Change) bool {
+	for _, c := range changes {
+		if c.Seq > g.seq && affects(g.query, c.Pos) {
+			return true
+		}
+	}
+	return false
+}
+
 // Subscribe opens (or resumes) a subscription. The returned subscriber
 // already has its first event queued: an init snapshot, or — when the
 // request's cursor provably covers the current state — a bare sync.
@@ -255,10 +270,17 @@ func (h *Hub) Subscribe(ctx context.Context, req wire.SubscribeRequest) (*Subscr
 		if g = h.groups[key]; g == nil {
 			g = &group{key: key, query: query, subs: make(map[*Subscriber]struct{}),
 				order: resp.Results, last: Materialize(resp.Results), seq: seq}
-			// A group joining behind a running drain missed its batches:
-			// the next drain re-evaluates it before anyone may sync-resume
-			// against it.
-			g.stale = h.running && h.cursor > seq
+			// A group joining behind the log head missed the writes past
+			// its snapshot — possibly ones a drain pass already collected
+			// before the group existed. Re-check it now, before anyone may
+			// sync-resume against it.
+			if seq < h.cfg.Source.ChangeSeq() {
+				g.stale = true
+				select {
+				case h.wake <- struct{}{}:
+				default:
+				}
+			}
 			h.groups[key] = g
 		}
 	}
@@ -292,7 +314,7 @@ func (h *Hub) resumableLocked(req wire.SubscribeRequest, g *group) bool {
 		return false // fresh subscription, or a dead incarnation
 	}
 	if g.stale {
-		return false // group not re-evaluated past the drain cursor
+		return false // group not yet re-checked up to the log head
 	}
 	if req.Seq > g.seq {
 		return false // cursor from the future (restart raced); re-snapshot
@@ -372,13 +394,15 @@ func (h *Hub) stopLocked() {
 }
 
 // drain is the single change-log consumer: it wakes on the source's
-// coalesced notify signal and processes everything pending in one batch.
+// coalesced notify signal (or a re-check) and processes everything pending
+// in one batch.
 func (h *Hub) drain(stop chan struct{}) {
 	for {
 		select {
 		case <-stop:
 			return
 		case <-h.cfg.Source.Notify():
+		case <-h.wake:
 		}
 		h.drainOnce(stop)
 	}
@@ -404,7 +428,7 @@ func (h *Hub) drainOnce(stop chan struct{}) {
 	// through more writes than the log retains): geometry routing is
 	// impossible for the lost span, so every group counts as affected.
 	gap := head > cursor && (len(changes) == 0 || changes[0].Seq != cursor+1)
-	var affected []*group
+	var affected, unaffected []*group
 	anyStale := false
 	for _, g := range h.groups {
 		if g.stale {
@@ -416,15 +440,10 @@ func (h *Hub) drainOnce(stop chan struct{}) {
 		return
 	}
 	for _, g := range h.groups {
-		if g.stale || gap {
+		if g.stale || gap || missed(g, changes) {
 			affected = append(affected, g)
-			continue
-		}
-		for _, c := range changes {
-			if c.Seq > g.seq && affects(g.query, c.Pos) {
-				affected = append(affected, g)
-				break
-			}
+		} else {
+			unaffected = append(unaffected, g)
 		}
 	}
 	h.stats.drains++
@@ -453,7 +472,6 @@ func (h *Hub) drainOnce(stop chan struct{}) {
 		return
 	}
 	logID := h.cfg.Source.LogID()
-	evaluated := make(map[*group]bool, len(outs))
 	for _, out := range outs {
 		g := out.g
 		if h.groups[g.key] != g {
@@ -463,7 +481,6 @@ func (h *Hub) drainOnce(stop chan struct{}) {
 			g.stale = true // retry on the next wake
 			continue
 		}
-		evaluated[g] = true
 		updated, removed := Diff(g.last, out.resp.Results)
 		g.order = out.resp.Results
 		g.last = Materialize(out.resp.Results)
@@ -480,14 +497,13 @@ func (h *Hub) drainOnce(stop chan struct{}) {
 			h.sendLocked(sub, ev)
 		}
 	}
-	// Unaffected groups advance their cursor with a bare sync: their state
-	// is untouched by the batch, and a persisted cursor that keeps pace
-	// with the head never falls behind compaction.
-	for _, g := range h.groups {
-		if evaluated[g] || g.stale {
-			continue
-		}
-		if g.seq >= head {
+	// Groups this pass checked and found unaffected advance their cursor
+	// with a bare sync: their state is untouched by the batch, and a
+	// persisted cursor that keeps pace with the head never falls behind
+	// compaction. Only those: a group that joined after the check was never
+	// compared against the batch, and Subscribe queued its own re-check.
+	for _, g := range unaffected {
+		if h.groups[g.key] != g || g.seq >= head {
 			continue
 		}
 		g.seq = head

@@ -544,3 +544,86 @@ func TestConcurrentSubscribesEvaluateOnce(t *testing.T) {
 		t.Fatalf("%d concurrent subscribes cost %d init evaluations, want %d", n, got, n)
 	}
 }
+
+// TestJoinDuringDrainGetsMissedDelta is the mid-pass join regression. A
+// drain pass collects its groups, then blocks evaluating one of them; a
+// new subscriber's snapshot was taken just before an affecting write that
+// pass is handling, and its group joins while the pass is still
+// evaluating. The pass never checked the newcomer against that write, so
+// it must not advance the newcomer's cursor past it: with no further
+// write, the subscriber still receives the delta.
+func TestJoinDuringDrainGetsMissedDelta(t *testing.T) {
+	src := newFakeSource()
+	world := &fakeWorld{}
+	world.set(res(1, "shelf a", inside))
+
+	type gate struct{ entered, release chan struct{} }
+	var mu sync.Mutex
+	gates := map[int]*gate{}
+	arm := func(limit int) *gate {
+		g := &gate{entered: make(chan struct{}), release: make(chan struct{})}
+		mu.Lock()
+		gates[limit] = g
+		mu.Unlock()
+		return g
+	}
+	// The evaluator answers, then blocks once for a query whose gate is
+	// armed: the answer stays exact at the sequence it read.
+	hub := newHub(src, world, func(cfg *watch.Config) {
+		cfg.Eval = func(ctx context.Context, req wire.SearchRequest) (wire.SearchResponse, uint64, error) {
+			resp, seq, err := world.eval(ctx, req)
+			mu.Lock()
+			g := gates[req.Limit]
+			delete(gates, req.Limit)
+			mu.Unlock()
+			if g != nil {
+				close(g.entered)
+				<-g.release
+			}
+			return resp, seq, err
+		}
+	})
+	qA, qB := regionQuery(), regionQuery()
+	qA.Limit, qB.Limit = 1, 2 // two groups
+
+	subA, err := hub.Subscribe(context.Background(), wire.SubscribeRequest{Query: qA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer subA.Close()
+	recvEvent(t, subA)
+
+	// B's snapshot is taken at seq 0, and B blocks before joining.
+	gB := arm(2)
+	var subB *watch.Subscriber
+	joined := make(chan error)
+	go func() {
+		var err error
+		subB, err = hub.Subscribe(context.Background(), wire.SubscribeRequest{Query: qB})
+		joined <- err
+	}()
+	<-gB.entered
+
+	// The affecting write; the pass it wakes collects only A and blocks
+	// evaluating it.
+	gA := arm(1)
+	world.set(res(1, "shelf a", inside), res(2, "shelf b", inside))
+	src.add(inside)
+	<-gA.entered
+
+	// B joins behind the head while the pass is mid-evaluation.
+	close(gB.release)
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
+	defer subB.Close()
+	close(gA.release)
+
+	if ev := recvEvent(t, subB); ev.Type != wire.EventInit || ev.Seq != 0 || len(ev.Results) != 1 {
+		t.Fatalf("first event = %+v, want the init snapshot at seq 0", ev)
+	}
+	ev := recvEvent(t, subB)
+	if ev.Type != wire.EventDelta || ev.Seq != 1 || len(ev.Updated) != 1 || ev.Updated[0].NodeID != 2 {
+		t.Fatalf("second event = %+v, want the delta adding node 2 at seq 1", ev)
+	}
+}

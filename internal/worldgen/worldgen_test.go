@@ -100,8 +100,8 @@ func TestGenStoreStructure(t *testing.T) {
 		t.Fatalf("correspondences = %d", len(b.Correspondences))
 	}
 	// The entrance portal node exists and carries the portal tag.
-	portals := b.Map.PortalNodes()
-	if portals[b.PortalID] == nil {
+	portals := b.Map.FindNodes(func(n *osm.Node) bool { return n.Tags.Get(osm.TagPortalID) == b.PortalID })
+	if len(portals) == 0 {
 		t.Fatalf("portal %q missing", b.PortalID)
 	}
 	// Shelf nodes carry products.
