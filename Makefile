@@ -34,11 +34,13 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
 ## fuzz: a short pass over each fuzz target, 10s apiece (their seed
-## corpora already run inside `go test ./...`). The corpus the pass grows
+## corpora already run inside `go test ./...`). Minimizing a new input is
+## capped at 1s so the budget goes to exploring. The corpus the pass grows
 ## goes to the Go build cache, not the repo.
 fuzz:
-	$(GO) test ./internal/mapserver -run '^$$' -fuzz '^FuzzServiceDecode$$' -fuzztime 10s
-	$(GO) test ./internal/osm -run '^$$' -fuzz '^FuzzReadSnapshotIndexed$$' -fuzztime 10s
+	$(GO) test ./internal/mapserver -run '^$$' -fuzz '^FuzzServiceDecode$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/osm -run '^$$' -fuzz '^FuzzReadSnapshotIndexed$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/osm -run '^$$' -fuzz '^FuzzReadOSMXML$$' -fuzztime 10s -fuzzminimizetime 1s
 
 ## loc: non-test and test Go line counts outside bench/ — the trajectory
 ## the design diet (ROADMAP aim 2) is measured on.

@@ -291,7 +291,7 @@ func TestE21BenchArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WriteSnapshotVersions(pf, nil); err != nil {
+	if err := m.WriteSnapshotVersionsIndexed(pf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := pf.Close(); err != nil {

@@ -64,7 +64,7 @@ func e20Fixtures() {
 	e20.once.Do(func() {
 		e20.m = e20City(e20SmokeBlocks)
 		var v2 bytes.Buffer
-		if err := e20.m.WriteSnapshotVersions(&v2, nil); err != nil {
+		if err := e20.m.WriteSnapshotVersionsIndexed(&v2, nil, nil); err != nil {
 			panic(err)
 		}
 		e20.v2 = v2.Bytes()
@@ -98,7 +98,7 @@ func benchE20LoadV2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := osm.ReadSnapshotVersions(bytes.NewReader(e20.v2))
+		m, _, _, err := osm.ReadSnapshotIndexed(bytes.NewReader(e20.v2))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func benchE20LoadV2Mapped(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := osm.LoadSnapshotFile(e20.snapPath)
+		m, _, _, err := osm.LoadSnapshotFileIndexed(e20.snapPath)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestE20BenchArtifact(t *testing.T) {
 	t.Logf("E20: generated %d-block city: %d nodes, %d ways in %.0fms", blocks, nodes, ways, genMs)
 
 	var v2buf bytes.Buffer
-	if err := m.WriteSnapshotVersions(&v2buf, nil); err != nil {
+	if err := m.WriteSnapshotVersionsIndexed(&v2buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	snapPath := filepath.Join(t.TempDir(), "world.snap")
@@ -275,11 +275,11 @@ func TestE20BenchArtifact(t *testing.T) {
 	// byte-identical canonical XML.
 	parity := true
 	{
-		mV2, _, err := osm.ReadSnapshotVersions(bytes.NewReader(v2buf.Bytes()))
+		mV2, _, _, err := osm.ReadSnapshotIndexed(bytes.NewReader(v2buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		mMap, _, err := osm.LoadSnapshotFile(snapPath)
+		mMap, _, _, err := osm.LoadSnapshotFileIndexed(snapPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestE20BenchArtifact(t *testing.T) {
 	// Memory: the measured live-heap cost of each representation, loaded
 	// fresh so the collector prices exactly one world per measurement.
 	base := heapLive()
-	colM, _, err := osm.ReadSnapshotVersions(bytes.NewReader(v2buf.Bytes()))
+	colM, _, _, err := osm.ReadSnapshotIndexed(bytes.NewReader(v2buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

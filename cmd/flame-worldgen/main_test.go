@@ -100,7 +100,7 @@ func TestRunImportWritesSnapshot(t *testing.T) {
 	if m.Name != "tiny" {
 		t.Fatalf("default name = %q", m.Name)
 	}
-	loaded, _, err := osm.LoadSnapshotFile(filepath.Join(dir, "imported.snap"))
+	loaded, _, _, err := osm.LoadSnapshotFileIndexed(filepath.Join(dir, "imported.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,10 @@ import (
 func cloneMap(t testing.TB, m *osm.Map) *osm.Map {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf); err != nil {
+	if err := m.WriteSnapshotVersionsIndexed(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	c, err := osm.ReadSnapshot(&buf)
+	c, _, _, err := osm.ReadSnapshotIndexed(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

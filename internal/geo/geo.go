@@ -94,20 +94,6 @@ func Offset(ll LatLng, distanceMeters, bearingDeg float64) LatLng {
 	return LatLng{Lat: RadToDeg(lat2), Lng: RadToDeg(lng2)}.Normalized()
 }
 
-// Midpoint returns the great-circle midpoint of a and b.
-func Midpoint(a, b LatLng) LatLng {
-	lat1 := DegToRad(a.Lat)
-	lat2 := DegToRad(b.Lat)
-	lng1 := DegToRad(a.Lng)
-	dLng := DegToRad(b.Lng - a.Lng)
-	bx := math.Cos(lat2) * math.Cos(dLng)
-	by := math.Cos(lat2) * math.Sin(dLng)
-	lat3 := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lng3 := lng1 + math.Atan2(by, math.Cos(lat1)+bx)
-	return LatLng{Lat: RadToDeg(lat3), Lng: RadToDeg(lng3)}.Normalized()
-}
-
 // Point is a planar position in meters within a local frame: X east, Y north.
 type Point struct {
 	X float64 `json:"x"`
@@ -310,24 +296,6 @@ func (p Polygon) Contains(ll LatLng) bool {
 	return inside
 }
 
-// AreaSquareMeters returns the approximate area of the polygon using the
-// shoelace formula on a local equirectangular projection.
-func (p Polygon) AreaSquareMeters() float64 {
-	n := len(p.Vertices)
-	if n < 3 {
-		return 0
-	}
-	c := p.Bound().Center()
-	pr := NewLocalProjection(c)
-	var area float64
-	for i := 0; i < n; i++ {
-		a := pr.ToPoint(p.Vertices[i])
-		b := pr.ToPoint(p.Vertices[(i+1)%n])
-		area += a.Cross(b)
-	}
-	return math.Abs(area) / 2
-}
-
 // LocalProjection is an equirectangular projection tangent at an origin,
 // mapping geodetic coordinates to a planar metric frame (X east, Y north).
 // It is accurate to well under a meter at building-to-city scales.
@@ -359,16 +327,6 @@ func (lp *LocalProjection) ToLatLng(p Point) LatLng {
 		Lat: lp.Origin.Lat + p.Y/MetersPerDegreeLat,
 		Lng: lp.Origin.Lng + p.X/(MetersPerDegreeLat*lp.cosLat),
 	}
-}
-
-// PolylineLengthMeters returns the cumulative great-circle length of the
-// polyline through pts.
-func PolylineLengthMeters(pts []LatLng) float64 {
-	var total float64
-	for i := 1; i < len(pts); i++ {
-		total += DistanceMeters(pts[i-1], pts[i])
-	}
-	return total
 }
 
 // Interpolate returns the point a fraction f along the segment from a to b

@@ -82,17 +82,6 @@ func TestOffsetBearing(t *testing.T) {
 	}
 }
 
-func TestMidpoint(t *testing.T) {
-	a := LatLng{40, -80}
-	b := LatLng{41, -79}
-	m := Midpoint(a, b)
-	da := DistanceMeters(a, m)
-	db := DistanceMeters(b, m)
-	if math.Abs(da-db) > 1 {
-		t.Fatalf("midpoint not equidistant: %v vs %v", da, db)
-	}
-}
-
 func TestNormalized(t *testing.T) {
 	tests := []struct {
 		in, want LatLng
@@ -232,16 +221,6 @@ func TestPolygonContains(t *testing.T) {
 	}
 }
 
-func TestPolygonArea(t *testing.T) {
-	// ~111km x ~111km square at the equator, accounting for lng shrink at 0.5 deg.
-	sq := Polygon{Vertices: []LatLng{{0, 0}, {0, 1}, {1, 1}, {1, 0}}}
-	got := sq.AreaSquareMeters()
-	want := MetersPerDegreeLat * MetersPerDegreeLat * math.Cos(DegToRad(0.5))
-	if math.Abs(got-want)/want > 0.01 {
-		t.Fatalf("area = %v, want ~%v", got, want)
-	}
-}
-
 func TestLocalProjectionRoundTrip(t *testing.T) {
 	lp := NewLocalProjection(LatLng{40.44, -79.99})
 	f := func(dx, dy float64) bool {
@@ -284,18 +263,6 @@ func TestPointOps(t *testing.T) {
 	}
 	if a.Dist(b) != math.Hypot(2, 2) {
 		t.Error("Dist wrong")
-	}
-}
-
-func TestPolylineLength(t *testing.T) {
-	pts := []LatLng{{0, 0}, {0, 0.01}, {0, 0.02}}
-	got := PolylineLengthMeters(pts)
-	want := 2 * DistanceMeters(LatLng{0, 0}, LatLng{0, 0.01})
-	if math.Abs(got-want) > 1e-6 {
-		t.Fatalf("length = %v, want %v", got, want)
-	}
-	if PolylineLengthMeters(nil) != 0 || PolylineLengthMeters(pts[:1]) != 0 {
-		t.Error("degenerate polyline should have zero length")
 	}
 }
 

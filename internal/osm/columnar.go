@@ -261,8 +261,17 @@ func (m *Map) maybeCompactLocked() {
 }
 
 func (m *Map) compactLocked() {
+	if len(m.overlay) > 0 {
+		m.cols, m.overlay = m.packedLocked(), make(map[NodeID]*Node)
+	}
+}
+
+// packedLocked returns the map's nodes as one columns block: m.cols when
+// the overlay is empty, else a fresh block merging the overlay into it.
+// It leaves m untouched, so the caller may hold mu for reading only.
+func (m *Map) packedLocked() *columns {
 	if len(m.overlay) == 0 {
-		return
+		return m.cols
 	}
 	// Sort the overlay IDs once; the packed block is already sorted, so the
 	// merge is linear.
@@ -293,6 +302,5 @@ func (m *Map) compactLocked() {
 			vi++
 		}
 	}
-	m.cols = b.finish()
-	m.overlay = make(map[NodeID]*Node)
+	return b.finish()
 }

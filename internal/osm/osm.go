@@ -173,8 +173,8 @@ type Map struct {
 	// mu, and a map WithNode derives carries its parent's plus one — the
 	// version the server-side query cache keys on.
 	gen uint64
-	// mapped pins the mmap'd snapshot backing cols when the map was loaded
-	// zero-copy (LoadSnapshotFile); nil otherwise.
+	// mapped is the memory-mapped snapshot file backing cols when
+	// LoadSnapshotFileIndexed mapped it; nil otherwise.
 	mapped []byte
 }
 

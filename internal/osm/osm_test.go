@@ -9,7 +9,7 @@ import (
 	"openflame/internal/geo"
 )
 
-func geodeticMap(t *testing.T) *Map {
+func geodeticMap(t testing.TB) *Map {
 	t.Helper()
 	m := NewMap("downtown", Frame{Kind: FrameGeodetic})
 	a := m.AddNode(&Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}, Tags: Tags{TagName: "Corner A"}})

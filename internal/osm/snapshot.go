@@ -1,7 +1,6 @@
 package osm
 
 import (
-	"bufio"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -15,11 +14,16 @@ import (
 // readers reject unknown versions rather than misparse.
 //
 // Version 2 (snapshot_v2.go) serializes the columnar storage directly:
-// section-aligned little-endian columns with lengths up front, so loading
-// is one bulk read per column (and, via LoadSnapshotFile, an mmap +
-// zero-copy alias where the platform allows). Version 1, a gob document of
-// per-node structs, is no longer read or written; a v1 file is refused by
-// the version gate.
+// 8-byte-aligned little-endian sections with lengths up front. Every
+// snapshot decodes through one function, decode, over the whole file's
+// bytes, which come from one of two sources: LoadSnapshotFileIndexed
+// (mmap where the platform allows, else one read of the file) and
+// ReadSnapshotIndexed (any reader, read to its end). On little-endian
+// hosts the decoded columns, strings and index sections alias those bytes
+// in place; big-endian hosts copy the numeric columns out. The one writer,
+// WriteSnapshotVersionsIndexed, never modifies the map it writes. Version
+// 1, a gob document of per-node structs, is no longer read or written; a
+// v1 file is refused by the version gate.
 
 const snapshotV2 = 2
 
@@ -66,50 +70,45 @@ type snapRelation struct {
 	Tags    map[string]string
 }
 
-// WriteSnapshot serializes the map in the current (v2) binary snapshot
-// format.
-func (m *Map) WriteSnapshot(w io.Writer) error {
-	return m.WriteSnapshotVersions(w, nil)
-}
-
-// ReadSnapshot deserializes a map written by WriteSnapshot.
-func ReadSnapshot(r io.Reader) (*Map, error) {
-	m, _, err := ReadSnapshotVersions(r)
-	return m, err
-}
-
-// ReadSnapshotVersions is ReadSnapshot additionally returning the
-// persisted per-node update versions (nil when the snapshot carries none);
-// feed them to store.Store.RestoreNodeVersions after indexing.
-func ReadSnapshotVersions(r io.Reader) (*Map, map[NodeID]uint64, error) {
-	m, vers, _, err := ReadSnapshotIndexed(r)
-	return m, vers, err
-}
-
-// ReadSnapshotIndexed is ReadSnapshotVersions additionally returning the
-// persisted serving index when the snapshot carries a valid one (nil
-// otherwise — absent, stale-fingerprint, or corrupt index tails all
-// degrade to nil so the caller rebuilds; see store.NewWithIndex).
-//
-// Every snapshot version begins with a gob message whose Version field
-// names the format, so this reader always fails with a clear "unsupported
-// snapshot version" on any other format — the retired v1 or one from the
-// future — never a misparse.
+// ReadSnapshotIndexed reads r to its end and decodes the snapshot it
+// holds: the map, its persisted per-node update versions (nil when it
+// carries none; feed them to store.Store.RestoreNodeVersions) and its
+// persisted serving index (nil when absent, stale or corrupt, so the
+// caller rebuilds; see store.NewWithIndex). The returned map aliases the
+// bytes read, which stay alive as long as it does.
 func ReadSnapshotIndexed(r io.Reader) (*Map, map[NodeID]uint64, *IndexData, error) {
-	cr := &countingReader{r: r}
-	version, err := readVersion(cr)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("osm: snapshot decode: %w", err)
+		return nil, nil, nil, fmt.Errorf("osm: snapshot read: %w", err)
 	}
-	if version != snapshotV2 {
-		return nil, nil, nil, fmt.Errorf("osm: unsupported snapshot version %d", version)
+	return decode(data)
+}
+
+// LoadSnapshotFileIndexed is ReadSnapshotIndexed over a file. On Unix
+// little-endian hosts the file is memory-mapped, so columns, strings and
+// index sections alias the page cache: loading costs no copies and no
+// page faults beyond what serving touches. Elsewhere, or when the mapping
+// fails, the file is read into one buffer the map then aliases.
+func LoadSnapshotFileIndexed(path string) (*Map, map[NodeID]uint64, *IndexData, error) {
+	data, err := mapFile(path)
+	mapped := data != nil
+	if !mapped && err == nil {
+		data, err = os.ReadFile(path)
 	}
-	base := cr.n
-	rest, err := io.ReadAll(cr)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("osm: snapshot v2 read: %w", err)
+		return nil, nil, nil, err
 	}
-	return decodeV2(rest, base, false)
+	m, vers, idx, err := decode(data)
+	if err != nil {
+		if mapped {
+			unmapFile(data)
+		}
+		return nil, nil, nil, err
+	}
+	if mapped {
+		m.mapped = data
+	}
+	return m, vers, idx, nil
 }
 
 // readVersion decodes the gob preamble a snapshot opens with and returns
@@ -126,58 +125,9 @@ func readVersion(r io.Reader) (int, error) {
 	return probe.Version, nil
 }
 
-// LoadSnapshotFile reads a snapshot from disk. Where the platform supports
-// it and the file is v2, the column sections are memory-mapped and aliased
-// zero-copy into the returned map (the mapping lives as long as the map);
-// otherwise the file is read through the ordinary buffered path.
-func LoadSnapshotFile(path string) (*Map, map[NodeID]uint64, error) {
-	m, vers, _, err := LoadSnapshotFileIndexed(path)
-	return m, vers, err
-}
-
-// LoadSnapshotFileIndexed is LoadSnapshotFile additionally returning the
-// snapshot's persisted serving index, nil when absent or invalid. On the
-// mmap path the index columns alias the mapping — attaching them costs no
-// copies and no page faults beyond what serving touches.
-func LoadSnapshotFileIndexed(path string) (*Map, map[NodeID]uint64, *IndexData, error) {
-	if m, vers, idx, ok, err := loadSnapshotMapped(path); ok {
-		return m, vers, idx, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer f.Close()
-	return ReadSnapshotIndexed(bufio.NewReaderSize(f, 1<<20))
-}
-
 // Mapped reports whether the map's columns alias a memory-mapped snapshot.
 func (m *Map) Mapped() bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.mapped != nil
-}
-
-// countingReader tracks how many bytes have been consumed — the file
-// offset the section alignment of snapshot v2 is defined against. It
-// implements io.ByteReader so gob consumes exactly one message instead of
-// wrapping it in a bufio.Reader and over-reading into the sections.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingReader) ReadByte() (byte, error) {
-	var b [1]byte
-	if _, err := io.ReadFull(c.r, b[:]); err != nil {
-		return 0, err
-	}
-	c.n++
-	return b[0], nil
 }

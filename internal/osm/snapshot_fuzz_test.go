@@ -8,8 +8,9 @@ import (
 	"testing"
 )
 
-// FuzzReadSnapshotIndexed throws hostile bytes at the sole snapshot reader
-// and its index tail: it must never panic, and must either fail or hand
+// FuzzReadSnapshotIndexed throws hostile bytes at the one snapshot decoder
+// — the same decode LoadSnapshotFileIndexed runs over a mapped file — and
+// its index tail: it must never panic, and must either fail or hand
 // back a map whose every column agrees with its NodeCount (walking the
 // nodes and serializing them dereferences each column and both tag CSRs).
 // Seeds: the plain and indexed fixtures, the retired v1 golden, and
@@ -17,7 +18,7 @@ import (
 // trailer); they run as ordinary tests under `go test`.
 func FuzzReadSnapshotIndexed(f *testing.F) {
 	var plain, indexed bytes.Buffer
-	if err := snapshotFixture(f).WriteSnapshotVersions(&plain, map[NodeID]uint64{1: 7}); err != nil {
+	if err := snapshotFixture(f).WriteSnapshotVersionsIndexed(&plain, map[NodeID]uint64{1: 7}, nil); err != nil {
 		f.Fatal(err)
 	}
 	m, idx := indexFixture(f)

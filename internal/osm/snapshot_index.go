@@ -5,8 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"unsafe"
 
 	"openflame/internal/geo"
 	"openflame/internal/rtree"
@@ -16,8 +14,8 @@ import (
 // store's static index structures as more aligned sections — both R-trees'
 // packed columns (rtree.StaticLayout), CSR posting lists over a token
 // pool, and the map's geodetic bounds — so a booting server attaches them
-// (zero-copy on the mmap path) instead of re-inserting every node and
-// segment into pointer trees.
+// (aliasing the snapshot's bytes, as every column does) instead of
+// re-inserting every node and segment into pointer trees.
 //
 // Layout, following the v2 trailer:
 //
@@ -38,9 +36,10 @@ import (
 //	postOff     uint32[Tokens+1]     CSR offsets into postings
 //	postings    int64[Postings]      ascending NodeIDs per token
 //
-// Compatibility is free in both directions: a PR 8-era reader stops at the
-// trailer and never sees the sections; this reader treats "nothing after
-// the trailer" (or an unknown tail) as "no index". The fingerprint is a
+// Compatibility is free in both directions: a reader predating the index
+// stops at the trailer and never sees the sections; this reader treats
+// "nothing after the trailer" (or an unknown tail) as "no index". The
+// fingerprint is a
 // CRC-32C over the exact node/way section bytes of the same file, so an
 // index that was not produced from these columns — a stale copy, a
 // hand-edited snapshot — is discarded at load and the caller rebuilds.
@@ -67,8 +66,8 @@ type v2IndexHeader struct {
 }
 
 // IndexData is the decoded (or to-be-written) persisted index: everything
-// store.NewWithIndex needs to start serving without a rebuild. On the mmap
-// load path every column aliases the mapping.
+// store.NewWithIndex needs to start serving without a rebuild. Decoded on
+// a little-endian host, every column aliases the snapshot's bytes.
 type IndexData struct {
 	Bounds geo.Rect
 	// Node R-tree: point items carrying NodeIDs.
@@ -87,25 +86,10 @@ type IndexData struct {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// nodeIDCol reinterprets an int64 column as NodeIDs (identical layout) —
-// the cast that lets posting lists and tree payloads alias an mmap without
-// an 8-bytes-per-element copy.
-func nodeIDCol(v []int64) []NodeID {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*NodeID)(unsafe.Pointer(&v[0])), len(v))
-}
-
-func int64View(v []NodeID) []int64 {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&v[0])), len(v))
-}
-
 // writeIndexSections appends the index magic, header, and columns. fpBytes
-// and fpSum fingerprint the node/way sections already written to cw.
+// and fpSum fingerprint the node/way sections already written to cw. It
+// returns an error only for an index it refuses to write; write errors
+// stay in cw.err.
 func writeIndexSections(cw *countingWriter, idx *IndexData, fpBytes int64, fpSum uint32) error {
 	if len(idx.NodeItems) > 0 && !idx.NodeTree.PointItems() {
 		return fmt.Errorf("osm: persisted index: node tree must hold point items")
@@ -131,61 +115,49 @@ func writeIndexSections(cw *countingWriter, idx *IndexData, fpBytes int64, fpSum
 		TokenBytes:    tokBytes,
 		Postings:      int64(len(idx.Postings)),
 	}
-	if _, err := io.WriteString(cw, v2IndexMagic); err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(cw).Encode(h); err != nil {
-		return err
-	}
-	for _, s := range []func() error{
-		func() error { return writeFloat64s(cw, idx.NodeTree.ItemMinLat) },
-		func() error { return writeFloat64s(cw, idx.NodeTree.ItemMinLng) },
-		func() error { return writeInt64s(cw, int64View(idx.NodeItems)) },
-		func() error { return writeFloat64s(cw, idx.NodeTree.NodeMinLat) },
-		func() error { return writeFloat64s(cw, idx.NodeTree.NodeMinLng) },
-		func() error { return writeFloat64s(cw, idx.NodeTree.NodeMaxLat) },
-		func() error { return writeFloat64s(cw, idx.NodeTree.NodeMaxLng) },
-		func() error { return writeInt32s(cw, idx.NodeTree.ChildLo) },
-		func() error { return writeInt32s(cw, idx.NodeTree.ChildHi) },
-		func() error { return writeFloat64s(cw, idx.SegTree.ItemMinLat) },
-		func() error { return writeFloat64s(cw, idx.SegTree.ItemMinLng) },
-		func() error { return writeFloat64s(cw, idx.SegTree.ItemMaxLat) },
-		func() error { return writeFloat64s(cw, idx.SegTree.ItemMaxLng) },
-		func() error { return writeInt64s(cw, idx.SegWays) },
-		func() error { return writeInt32s(cw, idx.SegIdxs) },
-		func() error { return writeFloat64s(cw, idx.SegTree.NodeMinLat) },
-		func() error { return writeFloat64s(cw, idx.SegTree.NodeMinLng) },
-		func() error { return writeFloat64s(cw, idx.SegTree.NodeMaxLat) },
-		func() error { return writeFloat64s(cw, idx.SegTree.NodeMaxLng) },
-		func() error { return writeInt32s(cw, idx.SegTree.ChildLo) },
-		func() error { return writeInt32s(cw, idx.SegTree.ChildHi) },
-		func() error { return writeUint32s(cw, tokOff) },
-		func() error { return writeStrings(cw, idx.Tokens) },
-		func() error { return writeUint32s(cw, idx.PostOff) },
-		func() error { return writeInt64s(cw, int64View(idx.Postings)) },
-	} {
-		if err := s(); err != nil {
-			return err
-		}
-	}
+	cw.put(v2IndexMagic)
+	cw.encode(h)
+	writeCol(cw, idx.NodeTree.ItemMinLat)
+	writeCol(cw, idx.NodeTree.ItemMinLng)
+	writeCol(cw, idx.NodeItems)
+	writeCol(cw, idx.NodeTree.NodeMinLat)
+	writeCol(cw, idx.NodeTree.NodeMinLng)
+	writeCol(cw, idx.NodeTree.NodeMaxLat)
+	writeCol(cw, idx.NodeTree.NodeMaxLng)
+	writeCol(cw, idx.NodeTree.ChildLo)
+	writeCol(cw, idx.NodeTree.ChildHi)
+	writeCol(cw, idx.SegTree.ItemMinLat)
+	writeCol(cw, idx.SegTree.ItemMinLng)
+	writeCol(cw, idx.SegTree.ItemMaxLat)
+	writeCol(cw, idx.SegTree.ItemMaxLng)
+	writeCol(cw, idx.SegWays)
+	writeCol(cw, idx.SegIdxs)
+	writeCol(cw, idx.SegTree.NodeMinLat)
+	writeCol(cw, idx.SegTree.NodeMinLng)
+	writeCol(cw, idx.SegTree.NodeMaxLat)
+	writeCol(cw, idx.SegTree.NodeMaxLng)
+	writeCol(cw, idx.SegTree.ChildLo)
+	writeCol(cw, idx.SegTree.ChildHi)
+	writeCol(cw, tokOff)
+	writeStrings(cw, idx.Tokens)
+	writeCol(cw, idx.PostOff)
+	writeCol(cw, idx.Postings)
 	return nil
 }
 
-// decodeIndexSections parses the optional index tail of a v2 snapshot.
-// data/base/off continue decodeV2's walk (off = first byte after the
-// trailer); [fpStart,fpEnd) is the byte range of the node/way sections
-// just decoded, checksummed only when an index tail is actually present.
+// decodeIndexSections parses the optional index tail of a v2 snapshot,
+// continuing decode's cursor from the first byte after the trailer;
+// [fpStart,fpEnd) is the byte range of the node/way sections just
+// decoded, checksummed only when an index tail is actually present.
 // A missing, unrecognized, mismatched, or corrupt index yields nil: the
 // load still succeeds and the caller rebuilds — a wrong index must never
 // be served, and a damaged one must never fail an otherwise-good snapshot.
-func decodeIndexSections(data []byte, base, off int64, alias bool, fpStart, fpEnd int64) *IndexData {
-	if int64(len(data))-off < int64(len(v2IndexMagic)) {
+func decodeIndexSections(c *cursor, fpStart, fpEnd int64) *IndexData {
+	data := c.data
+	if !bytes.HasPrefix(data[c.off:], []byte(v2IndexMagic)) {
 		return nil
 	}
-	if string(data[off:off+int64(len(v2IndexMagic))]) != v2IndexMagic {
-		return nil
-	}
-	br := bytes.NewReader(data[off+int64(len(v2IndexMagic)):])
+	br := bytes.NewReader(data[c.off+int64(len(v2IndexMagic)):])
 	var h v2IndexHeader
 	if err := gob.NewDecoder(br).Decode(&h); err != nil {
 		return nil
@@ -194,64 +166,43 @@ func decodeIndexSections(data []byte, base, off int64, alias bool, fpStart, fpEn
 		h.FPSum != crc32.Checksum(data[fpStart:fpEnd], castagnoli) {
 		return nil // index built from different node/way columns: stale
 	}
-	for _, c := range []int64{h.NodeItems, h.NodeTreeNodes, h.SegItems,
-		h.SegTreeNodes, h.Tokens, h.TokenBytes, h.Postings} {
-		if c < 0 {
-			return nil
-		}
-	}
-	off = int64(len(data)) - int64(br.Len())
-
-	var err error
-	sec := func(elems, size int64) []byte {
-		if err != nil {
-			return nil
-		}
-		off += (8 - (base+off)%8) % 8
-		nb := elems * size
-		if nb < 0 || off+nb > int64(len(data)) {
-			err = fmt.Errorf("truncated")
-			return nil
-		}
-		b := data[off : off+nb : off+nb]
-		off += nb
-		return b
-	}
+	c.off = int64(len(data) - br.Len())
 
 	idx := &IndexData{Bounds: h.Bounds}
-	idx.NodeTree.ItemMinLat = float64Col(sec(h.NodeItems, 8), alias)
-	idx.NodeTree.ItemMinLng = float64Col(sec(h.NodeItems, 8), alias)
+	idx.NodeTree.ItemMinLat = take[float64](c, h.NodeItems)
+	idx.NodeTree.ItemMinLng = take[float64](c, h.NodeItems)
 	idx.NodeTree.ItemMaxLat = idx.NodeTree.ItemMinLat
 	idx.NodeTree.ItemMaxLng = idx.NodeTree.ItemMinLng
-	idx.NodeItems = nodeIDCol(int64Col(sec(h.NodeItems, 8), alias))
-	idx.NodeTree.NodeMinLat = float64Col(sec(h.NodeTreeNodes, 8), alias)
-	idx.NodeTree.NodeMinLng = float64Col(sec(h.NodeTreeNodes, 8), alias)
-	idx.NodeTree.NodeMaxLat = float64Col(sec(h.NodeTreeNodes, 8), alias)
-	idx.NodeTree.NodeMaxLng = float64Col(sec(h.NodeTreeNodes, 8), alias)
-	idx.NodeTree.ChildLo = int32Col(sec(h.NodeTreeNodes, 4), alias)
-	idx.NodeTree.ChildHi = int32Col(sec(h.NodeTreeNodes, 4), alias)
+	idx.NodeItems = take[NodeID](c, h.NodeItems)
+	idx.NodeTree.NodeMinLat = take[float64](c, h.NodeTreeNodes)
+	idx.NodeTree.NodeMinLng = take[float64](c, h.NodeTreeNodes)
+	idx.NodeTree.NodeMaxLat = take[float64](c, h.NodeTreeNodes)
+	idx.NodeTree.NodeMaxLng = take[float64](c, h.NodeTreeNodes)
+	idx.NodeTree.ChildLo = take[int32](c, h.NodeTreeNodes)
+	idx.NodeTree.ChildHi = take[int32](c, h.NodeTreeNodes)
 	idx.NodeTree.LevelOff = h.NodeLevelOff
-	idx.SegTree.ItemMinLat = float64Col(sec(h.SegItems, 8), alias)
-	idx.SegTree.ItemMinLng = float64Col(sec(h.SegItems, 8), alias)
-	idx.SegTree.ItemMaxLat = float64Col(sec(h.SegItems, 8), alias)
-	idx.SegTree.ItemMaxLng = float64Col(sec(h.SegItems, 8), alias)
-	idx.SegWays = int64Col(sec(h.SegItems, 8), alias)
-	idx.SegIdxs = int32Col(sec(h.SegItems, 4), alias)
-	idx.SegTree.NodeMinLat = float64Col(sec(h.SegTreeNodes, 8), alias)
-	idx.SegTree.NodeMinLng = float64Col(sec(h.SegTreeNodes, 8), alias)
-	idx.SegTree.NodeMaxLat = float64Col(sec(h.SegTreeNodes, 8), alias)
-	idx.SegTree.NodeMaxLng = float64Col(sec(h.SegTreeNodes, 8), alias)
-	idx.SegTree.ChildLo = int32Col(sec(h.SegTreeNodes, 4), alias)
-	idx.SegTree.ChildHi = int32Col(sec(h.SegTreeNodes, 4), alias)
+	idx.SegTree.ItemMinLat = take[float64](c, h.SegItems)
+	idx.SegTree.ItemMinLng = take[float64](c, h.SegItems)
+	idx.SegTree.ItemMaxLat = take[float64](c, h.SegItems)
+	idx.SegTree.ItemMaxLng = take[float64](c, h.SegItems)
+	idx.SegWays = take[int64](c, h.SegItems)
+	idx.SegIdxs = take[int32](c, h.SegItems)
+	idx.SegTree.NodeMinLat = take[float64](c, h.SegTreeNodes)
+	idx.SegTree.NodeMinLng = take[float64](c, h.SegTreeNodes)
+	idx.SegTree.NodeMaxLat = take[float64](c, h.SegTreeNodes)
+	idx.SegTree.NodeMaxLng = take[float64](c, h.SegTreeNodes)
+	idx.SegTree.ChildLo = take[int32](c, h.SegTreeNodes)
+	idx.SegTree.ChildHi = take[int32](c, h.SegTreeNodes)
 	idx.SegTree.LevelOff = h.SegLevelOff
-	tokOff := uint32Col(sec(h.Tokens+1, 4), alias)
-	tokBlob := sec(h.TokenBytes, 1)
-	idx.PostOff = uint32Col(sec(h.Tokens+1, 4), alias)
-	idx.Postings = nodeIDCol(int64Col(sec(h.Postings, 8), alias))
-	if err != nil {
+	tokOff := take[uint32](c, h.Tokens+1)
+	tokBlob := c.bytes(h.TokenBytes, 1)
+	idx.PostOff = take[uint32](c, h.Tokens+1)
+	idx.Postings = take[NodeID](c, h.Postings)
+	if c.err != nil {
 		return nil
 	}
-	if idx.Tokens, err = poolStrings(tokOff, tokBlob, alias); err != nil {
+	var err error
+	if idx.Tokens, err = poolStrings(tokOff, tokBlob); err != nil {
 		return nil
 	}
 	if checkCSR(idx.PostOff, int64(len(idx.Postings)), "posting") != nil {

@@ -2,8 +2,7 @@
 
 package osm
 
-// loadSnapshotMapped is the no-mmap stub: every load goes through the
-// portable buffered-read path in LoadSnapshotFile.
-func loadSnapshotMapped(path string) (*Map, map[NodeID]uint64, *IndexData, bool, error) {
-	return nil, nil, nil, false, nil
-}
+// mapFile is the no-mmap stub: LoadSnapshotFileIndexed reads every file.
+func mapFile(string) ([]byte, error) { return nil, nil }
+
+func unmapFile([]byte) {}

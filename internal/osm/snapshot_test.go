@@ -28,10 +28,10 @@ func snapshotFixture(t testing.TB) *Map {
 func TestSnapshotRoundTrip(t *testing.T) {
 	m := snapshotFixture(t)
 	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf); err != nil {
+	if err := m.WriteSnapshotVersionsIndexed(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(&buf)
+	got, _, _, err := ReadSnapshotIndexed(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := ReadSnapshot(strings.NewReader("not a gob stream")); err == nil {
+	if _, _, _, err := ReadSnapshotIndexed(strings.NewReader("not a gob stream")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 func TestSnapshotVersionCheck(t *testing.T) {
 	m := snapshotFixture(t)
 	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf); err != nil {
+	if err := m.WriteSnapshotVersionsIndexed(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A different version in the stream is rejected. Rewrite via the
@@ -81,7 +81,7 @@ func TestSnapshotVersionCheck(t *testing.T) {
 	if err := newTestGobEncoder(&buf2).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSnapshot(&buf2); err == nil {
+	if _, _, _, err := ReadSnapshotIndexed(&buf2); err == nil {
 		t.Fatal("future version accepted")
 	}
 }
@@ -105,10 +105,10 @@ func BenchmarkSnapshotVsXML(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if err := m.WriteSnapshot(&buf); err != nil {
+			if err := m.WriteSnapshotVersionsIndexed(&buf, nil, nil); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := ReadSnapshot(&buf); err != nil {
+			if _, _, _, err := ReadSnapshotIndexed(&buf); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -146,7 +146,7 @@ func hostileSnapshots(t testing.TB) (probe, trailer []byte) {
 	m := NewMap("hostile", Frame{Kind: FrameGeodetic})
 	m.AddNode(&Node{ID: 42, Pos: geo.LatLng{Lat: 40.44, Lng: -79.99}})
 	var file, tr bytes.Buffer
-	if err := m.WriteSnapshotVersions(&file, map[NodeID]uint64{42: 43}); err != nil {
+	if err := m.WriteSnapshotVersionsIndexed(&file, map[NodeID]uint64{42: 43}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := newTestGobEncoder(&tr).Encode(v2Trailer{NodeVers: vers}); err != nil {
@@ -204,8 +204,7 @@ func inflateMapCount(t testing.TB, stream []byte) []byte {
 // TestHostileMapCountsRejectedCheaply: a gob map count is trusted before
 // its entries are read, so both gob messages a reader decodes — the
 // version preamble and the v2 trailer — must reject a 16M-entry claim the
-// bytes cannot back without allocating for it, on the streamed and the
-// mmap read paths alike.
+// bytes cannot back without allocating for it, from either byte source.
 func TestHostileMapCountsRejectedCheaply(t *testing.T) {
 	probe, trailer := hostileSnapshots(t)
 	dir := t.TempDir()
@@ -222,7 +221,13 @@ func TestHostileMapCountsRejectedCheaply(t *testing.T) {
 				}
 				return m
 			},
-			"mmap": func() *Map { m, _, _, _, _ := loadSnapshotMapped(path); return m },
+			"file": func() *Map {
+				m, _, _, err := LoadSnapshotFileIndexed(path)
+				if err == nil {
+					t.Errorf("%s: hostile count accepted from file", name)
+				}
+				return m
+			},
 		} {
 			var before, after runtime.MemStats
 			runtime.GC()

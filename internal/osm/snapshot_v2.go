@@ -19,7 +19,8 @@ import (
 // Snapshot v2: the columnar storage serialized as-is.
 //
 // Layout (all integers little-endian, sections 8-byte-aligned relative to
-// the start of the file):
+// the start of the file, so file offsets are buffer offsets when decode
+// holds the whole file):
 //
 //	gob(snapshot{Version: 2})     — the version gate every reader checks
 //	                                before touching a section
@@ -43,8 +44,8 @@ import (
 //	                                intern table just to serialize ways)
 //	gob(v2Trailer)                — relations + NodeVers (rare, stay gob)
 //
-// Lengths ride in the header, so a reader performs one bulk read (or one
-// zero-copy alias, on the mmap path) per column — no per-node decoding.
+// Lengths ride in the header, so decode aliases (or, big-endian, copies)
+// each column in one step — no per-node decoding.
 
 const v2Magic = "OFSNAPB2"
 
@@ -70,30 +71,18 @@ type v2Trailer struct {
 	NodeVers  map[int64]uint64
 }
 
-var hostLittleEndian = func() bool {
-	var x uint16 = 0x0102
-	return *(*byte)(unsafe.Pointer(&x)) == 0x02
-}()
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// WriteSnapshotVersions serializes the map in the v2 columnar format,
-// carrying per-node update versions (nil writes none). The map is
-// compacted first so the columns describe every node.
-func (m *Map) WriteSnapshotVersions(w io.Writer, vers map[NodeID]uint64) error {
-	return m.writeV2(w, vers, nil)
-}
-
-// WriteSnapshotVersionsIndexed additionally appends the persisted serving
-// index (see snapshot_index.go) after the trailer, fingerprinted against
-// the node/way sections it was built from. idx nil writes a plain v2
-// snapshot.
+// WriteSnapshotVersionsIndexed serializes the map in the v2 columnar
+// format, carrying per-node update versions (nil writes none) and, after
+// the trailer, the persisted serving index (see snapshot_index.go),
+// fingerprinted against the node/way sections it was built from; idx nil
+// writes no index. The overlay is merged into the written columns, not
+// into the map: writing leaves the map untouched, so a served view can be
+// saved while it serves.
 func (m *Map) WriteSnapshotVersionsIndexed(w io.Writer, vers map[NodeID]uint64, idx *IndexData) error {
-	return m.writeV2(w, vers, idx)
-}
-
-func (m *Map) writeV2(w io.Writer, vers map[NodeID]uint64, idx *IndexData) error {
-	m.mu.Lock()
-	m.compactLocked()
-	cols := m.cols
+	m.mu.RLock()
+	cols := m.packedLocked()
 	ways := make([]*Way, 0, len(m.ways))
 	for _, way := range m.ways {
 		ways = append(ways, way)
@@ -102,7 +91,7 @@ func (m *Map) writeV2(w io.Writer, vers map[NodeID]uint64, idx *IndexData) error
 	for _, rel := range m.relations {
 		rels = append(rels, rel)
 	}
-	m.mu.Unlock()
+	m.mu.RUnlock()
 	sort.Slice(ways, func(i, j int) bool { return ways[i].ID < ways[j].ID })
 	sort.Slice(rels, func(i, j int) bool { return rels[i].ID < rels[j].ID })
 
@@ -168,45 +157,31 @@ func (m *Map) writeV2(w io.Writer, vers map[NodeID]uint64, idx *IndexData) error
 	}
 
 	cw := &countingWriter{w: w}
-	if err := gob.NewEncoder(cw).Encode(snapshot{Version: snapshotV2}); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(cw, v2Magic); err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(cw).Encode(h); err != nil {
-		return err
-	}
+	cw.encode(snapshot{Version: snapshotV2})
+	cw.put(v2Magic)
+	cw.encode(h)
 	// Fingerprint the node/way sections as they stream out: pad first so
 	// the leading alignment bytes stay outside the sum (the reader's region
 	// likewise starts at the aligned first-section offset).
-	if err := cw.pad(); err != nil {
-		return err
-	}
+	cw.pad()
 	cw.crc = crc32.New(castagnoli)
 	fpStart := cw.n
-	for _, s := range []func() error{
-		func() error { return writeInt64s(cw, cols.ids) },
-		func() error { return writeFloat64s(cw, cols.lat) },
-		func() error { return writeFloat64s(cw, cols.lng) },
-		func() error { return writeFloat64s(cw, cols.locX) },
-		func() error { return writeFloat64s(cw, cols.locY) },
-		func() error { return writeUint32s(cw, cols.tagOff) },
-		func() error { return writeUint32s(cw, cols.tagPairs) },
-		func() error { return writeUint32s(cw, poolOff) },
-		func() error { return writeStrings(cw, cols.pool) },
-		func() error { return writeInt64s(cw, wayIDs) },
-		func() error { return writeUint32s(cw, wayNodeOff) },
-		func() error { return writeInt64s(cw, wayNodeRefs) },
-		func() error { return writeUint32s(cw, wayTagOff) },
-		func() error { return writeUint32s(cw, wayTagPairs) },
-		func() error { return writeUint32s(cw, wayPoolOff) },
-		func() error { return writeStrings(cw, wpool) },
-	} {
-		if err := s(); err != nil {
-			return err
-		}
-	}
+	writeCol(cw, cols.ids)
+	writeCol(cw, cols.lat)
+	writeCol(cw, cols.lng)
+	writeCol(cw, cols.locX)
+	writeCol(cw, cols.locY)
+	writeCol(cw, cols.tagOff)
+	writeCol(cw, cols.tagPairs)
+	writeCol(cw, poolOff)
+	writeStrings(cw, cols.pool)
+	writeCol(cw, wayIDs)
+	writeCol(cw, wayNodeOff)
+	writeCol(cw, wayNodeRefs)
+	writeCol(cw, wayTagOff)
+	writeCol(cw, wayTagPairs)
+	writeCol(cw, wayPoolOff)
+	writeStrings(cw, wpool)
 	fpBytes := cw.n - fpStart
 	fpSum := cw.crc.Sum32()
 	cw.crc = nil
@@ -225,13 +200,13 @@ func (m *Map) writeV2(w io.Writer, vers map[NodeID]uint64, idx *IndexData) error
 			tr.NodeVers[int64(id)] = v
 		}
 	}
-	if err := gob.NewEncoder(cw).Encode(tr); err != nil {
-		return err
+	cw.encode(tr)
+	if idx != nil && cw.err == nil {
+		if err := writeIndexSections(cw, idx, fpBytes, fpSum); err != nil {
+			return err
+		}
 	}
-	if idx == nil {
-		return nil
-	}
-	return writeIndexSections(cw, idx, fpBytes, fpSum)
+	return cw.err
 }
 
 // poolOffsets builds the cumulative byte-offset column for a string pool.
@@ -248,15 +223,27 @@ func poolOffsets(pool []string) ([]uint32, int64, error) {
 	return off, n, nil
 }
 
-// decodeV2 parses everything after the version gob prefix. data[0] sits at
-// file offset base (section alignment is defined against the file start).
-// With alias set, numeric columns and pool strings alias data directly —
-// the zero-copy mmap path; otherwise each section is copied out in one
-// bulk operation. The third result is the persisted serving index, nil
-// when the snapshot carries none (or a stale/corrupt one — see
-// decodeIndexSections).
-func decodeV2(data []byte, base int64, alias bool) (*Map, map[NodeID]uint64, *IndexData, error) {
+// decode parses a whole snapshot file held in data. Section offsets are
+// offsets into data, so data must start 8-byte aligned; a buffer that does
+// not is copied once into one that does. Numeric columns, pool strings and
+// index sections alias data (see col), so the map keeps data alive. The
+// third result is the persisted serving index, nil when the snapshot
+// carries none (or a stale/corrupt one — see decodeIndexSections).
+func decode(data []byte) (*Map, map[NodeID]uint64, *IndexData, error) {
+	if len(data) > 0 && uintptr(unsafe.Pointer(&data[0]))%8 != 0 {
+		words := make([]uint64, (len(data)+7)/8)
+		aligned := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(data))
+		copy(aligned, data)
+		data = aligned
+	}
 	br := bytes.NewReader(data)
+	version, err := readVersion(br)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("osm: snapshot decode: %w", err)
+	}
+	if version != snapshotV2 {
+		return nil, nil, nil, fmt.Errorf("osm: unsupported snapshot version %d", version)
+	}
 	var magic [len(v2Magic)]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != v2Magic {
 		return nil, nil, nil, fmt.Errorf("osm: snapshot v2: bad section magic")
@@ -265,65 +252,45 @@ func decodeV2(data []byte, base int64, alias bool) (*Map, map[NodeID]uint64, *In
 	if err := gob.NewDecoder(br).Decode(&h); err != nil {
 		return nil, nil, nil, fmt.Errorf("osm: snapshot v2 header: %w", err)
 	}
-	for _, c := range []int64{h.Nodes, h.TagPairs, h.PoolCount, h.PoolBytes,
+	for _, n := range []int64{h.Nodes, h.TagPairs, h.PoolCount, h.PoolBytes,
 		h.Ways, h.WayRefs, h.WayTagPairs, h.WayPoolCount, h.WayPoolBytes} {
-		if c < 0 {
+		if n < 0 {
 			return nil, nil, nil, fmt.Errorf("osm: snapshot v2: negative section length")
 		}
 	}
 
-	off := int64(len(data)) - int64(br.Len())
-	off += (8 - (base+off)%8) % 8
-	fpStart := off
-	sec := func(elems, size int64) ([]byte, error) {
-		off += (8 - (base+off)%8) % 8
-		nb := elems * size
-		if nb < 0 || off+nb > int64(len(data)) {
-			return nil, fmt.Errorf("osm: snapshot v2: truncated section")
-		}
-		b := data[off : off+nb : off+nb]
-		off += nb
-		return b, nil
-	}
-	var err error
-	bytesFor := func(elems, size int64) []byte {
-		if err != nil {
-			return nil
-		}
-		var b []byte
-		b, err = sec(elems, size)
-		return b
-	}
-
-	ids := int64Col(bytesFor(h.Nodes, 8), alias)
-	lat := float64Col(bytesFor(h.Nodes, 8), alias)
-	lng := float64Col(bytesFor(h.Nodes, 8), alias)
+	c := &cursor{data: data, off: int64(len(data) - br.Len())}
+	c.align()
+	fpStart := c.off
+	ids := take[int64](c, h.Nodes)
+	lat := take[float64](c, h.Nodes)
+	lng := take[float64](c, h.Nodes)
 	var locX, locY []float64
 	if h.HasLocal {
-		locX = float64Col(bytesFor(h.Nodes, 8), alias)
-		locY = float64Col(bytesFor(h.Nodes, 8), alias)
+		locX = take[float64](c, h.Nodes)
+		locY = take[float64](c, h.Nodes)
 	}
-	tagOff := uint32Col(bytesFor(h.Nodes+1, 4), alias)
-	tagPairs := uint32Col(bytesFor(h.TagPairs*2, 4), alias)
-	poolOff := uint32Col(bytesFor(h.PoolCount+1, 4), alias)
-	poolBlob := bytesFor(h.PoolBytes, 1)
-	wayIDs := int64Col(bytesFor(h.Ways, 8), false)
-	wayNodeOff := uint32Col(bytesFor(h.Ways+1, 4), false)
-	wayNodeRefs := int64Col(bytesFor(h.WayRefs, 8), false)
-	wayTagOff := uint32Col(bytesFor(h.Ways+1, 4), false)
-	wayTagPairs := uint32Col(bytesFor(h.WayTagPairs*2, 4), false)
-	wayPoolOff := uint32Col(bytesFor(h.WayPoolCount+1, 4), false)
-	wayPoolBlob := bytesFor(h.WayPoolBytes, 1)
-	fpEnd := off
-	if err != nil {
-		return nil, nil, nil, err
+	tagOff := take[uint32](c, h.Nodes+1)
+	tagPairs := take[uint32](c, h.TagPairs*2)
+	poolOff := take[uint32](c, h.PoolCount+1)
+	poolBlob := c.bytes(h.PoolBytes, 1)
+	wayIDs := take[int64](c, h.Ways)
+	wayNodeOff := take[uint32](c, h.Ways+1)
+	wayNodeRefs := take[int64](c, h.WayRefs)
+	wayTagOff := take[uint32](c, h.Ways+1)
+	wayTagPairs := take[uint32](c, h.WayTagPairs*2)
+	wayPoolOff := take[uint32](c, h.WayPoolCount+1)
+	wayPoolBlob := c.bytes(h.WayPoolBytes, 1)
+	fpEnd := c.off
+	if c.err != nil {
+		return nil, nil, nil, c.err
 	}
 
-	pool, err := poolStrings(poolOff, poolBlob, alias)
+	pool, err := poolStrings(poolOff, poolBlob)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	wpool, err := poolStrings(wayPoolOff, wayPoolBlob, false)
+	wpool, err := poolStrings(wayPoolOff, wayPoolBlob)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -362,15 +329,15 @@ func decodeV2(data []byte, base int64, alias bool) (*Map, map[NodeID]uint64, *In
 	// io.ByteReader, so gob consumes exactly one message and trr.Len()
 	// tells us where the trailer ends — anything after it is the optional
 	// persisted-index tail.
-	if err := gob.NewDecoder(bytes.NewReader(data[off:])).DecodeValue(reflect.Value{}); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data[c.off:])).DecodeValue(reflect.Value{}); err != nil {
 		return nil, nil, nil, fmt.Errorf("osm: snapshot v2 trailer: %w", err)
 	}
-	trr := bytes.NewReader(data[off:])
+	trr := bytes.NewReader(data[c.off:])
 	var tr v2Trailer
 	if err := gob.NewDecoder(trr).Decode(&tr); err != nil {
 		return nil, nil, nil, fmt.Errorf("osm: snapshot v2 trailer: %w", err)
 	}
-	idxOff := int64(len(data)) - int64(trr.Len())
+	c.off = int64(len(data) - trr.Len())
 
 	cols := &columns{
 		ids: ids, lat: lat, lng: lng, locX: locX, locY: locY,
@@ -414,8 +381,39 @@ func decodeV2(data []byte, base int64, alias bool) (*Map, map[NodeID]uint64, *In
 			vers[NodeID(id)] = v
 		}
 	}
-	idx := decodeIndexSections(data, base, idxOff, alias, fpStart, fpEnd)
-	return m, vers, idx, nil
+	return m, vers, decodeIndexSections(c, fpStart, fpEnd), nil
+}
+
+// cursor walks the 8-byte-aligned sections of a snapshot held whole in
+// data. The first failure sticks in err; every later section is nil.
+type cursor struct {
+	data []byte
+	off  int64
+	err  error
+}
+
+// align advances to the next 8-byte file offset.
+func (c *cursor) align() { c.off += (8 - c.off%8) % 8 }
+
+// bytes returns the next aligned section of elems elements of size bytes.
+func (c *cursor) bytes(elems, size int64) []byte {
+	if c.err != nil {
+		return nil
+	}
+	c.align()
+	if elems < 0 || c.off > int64(len(c.data)) || elems > (int64(len(c.data))-c.off)/size {
+		c.err = fmt.Errorf("osm: snapshot v2: truncated section")
+		return nil
+	}
+	b := c.data[c.off : c.off+elems*size : c.off+elems*size]
+	c.off += elems * size
+	return b
+}
+
+// take returns the next aligned section as a column of n elements.
+func take[T colElem](c *cursor, n int64) []T {
+	var zero T
+	return col[T](c.bytes(n, int64(unsafe.Sizeof(zero))))
 }
 
 // checkCSR validates a CSR offset column: starts at zero, nondecreasing,
@@ -432,15 +430,15 @@ func checkCSR(off []uint32, arena int64, what string) error {
 	return nil
 }
 
-// poolStrings rebuilds a string pool from its offset column and blob. With
-// alias set the strings alias the blob in place (mmap path); otherwise the
-// blob is copied once and the strings share that single arena allocation.
-func poolStrings(off []uint32, blob []byte, alias bool) ([]string, error) {
+// poolStrings rebuilds a string pool from its offset column and blob. The
+// strings alias the blob in place.
+func poolStrings(off []uint32, blob []byte) ([]string, error) {
+	if len(off) == 0 {
+		return nil, fmt.Errorf("osm: snapshot v2: pool offsets missing")
+	}
 	var arena string
-	if alias && len(blob) > 0 {
+	if len(blob) > 0 {
 		arena = unsafe.String(&blob[0], len(blob))
-	} else {
-		arena = string(blob)
 	}
 	pool := make([]string, len(off)-1)
 	for i := range pool {
@@ -453,199 +451,87 @@ func poolStrings(off []uint32, blob []byte, alias bool) ([]string, error) {
 	return pool, nil
 }
 
-// Column materialization. On little-endian hosts a copy is a single
-// memcpy through a byte view (or, with alias, free); big-endian hosts
-// decode element-wise.
+// colElem is every element type a snapshot column holds, NodeID included.
+type colElem interface {
+	~int32 | ~uint32 | ~int64 | ~float64
+}
 
-func int64Col(b []byte, alias bool) []int64 {
-	n := len(b) / 8
+// col views a little-endian section b as a column. On little-endian hosts
+// the column aliases b (b must be aligned for T, which decode's 8-byte
+// section alignment guarantees); big-endian hosts decode a copy.
+func col[T colElem](b []byte) []T {
+	var zero T
+	n := len(b) / int(unsafe.Sizeof(zero))
 	if n == 0 {
 		return nil
 	}
-	if alias && hostLittleEndian {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int64, n)
 	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), len(b)), b)
-	} else {
-		for i := range out {
-			out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-		}
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 	}
+	out := make([]T, n)
+	_ = binary.Read(bytes.NewReader(b), binary.LittleEndian, out) // b holds n elements: it cannot fail
 	return out
 }
 
-func float64Col(b []byte, alias bool) []float64 {
-	n := len(b) / 8
-	if n == 0 {
-		return nil
-	}
-	if alias && hostLittleEndian {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float64, n)
-	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), len(b)), b)
-	} else {
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-	}
-	return out
-}
-
-func uint32Col(b []byte, alias bool) []uint32 {
-	n := len(b) / 4
-	if n == 0 {
-		return nil
-	}
-	if alias && hostLittleEndian {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]uint32, n)
-	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), len(b)), b)
-	} else {
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint32(b[i*4:])
-		}
-	}
-	return out
-}
-
-// Section writers: pad to 8-byte file alignment, then one bulk write. On
-// little-endian hosts numeric slices are written through a byte view
-// without re-encoding.
-
+// countingWriter tracks the file offset the section alignment is defined
+// against. Its first error, from a write or an encoder, sticks in err and
+// drops every later write, so a writer checks err once at the end.
 type countingWriter struct {
 	w   io.Writer
 	n   int64
 	crc hash.Hash32 // when set, tees written bytes into the fingerprint
+	err error
 }
 
 func (c *countingWriter) Write(p []byte) (int, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
 	n, err := c.w.Write(p)
 	c.n += int64(n)
-	if c.crc != nil && n > 0 {
-		c.crc.Write(p[:n])
+	if c.crc != nil {
+		c.crc.Write(p[:n]) // a hash.Hash write never fails
 	}
+	c.err = err
 	return n, err
 }
 
-var padZeros [8]byte
+// keep records err unless an earlier error is already kept.
+func (c *countingWriter) keep(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
 
-func (c *countingWriter) pad() error {
+// put writes s, keeping any failure in err.
+func (c *countingWriter) put(s string) {
+	_, err := io.WriteString(c, s)
+	c.keep(err)
+}
+
+// encode writes v as one gob message, keeping any failure in err.
+func (c *countingWriter) encode(v any) { c.keep(gob.NewEncoder(c).Encode(v)) }
+
+const padZeros = "\x00\x00\x00\x00\x00\x00\x00\x00"
+
+// pad advances to the next 8-byte file offset.
+func (c *countingWriter) pad() {
 	if rem := c.n % 8; rem != 0 {
-		_, err := c.Write(padZeros[:8-rem])
-		return err
+		c.put(padZeros[:8-rem])
 	}
-	return nil
 }
 
-func writeInt64s(c *countingWriter, v []int64) error {
-	if err := c.pad(); err != nil {
-		return err
-	}
-	if len(v) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		_, err := c.Write(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v)))
-		return err
-	}
-	buf := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(x))
-	}
-	_, err := c.Write(buf)
-	return err
+// writeCol writes one column section: pad, then v little-endian.
+func writeCol[T colElem](c *countingWriter, v []T) {
+	c.pad()
+	c.keep(binary.Write(c, binary.LittleEndian, v))
 }
 
-func writeFloat64s(c *countingWriter, v []float64) error {
-	if err := c.pad(); err != nil {
-		return err
-	}
-	if len(v) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		_, err := c.Write(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v)))
-		return err
-	}
-	buf := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	_, err := c.Write(buf)
-	return err
-}
-
-func writeUint32s(c *countingWriter, v []uint32) error {
-	if err := c.pad(); err != nil {
-		return err
-	}
-	if len(v) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		_, err := c.Write(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v)))
-		return err
-	}
-	buf := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(buf[i*4:], x)
-	}
-	_, err := c.Write(buf)
-	return err
-}
-
-func int32Col(b []byte, alias bool) []int32 {
-	n := len(b) / 4
-	if n == 0 {
-		return nil
-	}
-	if alias && hostLittleEndian {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int32, n)
-	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), len(b)), b)
-	} else {
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-		}
-	}
-	return out
-}
-
-func writeInt32s(c *countingWriter, v []int32) error {
-	if err := c.pad(); err != nil {
-		return err
-	}
-	if len(v) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		_, err := c.Write(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v)))
-		return err
-	}
-	buf := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(buf[i*4:], uint32(x))
-	}
-	_, err := c.Write(buf)
-	return err
-}
-
-func writeStrings(c *countingWriter, pool []string) error {
-	if err := c.pad(); err != nil {
-		return err
-	}
+// writeStrings writes a pool blob section: pad, then the strings back to
+// back.
+func writeStrings(c *countingWriter, pool []string) {
+	c.pad()
 	for _, s := range pool {
-		if _, err := io.WriteString(c, s); err != nil {
-			return err
-		}
+		c.put(s)
 	}
-	return nil
 }

@@ -42,12 +42,12 @@ func TestSnapshotGoldenV1Rejected(t *testing.T) {
 func TestSnapshotV2TruncatedAndCorrupt(t *testing.T) {
 	m := snapshotFixture(t)
 	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf); err != nil {
+	if err := m.WriteSnapshotVersionsIndexed(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{len(full) / 4, len(full) / 2, len(full) - 1} {
-		if _, _, err := ReadSnapshotVersions(bytes.NewReader(full[:cut])); err == nil {
+		if _, _, _, err := ReadSnapshotIndexed(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -63,16 +63,16 @@ func TestLoadSnapshotFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WriteSnapshotVersions(f, vers); err != nil {
+	if err := m.WriteSnapshotVersionsIndexed(f, vers, nil); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	got, gotVers, err := LoadSnapshotFile(v2path)
+	got, gotVers, _, err := LoadSnapshotFileIndexed(v2path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(xmlBytes(t, m), xmlBytes(t, got)) {
-		t.Fatal("LoadSnapshotFile(v2) differs from original")
+		t.Fatal("LoadSnapshotFileIndexed(v2) differs from original")
 	}
 	if !reflect.DeepEqual(gotVers, vers) {
 		t.Fatalf("NodeVers: got %v want %v", gotVers, vers)
@@ -86,4 +86,59 @@ func TestLoadSnapshotFile(t *testing.T) {
 			t.Fatal("mutation on mapped world lost after compaction")
 		}
 	}
+}
+
+// TestSnapshotWriteLeavesMapUntouched: the writer merges the overlay into
+// the columns it writes, not into the map — a served view's map is never
+// compacted under its readers — and the bytes are those of a compacted
+// copy.
+func TestSnapshotWriteLeavesMapUntouched(t *testing.T) {
+	base := snapshotFixture(t)
+	base.Compact()
+	added := &Node{ID: 7, Local: geo.Point{X: 5, Y: 6}, Tags: Tags{TagName: "Kiosk"}}
+	replaced := &Node{ID: 2, Local: geo.Point{X: 3, Y: 4}, Tags: Tags{"shop": "grocery"}}
+	served := base.WithNode(added).WithNode(replaced)
+	before := served.StorageStats()
+	if before.OverlayNodes == 0 {
+		t.Fatal("fixture overlay is empty")
+	}
+	var got bytes.Buffer
+	if err := served.WriteSnapshotVersionsIndexed(&got, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := served.StorageStats(); after != before {
+		t.Fatalf("writing changed the map's storage: %+v, was %+v", after, before)
+	}
+
+	compacted := base.WithNode(added).WithNode(replaced)
+	compacted.Compact()
+	var want bytes.Buffer
+	if err := compacted.WriteSnapshotVersionsIndexed(&want, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("snapshot of the overlaid map differs from its compacted copy's")
+	}
+}
+
+// TestDecodeUnalignedBuffer: section offsets are buffer offsets, so bytes
+// that do not start 8-byte aligned are copied once into a buffer that does
+// before any column aliases them.
+func TestDecodeUnalignedBuffer(t *testing.T) {
+	m, idx := indexFixture(t)
+	var buf bytes.Buffer
+	if err := m.WriteSnapshotVersionsIndexed(&buf, nil, idx); err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, buf.Len()+1)
+	data := raw[1:]
+	copy(data, buf.Bytes())
+	got, _, gotIdx, err := decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(xmlBytes(t, m), xmlBytes(t, got)) {
+		t.Fatal("map decoded from an unaligned buffer differs")
+	}
+	checkIndexEqual(t, idx, gotIdx)
 }

@@ -304,25 +304,6 @@ func (c CellID) BoundRects() []geo.Rect {
 	return []geo.Rect{pad(east), pad(west)}
 }
 
-// EdgeNeighbors returns the four cells adjacent to c across its edges, at
-// the same level. Neighbors that would cross a cube-face boundary are
-// omitted; OpenFLAME deployments span metro areas well inside a face, and
-// the discovery layer's fuzziness handling uses expanded coverings rather
-// than exact adjacency at face seams.
-func (c CellID) EdgeNeighbors() []CellID {
-	face, i, j, level := c.faceIJ()
-	max := 1<<uint(level) - 1
-	var out []CellID
-	for _, d := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
-		ni, nj := i+d[0], j+d[1]
-		if ni < 0 || ni > max || nj < 0 || nj > max {
-			continue
-		}
-		out = append(out, fromFaceIJ(face, ni<<uint(MaxLevel-level), nj<<uint(MaxLevel-level), level))
-	}
-	return out
-}
-
 // ChildPosition returns the cell's 2-bit Hilbert position (0..3) within its
 // ancestor at level-1, for 1 <= level <= c.Level(). It is the quadrant
 // label used to build discovery domain names.
@@ -352,17 +333,6 @@ func (c CellID) AncestorChain(fromLevel int) []CellID {
 // level: a quarter of the Earth's circumference divided by 2^level.
 func ApproxEdgeMeters(level int) float64 {
 	return (math.Pi * geo.EarthRadiusMeters / 2) / float64(uint64(1)<<uint(level))
-}
-
-// LevelForEdgeMeters returns the coarsest level whose cells have edges no
-// longer than m meters.
-func LevelForEdgeMeters(m float64) int {
-	for l := 0; l <= MaxLevel; l++ {
-		if ApproxEdgeMeters(l) <= m {
-			return l
-		}
-	}
-	return MaxLevel
 }
 
 // --- sphere <-> cube projections ---

@@ -233,27 +233,6 @@ func TestBoundContainsInteriorPoints(t *testing.T) {
 	}
 }
 
-func TestEdgeNeighbors(t *testing.T) {
-	c := FromLatLngLevel(geo.LatLng{Lat: 40.44, Lng: -79.99}, 15)
-	ns := c.EdgeNeighbors()
-	if len(ns) != 4 {
-		t.Fatalf("interior cell has %d neighbors", len(ns))
-	}
-	for _, n := range ns {
-		if n.Level() != 15 {
-			t.Fatalf("neighbor level %d", n.Level())
-		}
-		if n == c {
-			t.Fatal("cell is its own neighbor")
-		}
-		// Neighbor centers are 1-2 edge lengths away.
-		d := geo.DistanceMeters(c.LatLng(), n.LatLng())
-		if d > 3*ApproxEdgeMeters(15) {
-			t.Fatalf("neighbor center %v m away", d)
-		}
-	}
-}
-
 func TestAncestorChain(t *testing.T) {
 	c := FromLatLngLevel(geo.LatLng{Lat: 40.44, Lng: -79.99}, 20)
 	chain := c.AncestorChain(10)
@@ -285,12 +264,6 @@ func TestApproxEdgeMeters(t *testing.T) {
 		if ApproxEdgeMeters(l) >= ApproxEdgeMeters(l-1) {
 			t.Fatal("edge length not decreasing")
 		}
-	}
-	if LevelForEdgeMeters(1000) < 10 || LevelForEdgeMeters(1000) > 16 {
-		t.Fatalf("LevelForEdgeMeters(1000) = %d", LevelForEdgeMeters(1000))
-	}
-	if ApproxEdgeMeters(LevelForEdgeMeters(50)) > 50 {
-		t.Fatal("LevelForEdgeMeters returned too-coarse level")
 	}
 }
 

@@ -246,24 +246,3 @@ func normalize(cells []CellID, minLevel int) []CellID {
 func sortCells(cells []CellID) {
 	sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
 }
-
-// CellUnionContains reports whether any cell in the (normalized or not)
-// union contains the given cell.
-func CellUnionContains(union []CellID, c CellID) bool {
-	for _, u := range union {
-		if u.Contains(c) {
-			return true
-		}
-	}
-	return false
-}
-
-// CellUnionIntersects reports whether any cell in the union intersects c.
-func CellUnionIntersects(union []CellID, c CellID) bool {
-	for _, u := range union {
-		if u.Intersects(c) {
-			return true
-		}
-	}
-	return false
-}

@@ -19,7 +19,7 @@ func TestCoveringRectContainsInteriorPoints(t *testing.T) {
 			Lat: r.MinLat + rng.Float64()*(r.MaxLat-r.MinLat),
 			Lng: r.MinLng + rng.Float64()*(r.MaxLng-r.MinLng),
 		}
-		if !CellUnionContains(cells, FromLatLng(p)) {
+		if !unionContains(cells, FromLatLng(p)) {
 			t.Fatalf("covering misses interior point %v", p)
 		}
 	}
@@ -39,7 +39,7 @@ func TestCoveringCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 200; i++ {
 		p := geo.Offset(cap.Center, rng.Float64()*300, rng.Float64()*360)
-		if !CellUnionContains(cells, FromLatLng(p)) {
+		if !unionContains(cells, FromLatLng(p)) {
 			t.Fatalf("cap covering misses interior point %v", p)
 		}
 	}
@@ -73,7 +73,7 @@ func TestCoveringMaxCellsCoarsens(t *testing.T) {
 			Lat: r.MinLat + rng.Float64()*(r.MaxLat-r.MinLat),
 			Lng: r.MinLng + rng.Float64()*(r.MaxLng-r.MinLng),
 		}
-		if !CellUnionContains(capped, FromLatLng(p)) {
+		if !unionContains(capped, FromLatLng(p)) {
 			t.Fatalf("capped covering misses %v", p)
 		}
 	}
@@ -103,7 +103,7 @@ func TestRegistrationCoveringMixedLevels(t *testing.T) {
 			Lat: r.MinLat + rng.Float64()*(r.MaxLat-r.MinLat),
 			Lng: r.MinLng + rng.Float64()*(r.MaxLng-r.MinLng),
 		}
-		if !CellUnionContains(cells, FromLatLng(p)) {
+		if !unionContains(cells, FromLatLng(p)) {
 			t.Fatalf("registration covering misses %v", p)
 		}
 	}
@@ -165,11 +165,11 @@ func TestPolygonRegion(t *testing.T) {
 	if !poly.Contains(inside) {
 		t.Fatal("test point not inside polygon")
 	}
-	if !CellUnionContains(cells, FromLatLng(inside)) {
+	if !unionContains(cells, FromLatLng(inside)) {
 		t.Fatal("polygon covering misses interior point")
 	}
 	// Far away points are not.
-	if CellUnionContains(cells, FromLatLng(geo.LatLng{Lat: 41, Lng: -79})) {
+	if unionContains(cells, FromLatLng(geo.LatLng{Lat: 41, Lng: -79})) {
 		t.Fatal("polygon covering includes far exterior point")
 	}
 }
@@ -219,24 +219,6 @@ func TestCapRegionPredicates(t *testing.T) {
 	}
 }
 
-func TestCellUnionHelpers(t *testing.T) {
-	a := FromLatLngLevel(geo.LatLng{Lat: 40, Lng: -80}, 10)
-	union := []CellID{a}
-	leafIn := FromLatLng(a.LatLng())
-	if !CellUnionContains(union, leafIn) {
-		t.Fatal("union misses contained leaf")
-	}
-	if !CellUnionIntersects(union, a.ImmediateParent()) {
-		t.Fatal("union does not intersect its parent")
-	}
-	if CellUnionContains(union, a.ImmediateParent()) {
-		t.Fatal("union contains its parent")
-	}
-	if CellUnionContains(nil, leafIn) {
-		t.Fatal("empty union contains")
-	}
-}
-
 func BenchmarkFromLatLng(b *testing.B) {
 	ll := geo.LatLng{Lat: 40.44, Lng: -79.99}
 	b.ReportAllocs()
@@ -259,4 +241,14 @@ func BenchmarkToken(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = c.Token()
 	}
+}
+
+// unionContains reports whether any cell of union contains c.
+func unionContains(union []CellID, c CellID) bool {
+	for _, u := range union {
+		if u.Contains(c) {
+			return true
+		}
+	}
+	return false
 }

@@ -25,10 +25,10 @@ func TestDurableNodeVersions(t *testing.T) {
 	// Persist map + versions; "restart" into a fresh store.
 	var buf bytes.Buffer
 	vers0, v := s.NodeVersions()
-	if err := v.Map().WriteSnapshotVersions(&buf, vers0); err != nil {
+	if err := v.Map().WriteSnapshotVersionsIndexed(&buf, vers0, nil); err != nil {
 		t.Fatal(err)
 	}
-	m2, vers, err := osm.ReadSnapshotVersions(&buf)
+	m2, vers, _, err := osm.ReadSnapshotIndexed(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,18 +70,18 @@ func TestDurableNodeVersions(t *testing.T) {
 	}
 }
 
-// TestSnapshotWithoutVersionsReadsBack: the legacy WriteSnapshot format
-// stays readable and simply carries no versions.
+// TestSnapshotWithoutVersionsReadsBack: a snapshot written without
+// versions reads back and simply carries none.
 func TestSnapshotWithoutVersionsReadsBack(t *testing.T) {
 	s, id := changelogFixture(t)
 	if !s.UpdateNodeTags(id, osm.Tags{"name": "Shelf v2"}) {
 		t.Fatal("update refused")
 	}
 	var buf bytes.Buffer
-	if err := s.Map().WriteSnapshot(&buf); err != nil {
+	if err := s.Map().WriteSnapshotVersionsIndexed(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	m2, vers, err := osm.ReadSnapshotVersions(&buf)
+	m2, vers, _, err := osm.ReadSnapshotIndexed(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

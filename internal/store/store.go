@@ -483,7 +483,7 @@ func (s *Store) NodeVersion(id osm.NodeID) uint64 {
 }
 
 // NodeVersions returns a copy of every non-zero node update version — the
-// state persisted alongside a map snapshot (osm.WriteSnapshotVersions) so a
+// state persisted alongside a map snapshot (osm.WriteSnapshotVersionsIndexed) so a
 // restarted replica resumes versioning where it left off — together with
 // the view they are exact at: persist that view's map and index with them.
 func (s *Store) NodeVersions() (map[osm.NodeID]uint64, *View) {

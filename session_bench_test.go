@@ -42,10 +42,10 @@ import (
 func e17CloneMap(b *testing.B, m *osm.Map) *osm.Map {
 	b.Helper()
 	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf); err != nil {
+	if err := m.WriteSnapshotVersionsIndexed(&buf, nil, nil); err != nil {
 		b.Fatal(err)
 	}
-	c, err := osm.ReadSnapshot(&buf)
+	c, _, _, err := osm.ReadSnapshotIndexed(&buf)
 	if err != nil {
 		b.Fatal(err)
 	}
