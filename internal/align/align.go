@@ -21,9 +21,6 @@ type Similarity2 struct {
 	T        geo.Point // translation
 }
 
-// Identity returns the identity transform.
-func Identity() Similarity2 { return Similarity2{Scale: 1} }
-
 // Apply maps p through the transform.
 func (m Similarity2) Apply(p geo.Point) geo.Point {
 	s, c := math.Sincos(m.Rotation)
@@ -39,18 +36,6 @@ func (m Similarity2) Inverse() Similarity2 {
 	it := inv.Apply(m.T)
 	inv.T = geo.Point{X: -it.X, Y: -it.Y}
 	return inv
-}
-
-// Compose returns the transform applying first m then n: (n∘m).
-func (m Similarity2) Compose(n Similarity2) Similarity2 {
-	// n(m(p)) = n.s·R(n.θ)·(m.s·R(m.θ)p + m.t) + n.t
-	out := Similarity2{
-		Scale:    n.Scale * m.Scale,
-		Rotation: n.Rotation + m.Rotation,
-	}
-	t := n.Apply(m.T)
-	out.T = t
-	return out
 }
 
 // String implements fmt.Stringer.

@@ -11,14 +11,6 @@ import (
 
 func approxEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestIdentity(t *testing.T) {
-	id := Identity()
-	p := geo.Point{X: 3, Y: -4}
-	if id.Apply(p) != p {
-		t.Fatal("identity moved a point")
-	}
-}
-
 func TestApplyKnownTransform(t *testing.T) {
 	// Scale 2, rotate 90° CCW, translate (1, 1).
 	m := Similarity2{Scale: 2, Rotation: math.Pi / 2, T: geo.Point{X: 1, Y: 1}}
@@ -39,19 +31,6 @@ func TestInverseRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestComposeMatchesSequentialApply(t *testing.T) {
-	m := Similarity2{Scale: 2, Rotation: 0.3, T: geo.Point{X: 5, Y: -2}}
-	n := Similarity2{Scale: 0.5, Rotation: -1.1, T: geo.Point{X: -1, Y: 4}}
-	comp := m.Compose(n)
-	for _, p := range []geo.Point{{X: 0, Y: 0}, {X: 1, Y: 2}, {X: -3, Y: 7}} {
-		want := n.Apply(m.Apply(p))
-		got := comp.Apply(p)
-		if !approxEq(got.X, want.X, 1e-9) || !approxEq(got.Y, want.Y, 1e-9) {
-			t.Fatalf("Compose mismatch at %v: %v vs %v", p, got, want)
-		}
 	}
 }
 

@@ -102,15 +102,6 @@ func New(disc *discovery.Client, httpClient *http.Client) *Client {
 // real load on the federation.
 func (c *Client) RequestCount() int64 { return c.requests.Load() }
 
-// ServerHealth exposes the tracked health of one server (zero value when
-// no resilience layer is active or the server is unknown).
-func (c *Client) ServerHealth(baseURL string) resilience.Health {
-	if t := c.Resilience; t != nil {
-		return t.Health(baseURL)
-	}
-	return resilience.Health{}
-}
-
 // available reports whether a server should be included in a fan-out:
 // false only while its circuit breaker is open (it rejoins through
 // half-open probes once the cooldown elapses).

@@ -198,19 +198,25 @@ type packer struct {
 func (p *packer) u16(v uint16) { p.buf = binary.BigEndian.AppendUint16(p.buf, v) }
 func (p *packer) u32(v uint32) { p.buf = binary.BigEndian.AppendUint32(p.buf, v) }
 
-// name packs a domain name with RFC 1035 compression.
-func (p *packer) name(name string) error {
+// name packs a domain name, with RFC 1035 compression when compress is
+// set. Every name goes through the same label checks.
+func (p *packer) name(name string, compress bool) error {
 	name = CanonicalName(name)
 	if len(name) > 255 {
 		return ErrNameTooLong
 	}
-	for name != "." && name != "" {
-		if off, ok := p.offsets[name]; ok && off < 0x4000 {
-			p.u16(0xC000 | uint16(off))
-			return nil
-		}
-		if len(p.buf) < 0x4000 {
-			p.offsets[name] = len(p.buf)
+	if name == "." {
+		name = "" // the root is the terminating zero alone
+	}
+	for name != "" {
+		if compress {
+			if off, ok := p.offsets[name]; ok && off < 0x4000 {
+				p.u16(0xC000 | uint16(off))
+				return nil
+			}
+			if len(p.buf) < 0x4000 {
+				p.offsets[name] = len(p.buf)
+			}
 		}
 		i := strings.Index(name, ".")
 		label := name[:i]
@@ -229,7 +235,7 @@ func (p *packer) name(name string) error {
 }
 
 func (p *packer) rr(r RR) error {
-	if err := p.name(r.Name); err != nil {
+	if err := p.name(r.Name, true); err != nil {
 		return err
 	}
 	p.u16(r.Type)
@@ -256,7 +262,7 @@ func (p *packer) rr(r RR) error {
 		}
 		p.buf = append(p.buf, ip16...)
 	case TypeNS, TypeCNAME:
-		if err := p.name(r.Target); err != nil {
+		if err := p.name(r.Target, true); err != nil {
 			return err
 		}
 	case TypeTXT:
@@ -278,17 +284,17 @@ func (p *packer) rr(r RR) error {
 		p.u16(r.SRV.Weight)
 		p.u16(r.SRV.Port)
 		// SRV targets are packed without compression (RFC 2782).
-		if err := packNameNoCompress(p, r.SRV.Target); err != nil {
+		if err := p.name(r.SRV.Target, false); err != nil {
 			return err
 		}
 	case TypeSOA:
 		if r.SOA == nil {
 			return fmt.Errorf("dns: SOA record %s missing data", r.Name)
 		}
-		if err := p.name(r.SOA.MName); err != nil {
+		if err := p.name(r.SOA.MName, true); err != nil {
 			return err
 		}
-		if err := p.name(r.SOA.RName); err != nil {
+		if err := p.name(r.SOA.RName, true); err != nil {
 			return err
 		}
 		p.u32(r.SOA.Serial)
@@ -301,25 +307,6 @@ func (p *packer) rr(r RR) error {
 	}
 	rdlen := len(p.buf) - start
 	binary.BigEndian.PutUint16(p.buf[lenAt:], uint16(rdlen))
-	return nil
-}
-
-func packNameNoCompress(p *packer, name string) error {
-	name = CanonicalName(name)
-	if len(name) > 255 {
-		return ErrNameTooLong
-	}
-	for name != "." && name != "" {
-		i := strings.Index(name, ".")
-		label := name[:i]
-		if len(label) > 63 {
-			return ErrLabelTooLong
-		}
-		p.buf = append(p.buf, byte(len(label)))
-		p.buf = append(p.buf, label...)
-		name = name[i+1:]
-	}
-	p.buf = append(p.buf, 0)
 	return nil
 }
 
@@ -351,7 +338,7 @@ func (m *Message) Pack() ([]byte, error) {
 	p.u16(uint16(len(m.Authority)))
 	p.u16(uint16(len(m.Additional)))
 	for _, q := range m.Questions {
-		if err := p.name(q.Name); err != nil {
+		if err := p.name(q.Name, true); err != nil {
 			return nil, err
 		}
 		p.u16(q.Type)

@@ -1,6 +1,7 @@
 package dns
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"reflect"
@@ -245,5 +246,25 @@ func TestRRString(t *testing.T) {
 	txt := RR{Name: "x.y.", Type: TypeTXT, TTL: 60, TXT: []string{"hello"}}
 	if s := txt.String(); !strings.Contains(s, "hello") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// An empty label is refused in every name Pack writes, the uncompressed
+// SRV target included: packed, "a..b." ends the name at its empty label
+// and leaves bytes the message's own Unpack rejects, and a trailing empty
+// label ("b..") used to be dropped silently.
+func TestPackRejectsEmptyLabelInEveryName(t *testing.T) {
+	for _, bad := range []string{"a..b.", "b.."} {
+		for i, m := range []*Message{
+			{Questions: []Question{{Name: bad, Type: TypeA}}},
+			{Answers: []RR{{Name: bad, Type: TypeTXT, TXT: []string{"x"}}}},
+			{Answers: []RR{{Name: "x.", Type: TypeNS, Target: bad}}},
+			{Answers: []RR{{Name: "x.", Type: TypeSOA, SOA: &SOAData{MName: bad, RName: "r."}}}},
+			{Answers: []RR{{Name: "x.", Type: TypeSRV, SRV: &SRVData{Port: 80, Target: bad}}}},
+		} {
+			if _, err := m.Pack(); !errors.Is(err, ErrBadName) {
+				t.Errorf("%q case %d: Pack error = %v, want ErrBadName", bad, i, err)
+			}
+		}
 	}
 }

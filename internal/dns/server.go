@@ -71,9 +71,6 @@ func NewServer(zone *Zone, addr string) (*Server, error) {
 // Addr returns the address the server is listening on.
 func (s *Server) Addr() string { return s.addr }
 
-// Zone returns the zone the server is authoritative for.
-func (s *Server) Zone() *Zone { return s.zone }
-
 // QueryCount returns the number of queries served.
 func (s *Server) QueryCount() int64 { return s.queries.Load() }
 

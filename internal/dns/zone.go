@@ -207,18 +207,6 @@ func (z *Zone) delegationCutLocked(name string) (string, bool) {
 	return "", false
 }
 
-// Names returns all record owner names in the zone, sorted.
-func (z *Zone) Names() []string {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	out := make([]string, 0, len(z.byName))
-	for n := range z.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AllRecords returns a snapshot of every record in the zone, sorted by
 // owner name (raw store walk: includes delegation NS records and glue that
 // Lookup would answer with referrals).

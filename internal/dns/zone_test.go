@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func testZone(t *testing.T) *Zone {
+func testZone(t testing.TB) *Zone {
 	t.Helper()
 	z := NewZone("loc.flame.arpa.")
 	mustAdd := func(r RR) {
@@ -160,17 +160,8 @@ func TestZoneSerialBumps(t *testing.T) {
 	}
 }
 
-func TestZoneNamesAndCount(t *testing.T) {
+func TestZoneRecordCount(t *testing.T) {
 	z := testZone(t)
-	names := z.Names()
-	if len(names) == 0 {
-		t.Fatal("no names")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatal("names not sorted")
-		}
-	}
 	if z.RecordCount() < 7 {
 		t.Fatalf("RecordCount = %d", z.RecordCount())
 	}

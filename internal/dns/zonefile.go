@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// Zone-file support: a line-oriented text format for zone contents, used by
-// the flame-dns command and for snapshotting registries.
+// Zone-file support: a line-oriented text format for zone contents, read by
+// the flame-dns command.
 //
 //	; comment
 //	<name> [ttl] <type> <value...>
@@ -102,40 +101,4 @@ func ParseRecordLine(line string) (RR, error) {
 		return RR{}, fmt.Errorf("dns: unsupported record type %q", typ)
 	}
 	return rr, nil
-}
-
-// WriteZoneRecords serializes the zone's records (except the SOA) in
-// zone-file format, sorted, so a zone can be snapshotted and reloaded.
-// Unlike Lookup, this walks the raw record store, so delegation NS records
-// and glue beneath cuts are included.
-func WriteZoneRecords(zone *Zone, w io.Writer) error {
-	var lines []string
-	for _, rr := range zone.AllRecords() {
-		if rr.Type == TypeSOA {
-			continue
-		}
-		lines = append(lines, formatRecordLine(rr))
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func formatRecordLine(rr RR) string {
-	switch rr.Type {
-	case TypeA, TypeAAAA:
-		return fmt.Sprintf("%s %d %s %s", rr.Name, rr.TTL, TypeString(rr.Type), rr.IP)
-	case TypeNS, TypeCNAME:
-		return fmt.Sprintf("%s %d %s %s", rr.Name, rr.TTL, TypeString(rr.Type), rr.Target)
-	case TypeTXT:
-		return fmt.Sprintf("%s %d TXT %s", rr.Name, rr.TTL, strings.Join(rr.TXT, ""))
-	case TypeSRV:
-		return fmt.Sprintf("%s %d SRV %d %s", rr.Name, rr.TTL, rr.SRV.Port, rr.SRV.Target)
-	default:
-		return fmt.Sprintf("; unsupported %s", rr.Name)
-	}
 }

@@ -1,6 +1,6 @@
 // Package geo provides the geodetic and planar geometry primitives used
 // throughout OpenFLAME: latitude/longitude points, great-circle distance,
-// bounding rectangles, spherical caps, polygons, and the local tangent-plane
+// bounding rectangles, spherical caps, and the local tangent-plane
 // projections needed to relate indoor metric frames to geodetic coordinates.
 //
 // Conventions: latitudes and longitudes are in degrees; distances are in
@@ -118,9 +118,6 @@ func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 // Dot returns the dot product of p and q.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
-// Cross returns the 2-D cross product (z-component) of p and q.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
 // Rect is a latitude/longitude axis-aligned rectangle. Rectangles crossing
 // the antimeridian are not supported; callers split them beforehand.
 type Rect struct {
@@ -151,14 +148,6 @@ func (r Rect) IsEmpty() bool { return r.MinLat > r.MaxLat || r.MinLng > r.MaxLng
 // Contains reports whether ll lies inside the rectangle (inclusive).
 func (r Rect) Contains(ll LatLng) bool {
 	return ll.Lat >= r.MinLat && ll.Lat <= r.MaxLat && ll.Lng >= r.MinLng && ll.Lng <= r.MaxLng
-}
-
-// ContainsRect reports whether r fully contains s.
-func (r Rect) ContainsRect(s Rect) bool {
-	if s.IsEmpty() {
-		return true
-	}
-	return s.MinLat >= r.MinLat && s.MaxLat <= r.MaxLat && s.MinLng >= r.MinLng && s.MaxLng <= r.MaxLng
 }
 
 // Intersects reports whether r and s share any point.
@@ -218,15 +207,6 @@ func (r Rect) Center() LatLng {
 	return LatLng{Lat: (r.MinLat + r.MaxLat) / 2, Lng: (r.MinLng + r.MaxLng) / 2}
 }
 
-// Vertices returns the four corners in counter-clockwise order starting at
-// the south-west corner.
-func (r Rect) Vertices() [4]LatLng {
-	return [4]LatLng{
-		{r.MinLat, r.MinLng}, {r.MinLat, r.MaxLng},
-		{r.MaxLat, r.MaxLng}, {r.MaxLat, r.MinLng},
-	}
-}
-
 // MetersPerDegreeLat is the approximate length of one degree of latitude.
 const MetersPerDegreeLat = EarthRadiusMeters * math.Pi / 180
 
@@ -234,66 +214,6 @@ const MetersPerDegreeLat = EarthRadiusMeters * math.Pi / 180
 type Cap struct {
 	Center       LatLng  `json:"center"`
 	RadiusMeters float64 `json:"radiusMeters"`
-}
-
-// Contains reports whether ll lies within the cap.
-func (c Cap) Contains(ll LatLng) bool {
-	return DistanceMeters(c.Center, ll) <= c.RadiusMeters
-}
-
-// Bound returns a latitude/longitude rectangle containing the cap. The
-// bound is padded by a hair so boundary points survive rounding.
-func (c Cap) Bound() Rect {
-	dLat := c.RadiusMeters * (1 + 1e-9) / MetersPerDegreeLat
-	cos := math.Cos(DegToRad(c.Center.Lat))
-	if cos < 0.01 {
-		cos = 0.01
-	}
-	dLng := c.RadiusMeters / (MetersPerDegreeLat * cos)
-	return Rect{
-		MinLat: math.Max(-90, c.Center.Lat-dLat), MinLng: c.Center.Lng - dLng,
-		MaxLat: math.Min(90, c.Center.Lat+dLat), MaxLng: c.Center.Lng + dLng,
-	}
-}
-
-// Polygon is a simple (non-self-intersecting) geodetic polygon with vertices
-// in order; the closing edge from the last vertex to the first is implicit.
-// Polygons are treated as planar in lat/lng space, which is accurate for the
-// building- and city-scale zones OpenFLAME works with.
-type Polygon struct {
-	Vertices []LatLng `json:"vertices"`
-}
-
-// Bound returns the bounding rectangle of the polygon.
-func (p Polygon) Bound() Rect {
-	r := EmptyRect()
-	for _, v := range p.Vertices {
-		r = r.ExpandToInclude(v)
-	}
-	return r
-}
-
-// Contains reports whether ll is inside the polygon using the even-odd
-// (ray-casting) rule. Points exactly on an edge may land on either side.
-func (p Polygon) Contains(ll LatLng) bool {
-	n := len(p.Vertices)
-	if n < 3 {
-		return false
-	}
-	inside := false
-	j := n - 1
-	for i := 0; i < n; i++ {
-		vi, vj := p.Vertices[i], p.Vertices[j]
-		if (vi.Lat > ll.Lat) != (vj.Lat > ll.Lat) {
-			t := (ll.Lat - vi.Lat) / (vj.Lat - vi.Lat)
-			lng := vi.Lng + t*(vj.Lng-vi.Lng)
-			if ll.Lng < lng {
-				inside = !inside
-			}
-		}
-		j = i
-	}
-	return inside
 }
 
 // LocalProjection is an equirectangular projection tangent at an origin,

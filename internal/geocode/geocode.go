@@ -1,7 +1,7 @@
 // Package geocode implements forward and reverse geocoding over a map
 // server's store (§4): text address → map node, and geographic location →
-// nearest addressable node or road (the service behind marker placement,
-// click interaction, and GPS snapping).
+// nearest addressable node (the service behind marker placement and click
+// interaction).
 package geocode
 
 import (
@@ -98,31 +98,6 @@ func (g *Geocoder) Reverse(ll geo.LatLng, maxMeters float64) (Result, bool) {
 		Position: v.Map().NodePosition(n),
 		Score:    1,
 		Address:  n.Tags.Get(osm.TagAddr),
-	}, true
-}
-
-// RoadSnap is a snap-to-road result (§4: "snapping raw GPS coordinates to
-// roads on the map while navigating").
-type RoadSnap struct {
-	WayID          osm.WayID  `json:"wayId"`
-	RoadName       string     `json:"roadName"`
-	Position       geo.LatLng `json:"position"`
-	DistanceMeters float64    `json:"distanceMeters"`
-	NodeID         osm.NodeID `json:"nodeId"`
-}
-
-// SnapToRoad projects a raw position onto the nearest mapped way.
-func (g *Geocoder) SnapToRoad(ll geo.LatLng, maxMeters float64) (RoadSnap, bool) {
-	snap, ok := g.r.View().SnapToWay(ll, maxMeters)
-	if !ok {
-		return RoadSnap{}, false
-	}
-	return RoadSnap{
-		WayID:          snap.Way.ID,
-		RoadName:       snap.Way.Tags.Get(osm.TagName),
-		Position:       snap.Position,
-		DistanceMeters: snap.DistanceMeters,
-		NodeID:         snap.NodeID,
 	}, true
 }
 

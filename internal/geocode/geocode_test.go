@@ -1,7 +1,6 @@
 package geocode
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -103,25 +102,6 @@ func TestReverse(t *testing.T) {
 	}
 	if _, ok := g.Reverse(geo.LatLng{Lat: 41, Lng: -79}, 100); ok {
 		t.Fatal("far query returned result")
-	}
-}
-
-func TestSnapToRoad(t *testing.T) {
-	g := New(townStore(t))
-	// 20m east of the street.
-	q := geo.Offset(geo.LatLng{Lat: 40.4410, Lng: -79.9960}, 20, 90)
-	snap, ok := g.SnapToRoad(q, 50)
-	if !ok {
-		t.Fatal("no snap")
-	}
-	if snap.RoadName != "Forbes Avenue" {
-		t.Fatalf("snap = %+v", snap)
-	}
-	if math.Abs(snap.DistanceMeters-20) > 2 {
-		t.Fatalf("distance = %v", snap.DistanceMeters)
-	}
-	if _, ok := g.SnapToRoad(q, 5); ok {
-		t.Fatal("snapped beyond budget")
 	}
 }
 

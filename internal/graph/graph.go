@@ -347,8 +347,8 @@ func (g *Graph) BiDijkstra(src, dst int64) (Path, error) {
 	if meet < 0 {
 		return Path{Settled: settled}, ErrNoPath
 	}
-	fwd := g.walkPrevIdx(prevF, s, meet)
-	bwd := g.walkPrevIdx(prevB, t, meet)
+	fwd := g.walkPrev(prevF, s, meet)
+	bwd := g.walkPrev(prevB, t, meet)
 	// bwd is meet..t reversed; append skipping the repeated meet node.
 	nodes := make([]int64, 0, len(fwd)+len(bwd)-1)
 	nodes = append(nodes, fwd...)
@@ -358,24 +358,9 @@ func (g *Graph) BiDijkstra(src, dst int64) (Path, error) {
 	return Path{Nodes: nodes, Cost: best, Settled: settled}, nil
 }
 
-// walkPrev reconstructs the path s..t from the predecessor array.
+// walkPrev reconstructs the path s..t, as external IDs, from a predecessor
+// array rooted at s.
 func (g *Graph) walkPrev(prev []int32, s, t int32) []int64 {
-	var rev []int64
-	for u := t; u != -1; u = prev[u] {
-		rev = append(rev, g.ids[u])
-		if u == s {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// walkPrevIdx reconstructs s..t (as external IDs) ending at index t, where
-// the walk is rooted at s.
-func (g *Graph) walkPrevIdx(prev []int32, s, t int32) []int64 {
 	var rev []int64
 	for u := t; u != -1; u = prev[u] {
 		rev = append(rev, g.ids[u])
@@ -401,17 +386,4 @@ func (g *Graph) Nearest(ll geo.LatLng) (int64, float64) {
 		}
 	}
 	return bestID, best
-}
-
-// PathLengthMeters returns the geometric length of a path's polyline.
-func (g *Graph) PathLengthMeters(nodes []int64) float64 {
-	var total float64
-	for i := 1; i < len(nodes); i++ {
-		a, okA := g.Position(nodes[i-1])
-		b, okB := g.Position(nodes[i])
-		if okA && okB {
-			total += geo.DistanceMeters(a, b)
-		}
-	}
-	return total
 }

@@ -331,9 +331,8 @@ func TestNearestAndPathLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := g.PathLengthMeters(p.Nodes)
-	if l < 350 || l > 450 {
-		t.Fatalf("length = %v, want ~400", l)
+	if len(p.Nodes) != 5 || p.Cost != 400 {
+		t.Fatalf("path %v (cost %v), want the 5-node row", p.Nodes, p.Cost)
 	}
 }
 

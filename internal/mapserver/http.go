@@ -91,9 +91,6 @@ type Policy struct {
 	PerService map[wire.Service]Rule
 }
 
-// PublicPolicy allows everything.
-func PublicPolicy() *Policy { return &Policy{Default: Rule{Public: true}} }
-
 // Allow decides whether the identity may use the service.
 func (p *Policy) Allow(svc wire.Service, user, app string) bool {
 	if p == nil {

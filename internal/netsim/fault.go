@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -54,16 +53,12 @@ type FaultPhase struct {
 	Status int
 	// Delay is the FaultSlow added latency.
 	Delay time.Duration
-	// Rate, when in (0, 1), applies the phase's mode to each request with
-	// that probability (seeded — deterministic across runs) and passes
-	// the rest through.
-	Rate float64
 }
 
 // FaultSchedule scripts a server's failure behaviour request by request.
 // Wrap interposes it between the client and a server handler; tests and
 // experiments build schedules with the helper constructors (AlwaysFail,
-// FailFirst, Blackhole, Flap, ErrorRate, SlowStart) or literal phases.
+// FailFirst, Blackhole) or literal phases.
 // Safe for concurrent use.
 type FaultSchedule struct {
 	mu       sync.Mutex
@@ -71,7 +66,6 @@ type FaultSchedule struct {
 	loop     bool
 	idx      int
 	inPhase  int
-	rng      *rand.Rand
 	requests int64
 	faulted  int64
 }
@@ -80,7 +74,7 @@ type FaultSchedule struct {
 // the last phase requests pass through (append an unbounded phase or call
 // Loop for other tails).
 func NewFaultSchedule(phases ...FaultPhase) *FaultSchedule {
-	return &FaultSchedule{phases: phases, rng: rand.New(rand.NewSource(1))}
+	return &FaultSchedule{phases: phases}
 }
 
 // Loop makes the schedule cycle through its phases forever — the flapping
@@ -88,15 +82,6 @@ func NewFaultSchedule(phases ...FaultPhase) *FaultSchedule {
 func (s *FaultSchedule) Loop() *FaultSchedule {
 	s.mu.Lock()
 	s.loop = true
-	s.mu.Unlock()
-	return s
-}
-
-// Seed reseeds the probabilistic (Rate) draw. Returns the schedule for
-// chaining.
-func (s *FaultSchedule) Seed(seed int64) *FaultSchedule {
-	s.mu.Lock()
-	s.rng = rand.New(rand.NewSource(seed))
 	s.mu.Unlock()
 	return s
 }
@@ -134,9 +119,6 @@ func (s *FaultSchedule) take() FaultPhase {
 		if s.idx >= len(s.phases) && s.loop {
 			s.idx = 0
 		}
-	}
-	if ph.Rate > 0 && ph.Rate < 1 && s.rng.Float64() >= ph.Rate {
-		ph.Mode = FaultNone
 	}
 	if ph.Mode != FaultNone {
 		s.faulted++
@@ -181,10 +163,6 @@ func (s *FaultSchedule) Wrap(next http.Handler) http.Handler {
 	})
 }
 
-// Healthy returns a schedule that never injects faults (a pass-through,
-// useful for uniform wiring).
-func Healthy() *FaultSchedule { return NewFaultSchedule() }
-
 // AlwaysFail returns a schedule answering every request with status (0 =
 // 503) — a persistently-down member, the circuit breaker's case.
 func AlwaysFail(status int) *FaultSchedule {
@@ -201,25 +179,4 @@ func FailFirst(n, status int) *FaultSchedule {
 // Blackhole returns a schedule that swallows every request.
 func Blackhole() *FaultSchedule {
 	return NewFaultSchedule(FaultPhase{Mode: FaultBlackhole})
-}
-
-// Flap returns a schedule that serves up requests normally, blackholes the
-// next down requests, and repeats — a flapping member, the hedging case.
-func Flap(up, down int) *FaultSchedule {
-	return NewFaultSchedule(
-		FaultPhase{Mode: FaultNone, Requests: up},
-		FaultPhase{Mode: FaultBlackhole, Requests: down},
-	).Loop()
-}
-
-// ErrorRate returns a schedule failing each request with probability rate
-// (status 503), deterministically under the seed.
-func ErrorRate(rate float64, seed int64) *FaultSchedule {
-	return NewFaultSchedule(FaultPhase{Mode: FaultError, Rate: rate}).Seed(seed)
-}
-
-// SlowStart returns a schedule delaying the first n requests by delay and
-// passing the rest at full speed — a member warming its caches.
-func SlowStart(n int, delay time.Duration) *FaultSchedule {
-	return NewFaultSchedule(FaultPhase{Mode: FaultSlow, Requests: n, Delay: delay})
 }

@@ -36,7 +36,10 @@ func TestFailFirstSchedule(t *testing.T) {
 }
 
 func TestFlapScheduleLoops(t *testing.T) {
-	s := Flap(2, 1)
+	s := NewFaultSchedule(
+		FaultPhase{Mode: FaultNone, Requests: 2},
+		FaultPhase{Mode: FaultBlackhole, Requests: 1},
+	).Loop()
 	want := []FaultMode{
 		FaultNone, FaultNone, FaultBlackhole,
 		FaultNone, FaultNone, FaultBlackhole,
@@ -47,24 +50,7 @@ func TestFlapScheduleLoops(t *testing.T) {
 
 func TestAlwaysFailAndHealthy(t *testing.T) {
 	wantModes(t, modes(AlwaysFail(0), 3), []FaultMode{FaultError, FaultError, FaultError})
-	wantModes(t, modes(Healthy(), 3), []FaultMode{FaultNone, FaultNone, FaultNone})
-}
-
-func TestErrorRateDeterministicUnderSeed(t *testing.T) {
-	a := modes(ErrorRate(0.5, 7), 100)
-	b := modes(ErrorRate(0.5, 7), 100)
-	faults := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at request %d", i+1)
-		}
-		if a[i] == FaultError {
-			faults++
-		}
-	}
-	if faults < 30 || faults > 70 {
-		t.Fatalf("rate 0.5 injected %d/100 faults", faults)
-	}
+	wantModes(t, modes(NewFaultSchedule(), 3), []FaultMode{FaultNone, FaultNone, FaultNone})
 }
 
 func TestWrapInjectsErrorStatus(t *testing.T) {
@@ -147,7 +133,8 @@ func TestWrapSlowPassesThrough(t *testing.T) {
 	backend := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.WriteString(w, "slow but real")
 	})
-	ts := httptest.NewServer(SlowStart(1, time.Millisecond).Wrap(backend))
+	slow := NewFaultSchedule(FaultPhase{Mode: FaultSlow, Requests: 1, Delay: time.Millisecond})
+	ts := httptest.NewServer(slow.Wrap(backend))
 	defer ts.Close()
 	res, err := http.Get(ts.URL)
 	if err != nil {

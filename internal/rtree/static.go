@@ -1,3 +1,7 @@
+// Package rtree implements the spatial index behind the map store's
+// reverse-geocode, nearest-neighbour, snap and viewport queries: a static
+// STR bulk-loaded R-tree over packed parallel arrays, which a serving store
+// holds and snapshot v2 persists.
 package rtree
 
 import (
@@ -253,21 +257,10 @@ func (s *Static[T]) Items() []T { return s.items }
 // Len returns the number of items stored.
 func (s *Static[T]) Len() int { return len(s.items) }
 
-// Bound returns the bounding rectangle of everything in the tree.
-func (s *Static[T]) Bound() geo.Rect {
-	if s.root < 0 {
-		return geo.EmptyRect()
-	}
-	return geo.Rect{
-		MinLat: s.lay.NodeMinLat[s.root], MinLng: s.lay.NodeMinLng[s.root],
-		MaxLat: s.lay.NodeMaxLat[s.root], MaxLng: s.lay.NodeMaxLng[s.root],
-	}
-}
-
-// Search calls fn for every item whose bound intersects query, matching
-// the dynamic tree's semantics (an empty query matches nothing). Returning
-// false from fn stops the search early. Traversal is iterative over the
-// packed columns — no recursion, no per-query allocation.
+// Search calls fn for every item whose bound intersects query (an empty
+// query matches nothing). Returning false from fn stops the search early.
+// Traversal is iterative over the packed columns — no recursion, no
+// per-query allocation.
 func (s *Static[T]) Search(query geo.Rect, fn func(bound geo.Rect, item T) bool) {
 	if s.root < 0 || query.IsEmpty() {
 		return
@@ -312,21 +305,6 @@ func overlaps(q geo.Rect, minLat, minLng, maxLat, maxLng float64) bool {
 	return q.MinLat <= maxLat && minLat <= q.MaxLat && q.MinLng <= maxLng && minLng <= q.MaxLng
 }
 
-// ForEach calls fn for every item in STR order. Returning false stops
-// early.
-func (s *Static[T]) ForEach(fn func(bound geo.Rect, item T) bool) {
-	lay := &s.lay
-	for c := range s.items {
-		b := geo.Rect{
-			MinLat: lay.ItemMinLat[c], MinLng: lay.ItemMinLng[c],
-			MaxLat: lay.ItemMaxLat[c], MaxLng: lay.ItemMaxLng[c],
-		}
-		if !fn(b, s.items[c]) {
-			return
-		}
-	}
-}
-
 // snnEntry is one frontier element of a static nearest-neighbour search:
 // a tree node or an item, identified by column index — deliberately
 // non-generic so one pool serves every instantiation.
@@ -341,9 +319,16 @@ var snnPool = sync.Pool{New: func() any {
 	return &h
 }}
 
+// Neighbor is a nearest-neighbour result.
+type Neighbor[T comparable] struct {
+	Item           T
+	Bound          geo.Rect
+	DistanceMeters float64
+}
+
 // Nearest returns up to k items closest to ll, ordered by distance from ll
-// to the item's bounding rectangle, matching the dynamic tree's semantics.
-// maxMeters <= 0 means unbounded.
+// to the item's bounding rectangle (exact for point items). maxMeters <= 0
+// means unbounded.
 func (s *Static[T]) Nearest(ll geo.LatLng, k int, maxMeters float64) []Neighbor[T] {
 	return s.NearestAppend(nil, ll, k, maxMeters)
 }
@@ -414,7 +399,8 @@ func (s *Static[T]) itemDist(ll geo.LatLng, c int32) float64 {
 	return clampDist(ll, s.lay.ItemMinLat[c], s.lay.ItemMinLng[c], s.lay.ItemMaxLat[c], s.lay.ItemMaxLng[c])
 }
 
-// clampDist is rectDistance against unpacked columns.
+// clampDist returns the great-circle distance from ll to the nearest point
+// of the rectangle (0 if contained).
 func clampDist(ll geo.LatLng, minLat, minLng, maxLat, maxLng float64) float64 {
 	lat := math.Max(minLat, math.Min(maxLat, ll.Lat))
 	lng := math.Max(minLng, math.Min(maxLng, ll.Lng))

@@ -9,10 +9,13 @@ import (
 	"openflame/internal/geo"
 )
 
-// buildPair inserts the same random items into a dynamic tree and
-// bulk-loads a static one, returning both plus the raw entries.
-func buildPair(rng *rand.Rand, n int, rects bool) (*Tree[int], *Static[int], []Entry[int]) {
-	dyn := New[int]()
+func ptRect(ll geo.LatLng) geo.Rect {
+	return geo.Rect{MinLat: ll.Lat, MinLng: ll.Lng, MaxLat: ll.Lat, MaxLng: ll.Lng}
+}
+
+// randomEntries draws n items spread over the globe, half of them
+// rectangles when rects is set.
+func randomEntries(rng *rand.Rand, n int, rects bool) []Entry[int] {
 	ents := make([]Entry[int], n)
 	for i := range ents {
 		ll := geo.LatLng{Lat: -85 + rng.Float64()*170, Lng: -179.99 + rng.Float64()*359.98}
@@ -22,15 +25,19 @@ func buildPair(rng *rand.Rand, n int, rects bool) (*Tree[int], *Static[int], []E
 			b.MaxLng = math.Min(179.99, b.MinLng+rng.Float64()*0.5)
 		}
 		ents[i] = Entry[int]{Bound: b, Item: i}
-		dyn.Insert(b, i)
 	}
-	return dyn, BulkLoad(ents), ents
+	return ents
 }
 
-func searchSet(t *testing.T, q geo.Rect, dyn *Tree[int], st *Static[int]) ([]int, []int) {
-	t.Helper()
+// searchSet returns, sorted, the items a brute-force scan of ents finds
+// intersecting q and the items st.Search finds.
+func searchSet(q geo.Rect, ents []Entry[int], st *Static[int]) ([]int, []int) {
 	var want, got []int
-	dyn.Search(q, func(_ geo.Rect, it int) bool { want = append(want, it); return true })
+	for _, e := range ents {
+		if e.Bound.Intersects(q) {
+			want = append(want, e.Item)
+		}
+	}
 	st.Search(q, func(_ geo.Rect, it int) bool { got = append(got, it); return true })
 	sort.Ints(want)
 	sort.Ints(got)
@@ -40,17 +47,18 @@ func searchSet(t *testing.T, q geo.Rect, dyn *Tree[int], st *Static[int]) ([]int
 func TestStaticSearchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 5, 16, 17, 300, 5000} {
-		dyn, st, _ := buildPair(rng, n, true)
-		if st.Len() != n || dyn.Len() != n {
-			t.Fatalf("n=%d: Len static=%d dynamic=%d", n, st.Len(), dyn.Len())
+		ents := randomEntries(rng, n, true)
+		st := BulkLoad(ents)
+		if st.Len() != n {
+			t.Fatalf("n=%d: Len = %d", n, st.Len())
 		}
 		for trial := 0; trial < 60; trial++ {
 			q := geo.RectFromCenter(geo.LatLng{
 				Lat: -85 + rng.Float64()*170, Lng: -175 + rng.Float64()*350,
 			}, rng.Float64()*8, rng.Float64()*8)
-			want, got := searchSet(t, q, dyn, st)
+			want, got := searchSet(q, ents, st)
 			if len(want) != len(got) {
-				t.Fatalf("n=%d trial=%d: dynamic found %d, static %d", n, trial, len(want), len(got))
+				t.Fatalf("n=%d trial=%d: scan found %d, static %d", n, trial, len(want), len(got))
 			}
 			for i := range want {
 				if want[i] != got[i] {
@@ -64,33 +72,34 @@ func TestStaticSearchParity(t *testing.T) {
 			{MinLat: 89.9, MinLng: 179.9, MaxLat: 89.95, MaxLng: 179.95},
 			geo.EmptyRect(),
 		} {
-			want, got := searchSet(t, q, dyn, st)
+			want, got := searchSet(q, ents, st)
 			if len(want) != len(got) {
-				t.Fatalf("n=%d q=%v: dynamic found %d, static %d", n, q, len(want), len(got))
+				t.Fatalf("n=%d q=%v: scan found %d, static %d", n, q, len(want), len(got))
 			}
 		}
 	}
 }
 
 // An antimeridian-straddling query (MinLng > MaxLng) reads as empty under
-// geo.Rect semantics; both trees must agree it matches nothing — callers
-// split such queries into two rects themselves.
+// geo.Rect semantics; the tree and a scan must agree it matches nothing —
+// callers split such queries into two rects themselves.
 func TestStaticSearchAntimeridianParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	dyn, st, _ := buildPair(rng, 2000, false)
+	ents := randomEntries(rng, 2000, false)
+	st := BulkLoad(ents)
 	straddle := geo.Rect{MinLat: -80, MinLng: 170, MaxLat: 80, MaxLng: -170}
-	want, got := searchSet(t, straddle, dyn, st)
+	want, got := searchSet(straddle, ents, st)
 	if len(want) != 0 || len(got) != 0 {
-		t.Fatalf("antimeridian rect matched: dynamic %d, static %d (want 0, 0)", len(want), len(got))
+		t.Fatalf("antimeridian rect matched: scan %d, static %d (want 0, 0)", len(want), len(got))
 	}
 	// The split halves, by contrast, must agree on real matches.
 	for _, q := range []geo.Rect{
 		{MinLat: -80, MinLng: 170, MaxLat: 80, MaxLng: 180},
 		{MinLat: -80, MinLng: -180, MaxLat: 80, MaxLng: -170},
 	} {
-		w, g := searchSet(t, q, dyn, st)
+		w, g := searchSet(q, ents, st)
 		if len(w) != len(g) {
-			t.Fatalf("split half %v: dynamic %d, static %d", q, len(w), len(g))
+			t.Fatalf("split half %v: scan %d, static %d", q, len(w), len(g))
 		}
 		for i := range w {
 			if w[i] != g[i] {
@@ -101,24 +110,19 @@ func TestStaticSearchAntimeridianParity(t *testing.T) {
 }
 
 // Nearest parity runs at regional scale (a few degrees, like a served
-// map): the clamped-point rectangle distance both trees prune with is only
+// map): the clamped-point rectangle distance the tree prunes with is only
 // a true great-circle lower bound there, so that is the domain where the
-// two tree shapes provably return identical results.
-func buildRegionalPair(rng *rand.Rand, n int) (*Tree[int], *Static[int]) {
-	dyn := New[int]()
-	ents := make([]Entry[int], n)
-	for i := range ents {
-		b := ptRect(geo.LatLng{Lat: 40 + rng.Float64()*2, Lng: -80 + rng.Float64()*2})
-		ents[i] = Entry[int]{Bound: b, Item: i}
-		dyn.Insert(b, i)
-	}
-	return dyn, BulkLoad(ents)
-}
-
+// tree provably returns the scan's k nearest.
 func TestStaticNearestParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, n := range []int{0, 1, 40, 3000} {
-		dyn, st := buildRegionalPair(rng, n)
+		pts := make([]geo.LatLng, n)
+		ents := make([]Entry[int], n)
+		for i := range ents {
+			pts[i] = geo.LatLng{Lat: 40 + rng.Float64()*2, Lng: -80 + rng.Float64()*2}
+			ents[i] = Entry[int]{Bound: ptRect(pts[i]), Item: i}
+		}
+		st := BulkLoad(ents)
 		for trial := 0; trial < 30; trial++ {
 			q := geo.LatLng{Lat: 40 + rng.Float64()*2, Lng: -80 + rng.Float64()*2}
 			k := 1 + rng.Intn(12)
@@ -126,25 +130,50 @@ func TestStaticNearestParity(t *testing.T) {
 			if trial%3 == 0 {
 				maxM = 1_000 + rng.Float64()*100_000
 			}
-			want := dyn.Nearest(q, k, maxM)
+			var want []float64
+			for _, p := range pts {
+				if d := geo.DistanceMeters(q, p); maxM <= 0 || d <= maxM {
+					want = append(want, d)
+				}
+			}
+			sort.Float64s(want)
+			if len(want) > k {
+				want = want[:k]
+			}
 			got := st.Nearest(q, k, maxM)
 			if len(want) != len(got) {
-				t.Fatalf("n=%d trial=%d: dynamic %d results, static %d", n, trial, len(want), len(got))
+				t.Fatalf("n=%d trial=%d: scan %d results, static %d", n, trial, len(want), len(got))
 			}
 			for i := range want {
-				if math.Abs(want[i].DistanceMeters-got[i].DistanceMeters) > 1e-6 {
+				if math.Abs(want[i]-got[i].DistanceMeters) > 1e-6 {
 					t.Fatalf("n=%d trial=%d rank %d: dist %v vs %v",
-						n, trial, i, want[i].DistanceMeters, got[i].DistanceMeters)
+						n, trial, i, want[i], got[i].DistanceMeters)
 				}
 			}
 		}
 	}
 }
 
+func TestSearchEarlyStop(t *testing.T) {
+	ents := make([]Entry[int], 100)
+	for i := range ents {
+		ents[i] = Entry[int]{Bound: ptRect(geo.LatLng{Lat: 40, Lng: -80}), Item: i}
+	}
+	st := BulkLoad(ents)
+	count := 0
+	st.Search(geo.RectFromCenter(geo.LatLng{Lat: 40, Lng: -80}, 1, 1), func(_ geo.Rect, _ int) bool {
+		count++
+		return count < 5
+	})
+	if count != 5 {
+		t.Fatalf("early stop visited %d", count)
+	}
+}
+
 func TestStaticLayoutRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, n := range []int{0, 1, 100, 4000} {
-		_, st, _ := buildPair(rng, n, n%2 == 0)
+		st := BulkLoad(randomEntries(rng, n, n%2 == 0))
 		re, err := StaticFromLayout(st.Layout(), st.Items())
 		if err != nil {
 			t.Fatalf("n=%d: StaticFromLayout: %v", n, err)
@@ -161,7 +190,7 @@ func TestStaticLayoutRoundTrip(t *testing.T) {
 
 func TestStaticFromLayoutRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	_, st, _ := buildPair(rng, 300, false)
+	st := BulkLoad(randomEntries(rng, 300, false))
 	base := st.Layout()
 	items := st.Items()
 
@@ -219,45 +248,22 @@ func TestBulkLoadDeterministic(t *testing.T) {
 
 func TestStaticPointItemsAliasMaxColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	_, pts, _ := buildPair(rng, 100, false)
+	pts := BulkLoad(randomEntries(rng, 100, false))
 	lay := pts.Layout()
 	if !lay.PointItems() {
 		t.Fatal("point-only tree did not alias its Max columns")
 	}
-	_, rects, _ := buildPair(rng, 100, true)
+	rects := BulkLoad(randomEntries(rng, 100, true))
 	lay = rects.Layout()
 	if lay.PointItems() {
 		t.Fatal("rect tree aliased its Max columns")
 	}
 }
 
-// TestNearestAllocsPin pins the dynamic tree's nearest-neighbour query to
-// zero allocations with a reused result buffer (the frontier heap is
-// pooled), like the CH query pin — the R-tree sits on the reverse-geocode
-// and snap serving paths.
-func TestNearestAllocsPin(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation pinning is meaningless under -race (sync.Pool drops items)")
-	}
-	rng := rand.New(rand.NewSource(43))
-	tr := New[int64]()
-	for i := 0; i < 50_000; i++ {
-		tr.Insert(ptRect(geo.LatLng{Lat: 40 + rng.Float64(), Lng: -80 + rng.Float64()}), int64(i))
-	}
-	buf := make([]Neighbor[int64], 0, 16)
-	// Warm the pool outside the measured window.
-	buf = tr.NearestAppend(buf[:0], geo.LatLng{Lat: 40.5, Lng: -79.5}, 10, 0)
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = tr.NearestAppend(buf[:0], geo.LatLng{Lat: 40.5, Lng: -79.5}, 10, 0)
-	})
-	if allocs != 0 {
-		t.Fatalf("Tree.NearestAppend allocs/op = %v, want 0", allocs)
-	}
-	if len(buf) != 10 {
-		t.Fatalf("pinned query returned %d results", len(buf))
-	}
-}
-
+// TestStaticNearestAllocsPin pins the nearest-neighbour query to zero
+// allocations with a reused result buffer (the frontier heap is pooled),
+// like the CH query pin — the tree sits on the reverse-geocode and snap
+// serving paths.
 func TestStaticNearestAllocsPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pinning is meaningless under -race (sync.Pool drops items)")
@@ -281,32 +287,17 @@ func TestStaticNearestAllocsPin(t *testing.T) {
 	}
 }
 
-// --- static vs dynamic query benchmarks (the E21 query-side comparison) ---
-
-func benchTrees(n int) (*Tree[int64], *Static[int64]) {
+func benchTree(n int) *Static[int64] {
 	rng := rand.New(rand.NewSource(1))
-	dyn := New[int64]()
 	ents := make([]Entry[int64], n)
 	for i := range ents {
-		b := ptRect(geo.LatLng{Lat: 40 + rng.Float64(), Lng: -80 + rng.Float64()})
-		ents[i] = Entry[int64]{Bound: b, Item: int64(i)}
-		dyn.Insert(b, int64(i))
+		ents[i] = Entry[int64]{Bound: ptRect(geo.LatLng{Lat: 40 + rng.Float64(), Lng: -80 + rng.Float64()}), Item: int64(i)}
 	}
-	return dyn, BulkLoad(ents)
-}
-
-func BenchmarkSearchDynamic(b *testing.B) {
-	dyn, _ := benchTrees(100_000)
-	q := geo.RectFromCenter(geo.LatLng{Lat: 40.5, Lng: -79.5}, 0.01, 0.01)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dyn.Search(q, func(geo.Rect, int64) bool { return true })
-	}
+	return BulkLoad(ents)
 }
 
 func BenchmarkSearchStatic(b *testing.B) {
-	_, st := benchTrees(100_000)
+	st := benchTree(100_000)
 	q := geo.RectFromCenter(geo.LatLng{Lat: 40.5, Lng: -79.5}, 0.01, 0.01)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -315,18 +306,8 @@ func BenchmarkSearchStatic(b *testing.B) {
 	}
 }
 
-func BenchmarkNearestDynamic(b *testing.B) {
-	dyn, _ := benchTrees(100_000)
-	buf := make([]Neighbor[int64], 0, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = dyn.NearestAppend(buf[:0], geo.LatLng{Lat: 40.5, Lng: -79.5}, 10, 0)
-	}
-}
-
 func BenchmarkNearestStatic(b *testing.B) {
-	_, st := benchTrees(100_000)
+	st := benchTree(100_000)
 	buf := make([]Neighbor[int64], 0, 16)
 	b.ReportAllocs()
 	b.ResetTimer()

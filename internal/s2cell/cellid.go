@@ -109,14 +109,8 @@ func (c CellID) Parent(level int) CellID {
 // ImmediateParent returns the parent one level up.
 func (c CellID) ImmediateParent() CellID { return c.Parent(c.Level() - 1) }
 
-// IsLeaf reports whether the cell is at MaxLevel.
-func (c CellID) IsLeaf() bool { return uint64(c)&1 != 0 }
-
-// IsFace reports whether the cell is a top-level face cell.
-func (c CellID) IsFace() bool { return uint64(c)&(lsbForLevel(0)-1) == 0 }
-
 // Children returns the four child cells in Hilbert order. Calling Children
-// on a leaf returns the cell four times; callers should check IsLeaf.
+// on a leaf returns the cell four times.
 func (c CellID) Children() [4]CellID {
 	var out [4]CellID
 	lsb := c.lsb()
@@ -233,23 +227,11 @@ func (c CellID) Vertices() [4]geo.LatLng {
 	}
 }
 
-// Bound returns a latitude/longitude rectangle that contains the cell. The
-// bound is computed from the cell's corners, edge midpoints, and center and
-// padded slightly, so it is conservative for cells that do not cross the
-// antimeridian or contain a pole; for those, use BoundRects.
-func (c CellID) Bound() geo.Rect {
-	rects := c.BoundRects()
-	r := rects[0]
-	for _, q := range rects[1:] {
-		r = r.Union(q)
-	}
-	return r
-}
-
 // BoundRects returns one or two non-wrapping latitude/longitude rectangles
-// that together contain the cell. Cells crossing the antimeridian yield two
-// rectangles; cells containing a pole yield a full-longitude rectangle
-// extended to that pole.
+// that together contain the cell, computed from the cell's corners, edge
+// midpoints and center and padded slightly. Cells crossing the antimeridian
+// yield two rectangles; cells containing a pole yield a full-longitude
+// rectangle extended to that pole.
 func (c CellID) BoundRects() []geo.Rect {
 	face, i, j, level := c.faceIJ()
 	size := 1.0 / float64(uint64(1)<<uint(level))
@@ -309,24 +291,6 @@ func (c CellID) BoundRects() []geo.Rect {
 // label used to build discovery domain names.
 func (c CellID) ChildPosition(level int) int {
 	return int(uint64(c)>>uint(2*(MaxLevel-level)+1)) & 3
-}
-
-// AncestorChain returns the cell's ancestors from fromLevel down to the
-// cell's own level, inclusive, coarsest first. It is the sequence of domain
-// names a discovery client queries.
-func (c CellID) AncestorChain(fromLevel int) []CellID {
-	level := c.Level()
-	if fromLevel < 0 {
-		fromLevel = 0
-	}
-	if fromLevel > level {
-		fromLevel = level
-	}
-	out := make([]CellID, 0, level-fromLevel+1)
-	for l := fromLevel; l <= level; l++ {
-		out = append(out, c.Parent(l))
-	}
-	return out
 }
 
 // ApproxEdgeMeters returns the approximate edge length of cells at the given

@@ -22,9 +22,6 @@ func TestLeafLevel(t *testing.T) {
 	if c.Level() != MaxLevel {
 		t.Fatalf("leaf level = %d", c.Level())
 	}
-	if !c.IsLeaf() {
-		t.Fatal("IsLeaf false for leaf")
-	}
 }
 
 func TestFaceCells(t *testing.T) {
@@ -38,9 +35,6 @@ func TestFaceCells(t *testing.T) {
 		}
 		if c.Face() != f {
 			t.Fatalf("face %d reports face %d", f, c.Face())
-		}
-		if !c.IsFace() {
-			t.Fatalf("face %d IsFace false", f)
 		}
 	}
 }
@@ -204,16 +198,26 @@ func TestSpatialLocality(t *testing.T) {
 	}
 }
 
+// inRects reports whether any of rects contains ll.
+func inRects(rects []geo.Rect, ll geo.LatLng) bool {
+	for _, r := range rects {
+		if r.Contains(ll) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestCellBoundContainsVerticesAndCenter(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 200; trial++ {
 		c := FromLatLng(randLatLng(rng)).Parent(2 + rng.Intn(25))
-		b := c.Bound()
-		if !b.Contains(c.LatLng()) {
+		b := c.BoundRects()
+		if !inRects(b, c.LatLng()) {
 			t.Fatalf("bound %v missing center of %v", b, c)
 		}
 		for _, v := range c.Vertices() {
-			if !b.Contains(v) {
+			if !inRects(b, v) {
 				t.Fatalf("bound %v missing vertex %v of %v", b, v, c)
 			}
 		}
@@ -227,32 +231,9 @@ func TestBoundContainsInteriorPoints(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		ll := randLatLng(rng)
 		c := FromLatLngLevel(ll, 12)
-		if !c.Bound().Contains(ll) {
+		if !inRects(c.BoundRects(), ll) {
 			t.Fatalf("bound of %v does not contain generating point %v", c, ll)
 		}
-	}
-}
-
-func TestAncestorChain(t *testing.T) {
-	c := FromLatLngLevel(geo.LatLng{Lat: 40.44, Lng: -79.99}, 20)
-	chain := c.AncestorChain(10)
-	if len(chain) != 11 {
-		t.Fatalf("chain length %d", len(chain))
-	}
-	for i, a := range chain {
-		if a.Level() != 10+i {
-			t.Fatalf("chain[%d] level = %d", i, a.Level())
-		}
-		if !a.Contains(c) {
-			t.Fatalf("ancestor %v does not contain %v", a, c)
-		}
-	}
-	// Clamping.
-	if got := c.AncestorChain(25); len(got) != 1 || got[0] != c {
-		t.Fatalf("over-deep chain = %v", got)
-	}
-	if got := c.AncestorChain(-5); len(got) != 21 {
-		t.Fatalf("negative fromLevel chain length = %d", len(got))
 	}
 }
 
@@ -333,14 +314,7 @@ func TestBoundRectsAntimeridian(t *testing.T) {
 	nearAM := geo.LatLng{Lat: 0, Lng: 179.9999}
 	c := FromLatLngLevel(nearAM, 8)
 	rects := c.BoundRects()
-	contains := func(ll geo.LatLng) bool {
-		for _, r := range rects {
-			if r.Contains(ll) {
-				return true
-			}
-		}
-		return false
-	}
+	contains := func(ll geo.LatLng) bool { return inRects(rects, ll) }
 	if !contains(nearAM) {
 		t.Fatalf("bound rects %v miss the generating point", rects)
 	}

@@ -6,37 +6,23 @@ import (
 	"openflame/internal/geo"
 )
 
-// Region is a shape on the sphere that a covering approximates. The two
-// predicates operate on latitude/longitude rectangles because cell bounds
-// are rectangles; they may be conservative (returning true when uncertain)
-// but must never report false for a rectangle that truly intersects or is
-// contained.
+// Region is a shape on the sphere that a covering approximates. Its one
+// predicate operates on latitude/longitude rectangles because cell bounds
+// are rectangles; it may be conservative (returning true when uncertain)
+// but must never report false for a rectangle that truly intersects.
 type Region interface {
-	// Bound returns a rectangle containing the region.
-	Bound() geo.Rect
 	// IntersectsRect reports whether the region may intersect r.
 	IntersectsRect(r geo.Rect) bool
-	// ContainsRect reports whether the region definitely contains all of r.
-	ContainsRect(r geo.Rect) bool
 }
 
 // RectRegion adapts a geo.Rect to the Region interface.
 type RectRegion struct{ Rect geo.Rect }
 
-// Bound implements Region.
-func (r RectRegion) Bound() geo.Rect { return r.Rect }
-
 // IntersectsRect implements Region.
 func (r RectRegion) IntersectsRect(q geo.Rect) bool { return r.Rect.Intersects(q) }
 
-// ContainsRect implements Region.
-func (r RectRegion) ContainsRect(q geo.Rect) bool { return r.Rect.ContainsRect(q) }
-
 // CapRegion adapts a geo.Cap to the Region interface.
 type CapRegion struct{ Cap geo.Cap }
-
-// Bound implements Region.
-func (c CapRegion) Bound() geo.Rect { return c.Cap.Bound() }
 
 // IntersectsRect implements Region.
 func (c CapRegion) IntersectsRect(r geo.Rect) bool {
@@ -49,83 +35,6 @@ func (c CapRegion) IntersectsRect(r geo.Rect) bool {
 	return geo.DistanceMeters(c.Cap.Center, geo.LatLng{Lat: lat, Lng: lng}) <= c.Cap.RadiusMeters
 }
 
-// ContainsRect implements Region.
-func (c CapRegion) ContainsRect(r geo.Rect) bool {
-	if r.IsEmpty() {
-		return true
-	}
-	for _, v := range r.Vertices() {
-		if !c.Cap.Contains(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// PolygonRegion adapts a geo.Polygon to the Region interface.
-type PolygonRegion struct{ Polygon geo.Polygon }
-
-// Bound implements Region.
-func (p PolygonRegion) Bound() geo.Rect { return p.Polygon.Bound() }
-
-// IntersectsRect implements Region.
-func (p PolygonRegion) IntersectsRect(r geo.Rect) bool {
-	if !p.Polygon.Bound().Intersects(r) {
-		return false
-	}
-	// Any polygon vertex inside the rect?
-	for _, v := range p.Polygon.Vertices {
-		if r.Contains(v) {
-			return true
-		}
-	}
-	// Any rect corner inside the polygon?
-	for _, v := range r.Vertices() {
-		if p.Polygon.Contains(v) {
-			return true
-		}
-	}
-	// Any edge crossing?
-	rv := r.Vertices()
-	n := len(p.Polygon.Vertices)
-	for i := 0; i < n; i++ {
-		a := p.Polygon.Vertices[i]
-		b := p.Polygon.Vertices[(i+1)%n]
-		for j := 0; j < 4; j++ {
-			if segmentsCross(a, b, rv[j], rv[(j+1)%4]) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// ContainsRect implements Region.
-func (p PolygonRegion) ContainsRect(r geo.Rect) bool {
-	if r.IsEmpty() {
-		return true
-	}
-	for _, v := range r.Vertices() {
-		if !p.Polygon.Contains(v) {
-			return false
-		}
-	}
-	// All corners inside and no edge crossing means full containment for
-	// simple polygons.
-	rv := r.Vertices()
-	n := len(p.Polygon.Vertices)
-	for i := 0; i < n; i++ {
-		a := p.Polygon.Vertices[i]
-		b := p.Polygon.Vertices[(i+1)%n]
-		for j := 0; j < 4; j++ {
-			if segmentsCross(a, b, rv[j], rv[(j+1)%4]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo
@@ -136,24 +45,12 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// segmentsCross reports whether segments ab and cd properly intersect,
-// treating lat/lng as planar coordinates.
-func segmentsCross(a, b, c, d geo.LatLng) bool {
-	o1 := orient(a, b, c)
-	o2 := orient(a, b, d)
-	o3 := orient(c, d, a)
-	o4 := orient(c, d, b)
-	return o1*o2 < 0 && o3*o4 < 0
-}
-
-func orient(a, b, c geo.LatLng) float64 {
-	return (b.Lng-a.Lng)*(c.Lat-a.Lat) - (b.Lat-a.Lat)*(c.Lng-a.Lng)
-}
-
 // Covering returns cells at exactly the given level whose bounds intersect
 // the region. If the result would exceed maxCells (<=0 means unlimited), the
 // level is coarsened until it fits, so the result may be at a coarser level
-// than requested but never exceeds maxCells.
+// than requested. When even the level-0 covering exceeds maxCells (the
+// region touches more faces than maxCells allows), every face cell the
+// region touches is returned regardless of maxCells.
 func Covering(r Region, level, maxCells int) []CellID {
 	for l := level; l >= 0; l-- {
 		if cells, ok := coverAtLevel(r, l, maxCells); ok {
@@ -201,10 +98,12 @@ func coverAtLevel(r Region, level, maxCells int) ([]CellID, bool) {
 }
 
 // RegistrationCovering returns a mixed-level covering between minLevel and
-// maxLevel: the region is covered at maxLevel, cells fully inside the region
-// are merged upward (four present siblings collapse into their parent, no
-// coarser than minLevel). This is the set of cells a map server registers in
-// the discovery DNS.
+// maxLevel: the region is covered at maxLevel, then every complete sibling
+// quadruple of covering cells is replaced by its parent, repeatedly, no
+// coarser than minLevel. A parent is exactly the union of its four
+// children, so merging never changes the covered area and tests no cell
+// for containment in the region. This is the set of cells a map server
+// registers in the discovery DNS.
 func RegistrationCovering(r Region, minLevel, maxLevel int) []CellID {
 	if minLevel > maxLevel {
 		minLevel = maxLevel

@@ -150,56 +150,6 @@ func TestNormalizeRecursiveMerge(t *testing.T) {
 	}
 }
 
-func TestPolygonRegion(t *testing.T) {
-	// Triangle near Pittsburgh.
-	poly := geo.Polygon{Vertices: []geo.LatLng{
-		{Lat: 40.40, Lng: -80.00}, {Lat: 40.48, Lng: -80.00}, {Lat: 40.44, Lng: -79.90},
-	}}
-	reg := PolygonRegion{poly}
-	cells := Covering(reg, 13, 0)
-	if len(cells) == 0 {
-		t.Fatal("empty polygon covering")
-	}
-	// Points inside the triangle are covered.
-	inside := geo.LatLng{Lat: 40.44, Lng: -79.97}
-	if !poly.Contains(inside) {
-		t.Fatal("test point not inside polygon")
-	}
-	if !unionContains(cells, FromLatLng(inside)) {
-		t.Fatal("polygon covering misses interior point")
-	}
-	// Far away points are not.
-	if unionContains(cells, FromLatLng(geo.LatLng{Lat: 41, Lng: -79})) {
-		t.Fatal("polygon covering includes far exterior point")
-	}
-}
-
-func TestPolygonRegionPredicates(t *testing.T) {
-	poly := geo.Polygon{Vertices: []geo.LatLng{
-		{Lat: 0, Lng: 0}, {Lat: 0, Lng: 10}, {Lat: 10, Lng: 10}, {Lat: 10, Lng: 0},
-	}}
-	reg := PolygonRegion{poly}
-	if !reg.IntersectsRect(geo.Rect{MinLat: 5, MinLng: 5, MaxLat: 6, MaxLng: 6}) {
-		t.Fatal("interior rect not intersecting")
-	}
-	if !reg.IntersectsRect(geo.Rect{MinLat: -1, MinLng: -1, MaxLat: 1, MaxLng: 1}) {
-		t.Fatal("corner-overlap rect not intersecting")
-	}
-	if reg.IntersectsRect(geo.Rect{MinLat: 20, MinLng: 20, MaxLat: 21, MaxLng: 21}) {
-		t.Fatal("far rect intersecting")
-	}
-	// Rect crossing the polygon edge with no vertices inside either shape.
-	if !reg.IntersectsRect(geo.Rect{MinLat: -1, MinLng: 2, MaxLat: 11, MaxLng: 3}) {
-		t.Fatal("strip-crossing rect not intersecting")
-	}
-	if !reg.ContainsRect(geo.Rect{MinLat: 1, MinLng: 1, MaxLat: 2, MaxLng: 2}) {
-		t.Fatal("contained rect not contained")
-	}
-	if reg.ContainsRect(geo.Rect{MinLat: 5, MinLng: 5, MaxLat: 15, MaxLng: 6}) {
-		t.Fatal("protruding rect contained")
-	}
-}
-
 func TestCapRegionPredicates(t *testing.T) {
 	c := CapRegion{geo.Cap{Center: geo.LatLng{Lat: 40, Lng: -80}, RadiusMeters: 1000}}
 	if !c.IntersectsRect(geo.RectFromCenter(geo.LatLng{Lat: 40, Lng: -80}, 0.001, 0.001)) {
@@ -207,12 +157,6 @@ func TestCapRegionPredicates(t *testing.T) {
 	}
 	if c.IntersectsRect(geo.RectFromCenter(geo.LatLng{Lat: 41, Lng: -80}, 0.001, 0.001)) {
 		t.Fatal("far rect intersecting")
-	}
-	if !c.ContainsRect(geo.RectFromCenter(geo.LatLng{Lat: 40, Lng: -80}, 0.001, 0.001)) {
-		t.Fatal("small center rect not contained")
-	}
-	if c.ContainsRect(geo.RectFromCenter(geo.LatLng{Lat: 40, Lng: -80}, 0.5, 0.5)) {
-		t.Fatal("huge rect contained")
 	}
 	if c.IntersectsRect(geo.EmptyRect()) {
 		t.Fatal("empty rect intersects")

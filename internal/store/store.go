@@ -693,7 +693,17 @@ type Snap struct {
 func (v *View) SnapToWay(ll geo.LatLng, maxMeters float64) (Snap, bool) {
 	best := Snap{DistanceMeters: maxMeters + 1}
 	found := false
-	v.forEachSegment(ll, maxMeters, func(w *osm.Way, na, nb *osm.Node) {
+	search := pointRect(ll).ExpandedMeters(maxMeters)
+	v.segs.Search(search, func(_ geo.Rect, ref SegmentRef) bool {
+		w := v.m.Way(ref.WayID)
+		if w == nil || ref.Index+1 >= len(w.NodeIDs) {
+			return true
+		}
+		na := v.m.Node(w.NodeIDs[ref.Index])
+		nb := v.m.Node(w.NodeIDs[ref.Index+1])
+		if na == nil || nb == nil {
+			return true
+		}
 		cp, t := geo.ClosestPointOnSegment(ll, v.m.NodePosition(na), v.m.NodePosition(nb))
 		d := geo.DistanceMeters(ll, cp)
 		if d < best.DistanceMeters {
@@ -704,38 +714,12 @@ func (v *View) SnapToWay(ll geo.LatLng, maxMeters float64) (Snap, bool) {
 			best = Snap{Way: w, Position: cp, DistanceMeters: d, NodeID: nodeID}
 			found = true
 		}
+		return true
 	})
 	if !found || best.DistanceMeters > maxMeters {
 		return Snap{}, false
 	}
 	return best, true
-}
-
-// ForEachSegmentNear calls fn for every way segment whose bounding box
-// lies within maxMeters of ll, passing the owning way and the segment's
-// endpoint positions. Used by the map matcher to enumerate candidate ways.
-func (v *View) ForEachSegmentNear(ll geo.LatLng, maxMeters float64, fn func(wayID osm.WayID, a, b geo.LatLng)) {
-	v.forEachSegment(ll, maxMeters, func(w *osm.Way, na, nb *osm.Node) {
-		fn(w.ID, v.m.NodePosition(na), v.m.NodePosition(nb))
-	})
-}
-
-// forEachSegment resolves every segment whose bounds fall within maxMeters
-// of ll to its way and endpoint nodes.
-func (v *View) forEachSegment(ll geo.LatLng, maxMeters float64, fn func(w *osm.Way, na, nb *osm.Node)) {
-	search := pointRect(ll).ExpandedMeters(maxMeters)
-	v.segs.Search(search, func(_ geo.Rect, ref SegmentRef) bool {
-		w := v.m.Way(ref.WayID)
-		if w == nil || ref.Index+1 >= len(w.NodeIDs) {
-			return true
-		}
-		na := v.m.Node(w.NodeIDs[ref.Index])
-		nb := v.m.Node(w.NodeIDs[ref.Index+1])
-		if na != nil && nb != nil {
-			fn(w, na, nb)
-		}
-		return true
-	})
 }
 
 // TokenPostings returns the node IDs whose tags contain the token, in
