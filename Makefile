@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test ./internal/osm -run '^$$' -fuzz '^FuzzReadSnapshotIndexed$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/osm -run '^$$' -fuzz '^FuzzReadOSMXML$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/dns -run '^$$' -fuzz '^FuzzUnpack$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/dns -run '^$$' -fuzz '^FuzzZoneLookup$$' -fuzztime 10s -fuzzminimizetime 1s
 
 ## loc: non-test and test Go line counts outside bench/ — the trajectory
 ## the design diet (ROADMAP aim 2) is measured on.

@@ -50,14 +50,12 @@ var e20 struct {
 	pairs    [][2]int64
 }
 
-// e20City generates and compacts a city map with a blocks×blocks street
-// grid (~3·blocks² nodes with the default 2 POIs per block).
+// e20City generates a city map with a blocks×blocks street grid
+// (~3·blocks² nodes with the default 2 POIs per block).
 func e20City(blocks int) *osm.Map {
 	p := worldgen.DefaultCityParams()
 	p.BlocksX, p.BlocksY = blocks, blocks
-	m := worldgen.GenCity(p)
-	m.Compact()
-	return m
+	return worldgen.GenWorld(worldgen.WorldParams{City: p}).Outdoor
 }
 
 func e20Fixtures() {

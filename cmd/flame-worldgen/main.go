@@ -82,7 +82,6 @@ func parseBBox(s string) (geo.Rect, error) {
 // footprint the memory-lean layout achieves, and the interning that
 // achieves it.
 func printStorageReport(label string, m *osm.Map) osm.StorageStats {
-	m.Compact()
 	st := m.StorageStats()
 	fmt.Printf("%-28s nodes=%-8d ways=%-6d bytes/node=%-7.1f interned=%-6d tag-pairs=%d\n",
 		label, st.Nodes, st.Ways, st.BytesPerNode, st.InternedStrings, st.TagPairs)

@@ -96,8 +96,8 @@ func (s *System) PrerenderTiles(zMin, zMax int) (int, error) {
 // remapped, and nodes sharing a portal tag are fused into a single node so
 // routing crosses map boundaries natively.
 func MergeSources(sources []Source) (*osm.Map, error) {
-	merged := osm.NewMap("centralized-world", osm.Frame{Kind: osm.FrameGeodetic})
-	portalNode := make(map[string]osm.NodeID) // portal id → merged node
+	merged := osm.NewBuilder("centralized-world", osm.Frame{Kind: osm.FrameGeodetic})
+	portalNode := make(map[string]*osm.Node) // portal id → fused merged node
 	for si, src := range sources {
 		if src.Map == nil {
 			return nil, fmt.Errorf("centralized: source %d has nil map", si)
@@ -115,12 +115,10 @@ func MergeSources(sources []Source) (*osm.Map, error) {
 			}
 			// Fuse portal nodes shared with an earlier source.
 			if pid := n.Tags.Get(osm.TagPortalID); pid != "" {
-				if existing, ok := portalNode[pid]; ok {
-					remap[n.ID] = existing
-					// Merge tags into the existing node. Node() hands out a
-					// view, so the union is written back through AddNode
-					// (same ID = replacement) instead of mutated in place.
-					en := merged.Node(existing)
+				if en, ok := portalNode[pid]; ok {
+					remap[n.ID] = en.ID
+					// Merge tags into the existing node: the union replaces
+					// it (same ID) as a fresh node.
 					tags := en.Tags.Clone()
 					if tags == nil {
 						tags = osm.Tags{}
@@ -130,14 +128,16 @@ func MergeSources(sources []Source) (*osm.Map, error) {
 							tags[k] = v
 						}
 					}
-					merged.AddNode(&osm.Node{ID: en.ID, Pos: en.Pos, Local: en.Local, Tags: tags})
+					fused := &osm.Node{ID: en.ID, Pos: en.Pos, Local: en.Local, Tags: tags}
+					merged.AddNode(fused)
+					portalNode[pid] = fused
 					return true
 				}
 			}
-			id := merged.AddNode(&osm.Node{Pos: pos, Tags: n.Tags.Clone()})
-			remap[n.ID] = id
+			mn := &osm.Node{Pos: pos, Tags: n.Tags.Clone()}
+			remap[n.ID] = merged.AddNode(mn)
 			if pid := n.Tags.Get(osm.TagPortalID); pid != "" {
-				portalNode[pid] = id
+				portalNode[pid] = mn
 			}
 			return true
 		})
@@ -157,7 +157,7 @@ func MergeSources(sources []Source) (*osm.Map, error) {
 			return nil, wayErr
 		}
 	}
-	return merged, nil
+	return merged.Build(), nil
 }
 
 // Merged exposes the merged map (tests, tiles).

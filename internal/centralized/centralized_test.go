@@ -145,7 +145,7 @@ func TestMergeValidation(t *testing.T) {
 	if _, err := MergeSources([]Source{{Map: nil}}); err == nil {
 		t.Fatal("nil map accepted")
 	}
-	local := osm.NewMap("x", osm.Frame{Kind: osm.FrameLocal})
+	local := osm.NewBuilder("x", osm.Frame{Kind: osm.FrameLocal}).Build()
 	if _, err := MergeSources([]Source{{Map: local}}); err == nil {
 		t.Fatal("local map without alignment accepted")
 	}

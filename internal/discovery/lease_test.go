@@ -3,13 +3,17 @@ package discovery
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"openflame/internal/dns"
 	"openflame/internal/geo"
+	"openflame/internal/s2cell"
 	"openflame/internal/wire"
 )
 
@@ -153,5 +157,69 @@ func TestAdminRespondsLeaseTTL(t *testing.T) {
 	}
 	if !strings.Contains(strings.Join(resp.Members, ","), "s") {
 		t.Fatalf("members = %v", resp.Members)
+	}
+}
+
+// TestRegistryAncestorsExist: after every step of a random run of
+// registrations, unregistrations and lease expiries, each cell a live member
+// announces on answers its TXT records, and every ancestor of that cell
+// exists in the zone — Answer, or NoData as an empty non-terminal — never
+// NXDOMAIN, which a resolver applying RFC 8020 would take to deny the
+// registrations below it. A cell announced earlier but by no live member
+// now, with nothing announced below it, answers NXDOMAIN.
+func TestRegistryAncestorsExist(t *testing.T) {
+	f := newFixture(t)
+	now := time.Unix(1000, 0)
+	f.registry.LeaseTTL = time.Minute
+	f.registry.Now = func() time.Time { return now }
+	rng := rand.New(rand.NewSource(5))
+	base := geo.LatLng{Lat: 40.4415, Lng: -79.9955}
+	infos := make(map[string]wire.Info)
+	ever := make(map[string]bool) // every cell domain ever announced on
+	for step := 0; step < 60; step++ {
+		name := fmt.Sprintf("s%d", rng.Intn(5))
+		switch rng.Intn(4) {
+		case 0, 1:
+			at := geo.Offset(base, rng.Float64()*3000, rng.Float64()*360)
+			info := wire.Info{Name: name, Coverage: coverageFor(at, 20+rng.Float64()*150),
+				Services: []wire.Service{wire.SvcSearch}}
+			if err := f.registry.Register(info, "http://"+name); err != nil {
+				t.Fatal(err)
+			}
+			infos[name] = info
+		case 2:
+			f.registry.UnregisterServer(name)
+		default:
+			now = now.Add(time.Duration(rng.Intn(40)) * time.Second)
+			f.registry.ExpireLeases()
+		}
+
+		live := make(map[string]bool)
+		for _, member := range f.registry.Members() {
+			for _, tok := range infos[member].Coverage {
+				live[CellDomain(s2cell.FromToken(tok), DefaultSuffix)] = true
+			}
+		}
+		exists := make(map[string]bool)
+		for domain := range live {
+			ever[domain] = true
+			if res, answers, _, _ := f.locZone.Lookup(domain, dns.TypeTXT); res != dns.Answer || len(answers) == 0 {
+				t.Fatalf("step %d: announced cell %s answers %v", step, domain, res)
+			}
+			for a := domain; a != DefaultSuffix; a = dns.ParentName(a) {
+				exists[a] = true
+				if res, _, _, _ := f.locZone.Lookup(a, dns.TypeTXT); res != dns.Answer && res != dns.NoData {
+					t.Fatalf("step %d: %s, an ancestor of announced cell %s, answers %v", step, a, domain, res)
+				}
+			}
+		}
+		for domain := range ever {
+			if exists[domain] {
+				continue
+			}
+			if res, _, _, _ := f.locZone.Lookup(domain, dns.TypeTXT); res != dns.NXDomain {
+				t.Fatalf("step %d: cell %s, announced by no live member, answers %v", step, domain, res)
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@
 package dns
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -448,6 +449,11 @@ func readName(buf []byte, off int) (string, int, error) {
 			l := int(b)
 			if off+1+l > len(buf) {
 				return "", 0, ErrBufTooSmall
+			}
+			// A dot inside a label would read back as a label boundary:
+			// the 3-byte label "a.b" is not the two-label name "a.b.".
+			if bytes.IndexByte(buf[off+1:off+1+l], '.') >= 0 {
+				return "", 0, ErrBadName
 			}
 			sb.Write(buf[off+1 : off+1+l])
 			sb.WriteByte('.')

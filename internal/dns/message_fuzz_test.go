@@ -62,8 +62,9 @@ func FuzzUnpack(f *testing.F) {
 
 // packable reports whether Pack can represent m: every record of a type
 // Pack builds, and every name one whose dotted, canonical form is a valid
-// name. Unpack skips the rdata of other types, and a label may hold bytes
-// (a dot, edge whitespace) whose dotted form names something else.
+// name. Unpack skips the rdata of other types, and a name may begin or
+// end with whitespace, which the canonical form trims (Unpack itself
+// refuses a label holding a dot).
 func packable(m *Message) bool {
 	for _, q := range m.Questions {
 		if !validName(q.Name) {

@@ -268,3 +268,20 @@ func TestPackRejectsEmptyLabelInEveryName(t *testing.T) {
 		}
 	}
 }
+
+// A label holding a dot byte is refused: unpacked, the 3-byte label "a.b"
+// used to read back as the two-label name "a.b.", so the name a packet
+// carried and the name a zone looked up could differ.
+func TestUnpackRejectsDottedLabel(t *testing.T) {
+	buf := []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0} // header, QDCOUNT 1
+	buf = append(buf, 3, 'a', '.', 'b', 0)            // the label "a.b"
+	buf = append(buf, 0, byte(TypeA), 0, byte(ClassIN))
+	if m, err := Unpack(buf); !errors.Is(err, ErrBadName) {
+		t.Fatalf("Unpack = %+v, %v; want ErrBadName", m, err)
+	}
+	// The same bytes with an ordinary label parse.
+	buf[14] = 'x'
+	if _, err := Unpack(buf); err != nil {
+		t.Fatalf("Unpack of the label \"axb\": %v", err)
+	}
+}

@@ -14,6 +14,11 @@ type Zone struct {
 	apex   string
 	soa    RR
 	byName map[string]map[uint16][]RR // canonical name → type → records
+	// below counts, for each name strictly between the apex and an owner,
+	// the owner names beneath it. A counted name with no records of its own
+	// is an empty non-terminal: it exists (RFC 1034 §4.3.2, RFC 8020) and
+	// answers NODATA, not NXDOMAIN.
+	below map[string]int
 }
 
 // NewZone creates a zone rooted at apex with a default SOA record.
@@ -22,6 +27,7 @@ func NewZone(apex string) *Zone {
 	z := &Zone{
 		apex:   apex,
 		byName: make(map[string]map[uint16][]RR),
+		below:  make(map[string]int),
 	}
 	z.soa = RR{
 		Name: apex, Type: TypeSOA, Class: ClassIN, TTL: 3600,
@@ -65,8 +71,33 @@ func (z *Zone) addLocked(r RR) {
 	if types == nil {
 		types = make(map[uint16][]RR)
 		z.byName[r.Name] = types
+		z.countOwnerLocked(r.Name, 1)
 	}
 	types[r.Type] = append(types[r.Type], r)
+}
+
+// deleteTypeLocked drops name's records of type typ, and the name itself
+// once it holds none.
+func (z *Zone) deleteTypeLocked(name string, types map[uint16][]RR, typ uint16) {
+	delete(types, typ)
+	if len(types) == 0 {
+		delete(z.byName, name)
+		z.countOwnerLocked(name, -1)
+	}
+}
+
+// countOwnerLocked moves the descendant count of every name strictly
+// between the apex and owner by delta: +1 when owner gains its first
+// record, -1 when it loses its last.
+func (z *Zone) countOwnerLocked(owner string, delta int) {
+	if owner == z.apex {
+		return
+	}
+	for a := ParentName(owner); a != z.apex && a != "."; a = ParentName(a) {
+		if z.below[a] += delta; z.below[a] == 0 {
+			delete(z.below, a)
+		}
+	}
 }
 
 // Remove deletes all records of the given name and type. It returns the
@@ -83,10 +114,7 @@ func (z *Zone) Remove(name string, typ uint16) int {
 	if n == 0 {
 		return 0
 	}
-	delete(types, typ)
-	if len(types) == 0 {
-		delete(z.byName, name)
-	}
+	z.deleteTypeLocked(name, types, typ)
 	z.soa.SOA.Serial++
 	return n
 }
@@ -113,7 +141,7 @@ func (z *Zone) RemoveWhere(name string, typ uint16, keep func(RR) bool) int {
 		return 0
 	}
 	if len(kept) == 0 {
-		delete(types, typ)
+		z.deleteTypeLocked(name, types, typ)
 	} else {
 		types[typ] = kept
 	}
@@ -133,7 +161,8 @@ const (
 	Delegation
 	// NXDomain: the name does not exist in the zone.
 	NXDomain
-	// NoData: the name exists but has no records of the requested type.
+	// NoData: the name exists but has no records of the requested type
+	// (or none at all: an empty non-terminal, with records below it).
 	NoData
 	// OutOfZone: the name is not within this zone at all.
 	OutOfZone
@@ -168,6 +197,9 @@ func (z *Zone) Lookup(name string, typ uint16) (res LookupResult, answers, autho
 
 	types := z.byName[name]
 	if types == nil {
+		if z.below[name] > 0 {
+			return NoData, nil, []RR{z.soa}, nil
+		}
 		return NXDomain, nil, []RR{z.soa}, nil
 	}
 	if recs := types[typ]; len(recs) > 0 {

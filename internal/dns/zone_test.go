@@ -190,3 +190,66 @@ func TestHandleQuery(t *testing.T) {
 		t.Fatalf("multi-question rcode = %d", resp3.Rcode)
 	}
 }
+
+// An empty non-terminal — a name with no records of its own but records
+// below it — exists (RFC 1034 §4.3.2, RFC 8020): it answers NODATA, over
+// the wire too, and turns NXDOMAIN again once the records below it go.
+func TestZoneEmptyNonTerminalIsNoData(t *testing.T) {
+	z := testZone(t)
+	leaf := "q1.q2.f3.loc.flame.arpa."
+	if err := z.Add(RR{Name: leaf, Type: TypeTXT, TTL: 60, TXT: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"q2.f3.loc.flame.arpa.", "f3.loc.flame.arpa."} {
+		res, answers, authority, _ := z.Lookup(name, TypeTXT)
+		if res != NoData || len(answers) != 0 || len(authority) != 1 || authority[0].Type != TypeSOA {
+			t.Fatalf("%s: res = %v, answers %v, authority %v; want NoData with the SOA", name, res, answers, authority)
+		}
+		resp := HandleQuery(z, &Message{ID: 1, Questions: []Question{{Name: name, Type: TypeTXT, Class: ClassIN}}})
+		if resp.Rcode != RcodeSuccess || len(resp.Answers) != 0 {
+			t.Fatalf("%s over the wire: rcode %d, answers %v; want NOERROR and none", name, resp.Rcode, resp.Answers)
+		}
+	}
+	// A sibling of the leaf, and a name below it, hold nothing.
+	for _, name := range []string{"q0.q2.f3.loc.flame.arpa.", "q3.q1.q2.f3.loc.flame.arpa."} {
+		if res, _, _, _ := z.Lookup(name, TypeTXT); res != NXDomain {
+			t.Fatalf("%s: res = %v, want NXDomain", name, res)
+		}
+	}
+	if n := z.Remove(leaf, TypeTXT); n != 1 {
+		t.Fatalf("removed %d", n)
+	}
+	for _, name := range []string{leaf, "q2.f3.loc.flame.arpa.", "f3.loc.flame.arpa."} {
+		if res, _, _, _ := z.Lookup(name, TypeTXT); res != NXDomain {
+			t.Fatalf("%s after the remove: res = %v, want NXDomain", name, res)
+		}
+	}
+}
+
+// RemoveWhere that empties a name removes the name, as Remove does: it and
+// its empty ancestors answer NXDOMAIN again, not NODATA for ever.
+func TestZoneRemoveWhereEmptiedNameIsNXDomain(t *testing.T) {
+	z := testZone(t)
+	leaf := "q1.q2.f3.loc.flame.arpa."
+	if err := z.Add(RR{Name: leaf, Type: TypeTXT, TTL: 60, TXT: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := z.RemoveWhere(leaf, TypeTXT, func(RR) bool { return false }); n != 1 {
+		t.Fatalf("removed %d", n)
+	}
+	for _, name := range []string{leaf, "q2.f3.loc.flame.arpa."} {
+		if res, _, _, _ := z.Lookup(name, TypeTXT); res != NXDomain {
+			t.Fatalf("%s: res = %v, want NXDomain", name, res)
+		}
+	}
+	// A name RemoveWhere leaves holding another type still exists.
+	if err := z.Add(RR{Name: "www.loc.flame.arpa.", Type: TypeTXT, TTL: 60, TXT: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := z.RemoveWhere("www.loc.flame.arpa.", TypeTXT, func(RR) bool { return false }); n != 1 {
+		t.Fatalf("removed %d from www", n)
+	}
+	if res, _, _, _ := z.Lookup("www.loc.flame.arpa.", TypeTXT); res != NoData {
+		t.Fatalf("www: res = %v, want NoData", res)
+	}
+}

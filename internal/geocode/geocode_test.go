@@ -11,20 +11,21 @@ import (
 
 func townStore(t *testing.T) *store.Store {
 	t.Helper()
-	m := osm.NewMap("town", osm.Frame{Kind: osm.FrameGeodetic})
-	a := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}})
-	b := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4420, Lng: -79.9960}})
-	if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, b},
+	mb := osm.NewBuilder("town", osm.Frame{Kind: osm.FrameGeodetic})
+	a := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}})
+	b := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4420, Lng: -79.9960}})
+	if _, err := mb.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, b},
 		Tags: osm.Tags{osm.TagHighway: "residential", osm.TagName: "Forbes Avenue"}}); err != nil {
 		t.Fatal(err)
 	}
-	m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4405, Lng: -79.9950}, Tags: osm.Tags{
+	mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4405, Lng: -79.9950}, Tags: osm.Tags{
 		osm.TagName: "Corner Grocery", osm.TagShop: "grocery",
 		osm.TagAddr: "411 Forbes Avenue, Pittsburgh", osm.TagStreet: "Forbes Avenue",
 		osm.TagNumber: "411", osm.TagCity: "Pittsburgh"}})
-	m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4415, Lng: -79.9952}, Tags: osm.Tags{
+	mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4415, Lng: -79.9952}, Tags: osm.Tags{
 		osm.TagName: "Bean There Cafe", osm.TagAmenity: "cafe",
 		osm.TagAddr: "415 Forbes Avenue, Pittsburgh"}})
+	m := mb.Build()
 	return store.New(m)
 }
 

@@ -268,20 +268,21 @@ func TestCHOnDirectedGraph(t *testing.T) {
 }
 
 func TestFromOSMFootProfile(t *testing.T) {
-	m := osm.NewMap("town", osm.Frame{Kind: osm.FrameGeodetic})
-	a := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}})
-	bb := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4410, Lng: -79.9960}})
-	c := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4420, Lng: -79.9960}})
-	if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, bb, c},
+	mb := osm.NewBuilder("town", osm.Frame{Kind: osm.FrameGeodetic})
+	a := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}})
+	bb := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4410, Lng: -79.9960}})
+	c := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4420, Lng: -79.9960}})
+	if _, err := mb.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, bb, c},
 		Tags: osm.Tags{osm.TagHighway: "residential"}}); err != nil {
 		t.Fatal(err)
 	}
 	// A motorway should be excluded for pedestrians.
-	d := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4430, Lng: -79.9960}})
-	if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{c, d},
+	d := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4430, Lng: -79.9960}})
+	if _, err := mb.AddWay(&osm.Way{NodeIDs: []osm.NodeID{c, d},
 		Tags: osm.Tags{osm.TagHighway: "motorway"}}); err != nil {
 		t.Fatal(err)
 	}
+	m := mb.Build()
 	g := FromOSM(m, FootProfile)
 	if !g.HasNode(int64(a)) || !g.HasNode(int64(c)) {
 		t.Fatal("walkable nodes missing")
@@ -304,13 +305,14 @@ func TestFromOSMFootProfile(t *testing.T) {
 }
 
 func TestFromOSMOneway(t *testing.T) {
-	m := osm.NewMap("town", osm.Frame{Kind: osm.FrameGeodetic})
-	a := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}})
-	bb := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4410, Lng: -79.9960}})
-	if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, bb},
+	mb := osm.NewBuilder("town", osm.Frame{Kind: osm.FrameGeodetic})
+	a := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}})
+	bb := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4410, Lng: -79.9960}})
+	if _, err := mb.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, bb},
 		Tags: osm.Tags{osm.TagHighway: "residential", osm.TagOneway: "yes"}}); err != nil {
 		t.Fatal(err)
 	}
+	m := mb.Build()
 	g := FromOSM(m, FootProfile)
 	if _, err := g.Dijkstra(int64(a), int64(bb)); err != nil {
 		t.Fatal("forward blocked")

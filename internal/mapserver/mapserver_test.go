@@ -45,9 +45,14 @@ func storeServer(t testing.TB, auth *Policy) (*Server, *worldgen.IndoorBundle) {
 	return srv, bundle
 }
 
+// cityMap is the default outdoor city with no stores.
+func cityMap() *osm.Map {
+	return worldgen.GenWorld(worldgen.WorldParams{City: worldgen.DefaultCityParams()}).Outdoor
+}
+
 func cityServer(t testing.TB) *Server {
 	t.Helper()
-	city := worldgen.GenCity(worldgen.DefaultCityParams())
+	city := cityMap()
 	srv, err := New(Config{Name: "city", Map: city, UseCH: true})
 	if err != nil {
 		t.Fatal(err)
@@ -495,16 +500,16 @@ func TestRouteMetricDistance(t *testing.T) {
 	// On a map where the fast path is longer than the short path, the
 	// distance metric picks the short one. Build it directly: A—B direct
 	// (slow aisle, 20m) vs A—C—B detour (fast corridors, 30m total).
-	m := osm.NewMap("metric", osm.Frame{Kind: osm.FrameGeodetic})
+	mb := osm.NewBuilder("metric", osm.Frame{Kind: osm.FrameGeodetic})
 	origin := geo.LatLng{Lat: 40.44, Lng: -79.99}
-	a := m.AddNode(&osm.Node{Pos: origin})
-	b := m.AddNode(&osm.Node{Pos: geo.Offset(origin, 20, 90)})
+	a := mb.AddNode(&osm.Node{Pos: origin})
+	b := mb.AddNode(&osm.Node{Pos: geo.Offset(origin, 20, 90)})
 	// Detour legs: 2x sqrt(10^2+5^2) ~= 22.4m at 1.4 m/s ~= 16s, beating
 	// the direct 20m aisle at 1.1 m/s ~= 18.2s — faster but longer.
-	c := m.AddNode(&osm.Node{Pos: geo.Offset(geo.Offset(origin, 10, 90), 5, 0)})
+	c := mb.AddNode(&osm.Node{Pos: geo.Offset(geo.Offset(origin, 10, 90), 5, 0)})
 	mustWay := func(ids []osm.NodeID, tags osm.Tags) {
 		t.Helper()
-		if _, err := m.AddWay(&osm.Way{NodeIDs: ids, Tags: tags}); err != nil {
+		if _, err := mb.AddWay(&osm.Way{NodeIDs: ids, Tags: tags}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -512,7 +517,7 @@ func TestRouteMetricDistance(t *testing.T) {
 	mustWay([]osm.NodeID{a, b}, osm.Tags{osm.TagHighway: "aisle", osm.TagIndoor: "yes"})
 	mustWay([]osm.NodeID{a, c}, osm.Tags{osm.TagHighway: "footway"})
 	mustWay([]osm.NodeID{c, b}, osm.Tags{osm.TagHighway: "footway"})
-	srv, err := New(Config{Name: "metric", Map: m})
+	srv, err := New(Config{Name: "metric", Map: mb.Build()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +544,7 @@ func TestRouteMetricDistance(t *testing.T) {
 // Dijkstra — so tests can assert the two answer identically.
 func twinServers(t testing.TB) (ch, plain *Server) {
 	t.Helper()
-	city := worldgen.GenCity(worldgen.DefaultCityParams())
+	city := cityMap()
 	var err error
 	ch, err = New(Config{Name: "city-ch", Map: city, UseCH: true})
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"openflame/internal/admission"
 	"openflame/internal/store"
 	"openflame/internal/wire"
-	"openflame/internal/worldgen"
 )
 
 // overloadServer builds a city server with admission control and a long
@@ -27,7 +26,7 @@ import (
 // bound.
 func overloadServer(t testing.TB, maxInFlight, maxQueue int, queueWait time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
-	city := worldgen.GenCity(worldgen.DefaultCityParams())
+	city := cityMap()
 	srv, err := New(Config{
 		Name:            "city",
 		Map:             city,
@@ -181,7 +180,7 @@ func TestHTTPQueueAdmitsWhenSlotFrees(t *testing.T) {
 // reading at limit+1) and refused with 413, on both the single-query and
 // the batch endpoint.
 func TestHTTPOversizePostRejected413(t *testing.T) {
-	srv, err := New(Config{Name: "city", Map: worldgen.GenCity(worldgen.DefaultCityParams())})
+	srv, err := New(Config{Name: "city", Map: cityMap()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +239,7 @@ func TestCancelledContextSkipsCompute(t *testing.T) {
 // up mid-WaitFresh is CANCELLED, not stale — 412 would teach the client's
 // session layer a false staleness verdict.
 func TestCancelledFreshnessWaitAnswers503Not412(t *testing.T) {
-	city := worldgen.GenCity(worldgen.DefaultCityParams())
+	city := cityMap()
 	srv, err := New(Config{Name: "city", Map: city, ConsistencyWait: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)

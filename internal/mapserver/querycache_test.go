@@ -26,7 +26,7 @@ import (
 // cachedCityServer builds a city server with the query cache enabled.
 func cachedCityServer(t testing.TB, entries int) *Server {
 	t.Helper()
-	city := worldgen.GenCity(worldgen.DefaultCityParams())
+	city := cityMap()
 	srv, err := New(Config{Name: "city", Map: city, QueryCacheEntries: entries})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 
 	"openflame/internal/osm"
 	"openflame/internal/wire"
-	"openflame/internal/worldgen"
 )
 
 // namedNodeID returns a node carrying a name tag, for inventory updates.
@@ -84,7 +83,7 @@ func TestFreshAt(t *testing.T) {
 // TestWaitFreshAbsorbsLag: a read positioned barely behind waits out
 // anti-entropy instead of refusing, bounded by ConsistencyWait.
 func TestWaitFreshAbsorbsLag(t *testing.T) {
-	city := worldgen.GenCity(worldgen.DefaultCityParams())
+	city := cityMap()
 	srv, err := New(Config{Name: "city", Map: city, ConsistencyWait: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +101,7 @@ func TestWaitFreshAbsorbsLag(t *testing.T) {
 		t.Fatal("WaitFresh waited past the catch-up")
 	}
 	// A mark nobody closes times out stale; the context bounds it too.
-	srv2, err := New(Config{Name: "city2", Map: worldgen.GenCity(worldgen.DefaultCityParams()), ConsistencyWait: 30 * time.Millisecond})
+	srv2, err := New(Config{Name: "city2", Map: cityMap(), ConsistencyWait: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func TestBatchItemsCarrySessionMarks(t *testing.T) {
 // before the compute path, so sessions cannot fragment (or poison) the
 // generation-keyed cache.
 func TestSessionEnvelopeInvisibleToCache(t *testing.T) {
-	city := worldgen.GenCity(worldgen.DefaultCityParams())
+	city := cityMap()
 	srv, err := New(Config{Name: "city", Map: city, QueryCacheEntries: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +303,7 @@ func TestChangesResponseCarriesName(t *testing.T) {
 // pulled.
 func TestSyncPositionResetsOnPeerLogRestart(t *testing.T) {
 	mkOrigin := func(updates int) *Server {
-		srv, err := New(Config{Name: "city-A", Map: worldgen.GenCity(worldgen.DefaultCityParams())})
+		srv, err := New(Config{Name: "city-A", Map: cityMap()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +324,7 @@ func TestSyncPositionResetsOnPeerLogRestart(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	puller, err := New(Config{Name: "city-B", Map: worldgen.GenCity(worldgen.DefaultCityParams())})
+	puller, err := New(Config{Name: "city-B", Map: cityMap()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +365,7 @@ func TestSyncPositionResetsOnPeerLogRestart(t *testing.T) {
 // numeric position would satisfy them.
 func TestSyncPositionResetOnOvertakingRestart(t *testing.T) {
 	mkOrigin := func(updates int) *Server {
-		srv, err := New(Config{Name: "city-A", Map: worldgen.GenCity(worldgen.DefaultCityParams())})
+		srv, err := New(Config{Name: "city-A", Map: cityMap()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +386,7 @@ func TestSyncPositionResetOnOvertakingRestart(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	puller, err := New(Config{Name: "city-B", Map: worldgen.GenCity(worldgen.DefaultCityParams())})
+	puller, err := New(Config{Name: "city-B", Map: cityMap()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,17 +16,18 @@ import (
 // syncServer builds one replica over its own copy of a tiny inventory map.
 func syncServer(t *testing.T, name string) *Server {
 	t.Helper()
-	m := osm.NewMap(name, osm.Frame{Kind: osm.FrameGeodetic})
+	mb := osm.NewBuilder(name, osm.Frame{Kind: osm.FrameGeodetic})
 	// Two shelves and a connecting aisle; IDs are assigned in insertion
 	// order, so every replica built this way has identical content.
-	a := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4401, Lng: -79.9901},
+	a := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4401, Lng: -79.9901},
 		Tags: osm.Tags{"name": "Shelf A", "product": "tea"}})
-	b := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4402, Lng: -79.9902},
+	b := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4402, Lng: -79.9902},
 		Tags: osm.Tags{"name": "Shelf B", "product": "coffee"}})
-	if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, b},
+	if _, err := mb.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, b},
 		Tags: osm.Tags{"highway": "footway"}}); err != nil {
 		t.Fatal(err)
 	}
+	m := mb.Build()
 	srv, err := New(Config{Name: name, Map: m, QueryCacheEntries: 16})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 
 	"openflame/internal/osm"
 	"openflame/internal/wire"
-	"openflame/internal/worldgen"
 )
 
 // TestReadsPinOneView is the read-exactness hammer. One writer renames a node
@@ -25,7 +24,7 @@ import (
 // computed from — and every 200's X-Flame-Generation, every batch's
 // Generation and every session mark must name exactly that view.
 func TestReadsPinOneView(t *testing.T) {
-	city := worldgen.GenCity(worldgen.DefaultCityParams())
+	city := cityMap()
 	srv, err := New(Config{Name: "city", Map: city, QueryCacheEntries: 64})
 	if err != nil {
 		t.Fatal(err)

@@ -16,12 +16,10 @@ import (
 // per-node heap objects for the GC to scan, instead of the hundreds of
 // bytes per node the previous map[NodeID]*Node layout cost.
 //
-// A columns block is IMMUTABLE once published on a Map: mutations go to the
-// Map's overlay and compaction builds a fresh block and swaps the pointer
-// under the write lock. Readers may therefore capture the pointer under
-// RLock and keep reading after releasing it — the invariant that lets
-// Nodes() walk without re-sorting and lets snapshot v2 alias mmap'd file
-// columns directly.
+// A columns block is IMMUTABLE once published on a Map: added or replaced
+// nodes go to an overlay, and folding it builds a fresh block — the
+// invariant that lets maps share a block, lets Nodes() walk without
+// re-sorting and lets snapshot v2 alias mmap'd file columns directly.
 type columns struct {
 	ids []int64 // sorted ascending; the invariant every walk relies on
 	lat []float64
@@ -84,8 +82,7 @@ func (c *columns) tags(i int) Tags {
 }
 
 // node materializes a view of node i. The view is a fresh value: callers
-// own it for reading, and writing to it never reaches the columns (all
-// mutation goes through the Map's write methods).
+// own it for reading, and writing to it never reaches the columns.
 func (c *columns) node(i int) *Node {
 	return &Node{
 		ID:    NodeID(c.ids[i]),
@@ -200,7 +197,8 @@ type StorageStats struct {
 	Ways      int `json:"ways"`
 	Relations int `json:"relations"`
 	// PackedNodes/OverlayNodes split the node population between the
-	// columnar block and the not-yet-compacted mutation overlay.
+	// columnar block and the overlay of a map WithNode derived (a built
+	// map has none).
 	PackedNodes  int `json:"packed_nodes"`
 	OverlayNodes int `json:"overlay_nodes"`
 	// InternedStrings is the tag string pool size; TagPairs the total
@@ -213,11 +211,8 @@ type StorageStats struct {
 	BytesPerNode float64 `json:"bytes_per_node"`
 }
 
-// StorageStats reports the map's storage footprint. Call Compact first for
-// a fully-packed reading.
+// StorageStats reports the map's storage footprint.
 func (m *Map) StorageStats() StorageStats {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	st := StorageStats{
 		Nodes:           m.count,
 		Ways:            len(m.ways),
@@ -234,42 +229,24 @@ func (m *Map) StorageStats() StorageStats {
 	return st
 }
 
-// Compact merges the overlay into the columnar block. Like AddNode it is
-// construction-only: reads work without it (AddNode and WithNode compact
-// amortized), and forcing it is useful before snapshotting or measuring.
-// The map's Generation does not move: compaction changes representation,
-// not content.
-func (m *Map) Compact() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.compactLocked()
-}
-
-// compactMinPending is the overlay size below which AddNode and WithNode
-// never compact: tiny maps and trickle writes stay in the overlay where a
-// rebuild would cost more than it saves.
+// compactMinPending is the overlay size below which a Builder never folds
+// and at which WithNode does: tiny maps and trickle writes stay in the
+// overlay where a rebuild would cost more than it saves.
 const compactMinPending = 1024
 
-// maybeCompactLocked compacts when the overlay has grown to a fixed
-// fraction of the packed block, so a bulk load of n nodes pays O(n) total
-// rebuild work amortized (geometric growth), not O(n²).
-func (m *Map) maybeCompactLocked() {
-	pending := len(m.overlay)
-	if pending >= compactMinPending && pending*4 >= m.cols.len() {
-		m.compactLocked()
-	}
-}
-
-func (m *Map) compactLocked() {
+// fold merges the overlay into the columnar block. It changes
+// representation, not content, so Generation does not move.
+func (m *Map) fold() {
 	if len(m.overlay) > 0 {
-		m.cols, m.overlay = m.packedLocked(), make(map[NodeID]*Node)
+		m.cols = m.packed()
 	}
+	m.overlay = nil
 }
 
-// packedLocked returns the map's nodes as one columns block: m.cols when
-// the overlay is empty, else a fresh block merging the overlay into it.
-// It leaves m untouched, so the caller may hold mu for reading only.
-func (m *Map) packedLocked() *columns {
+// packed returns the map's nodes as one columns block: m.cols when the
+// overlay is empty, else a fresh block merging the overlay into it. It
+// leaves m untouched.
+func (m *Map) packed() *columns {
 	if len(m.overlay) == 0 {
 		return m.cols
 	}

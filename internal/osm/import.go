@@ -93,7 +93,7 @@ func (s *spillTable) find(id int64) (geo.LatLng, bool) {
 //
 // Extracts list nodes before ways before relations, with IDs ascending
 // within each type (the order every mainstream extract tool emits); nodes
-// arriving out of order are still handled, through the mutation overlay
+// arriving out of order are still handled, through the builder's overlay
 // instead of the packed fast path.
 func ImportExtract(r io.Reader, opts ImportOptions) (*Map, *ImportStats, error) {
 	name := opts.Name
@@ -106,18 +106,18 @@ func ImportExtract(r io.Reader, opts ImportOptions) (*Map, *ImportStats, error) 
 	b := newColBuilder(0, nil)
 	var overflow []*Node // out-of-order node IDs; rare, absorbed by the overlay
 	spill := spillTable{sorted: true}
-	var m *Map // built after the node phase
+	var mb *Builder // seeded after the node phase
 
-	// finishNodes publishes the packed block; ways and relations resolve
-	// against the resulting map.
+	// finishNodes seeds the map builder with the packed block; ways and
+	// relations resolve against it.
 	finishNodes := func() {
-		if m != nil {
+		if mb != nil {
 			return
 		}
 		spill.finish()
-		m = newMapFromColumns(name, Frame{Kind: FrameGeodetic}, b.finish(), nil, nil)
+		mb = newBuilderFromColumns(name, Frame{Kind: FrameGeodetic}, b.finish())
 		for _, n := range overflow {
-			m.AddNode(n)
+			mb.AddNode(n)
 		}
 		overflow = nil
 	}
@@ -137,7 +137,7 @@ func ImportExtract(r io.Reader, opts ImportOptions) (*Map, *ImportStats, error) 
 		}
 		switch se.Name.Local {
 		case "node":
-			if m != nil {
+			if mb != nil {
 				// Node after the way/relation phase began: treat like an
 				// out-of-order node.
 				n, err := decodeNodeElement(dec, &se)
@@ -147,7 +147,7 @@ func ImportExtract(r io.Reader, opts ImportOptions) (*Map, *ImportStats, error) 
 				stats.NodesRead++
 				if !clip || opts.BBox.Contains(n.Pos) {
 					stats.NodesKept++
-					m.AddNode(n)
+					mb.AddNode(n)
 				} else {
 					spill.add(int64(n.ID), n.Pos.Lat, n.Pos.Lng)
 					spill.finish()
@@ -180,7 +180,7 @@ func ImportExtract(r io.Reader, opts ImportOptions) (*Map, *ImportStats, error) 
 			// references back from the spill table, drop truly-unknown ones.
 			anyKept := false
 			for _, ref := range w.NodeIDs {
-				if m.Node(ref) != nil {
+				if mb.m.hasNode(ref) {
 					anyKept = true
 					break
 				}
@@ -190,12 +190,12 @@ func ImportExtract(r io.Reader, opts ImportOptions) (*Map, *ImportStats, error) 
 			}
 			refs := w.NodeIDs[:0]
 			for _, ref := range w.NodeIDs {
-				if m.Node(ref) != nil {
+				if mb.m.hasNode(ref) {
 					refs = append(refs, ref)
 					continue
 				}
 				if pos, ok := spill.find(int64(ref)); ok {
-					m.AddNode(&Node{ID: ref, Pos: pos})
+					mb.AddNode(&Node{ID: ref, Pos: pos})
 					stats.EdgeNodes++
 					refs = append(refs, ref)
 					continue
@@ -206,7 +206,7 @@ func ImportExtract(r io.Reader, opts ImportOptions) (*Map, *ImportStats, error) 
 				continue
 			}
 			w.NodeIDs = refs
-			if _, err := m.AddWay(w); err != nil {
+			if _, err := mb.AddWay(w); err != nil {
 				return nil, nil, err
 			}
 			stats.WaysKept++
@@ -222,11 +222,11 @@ func ImportExtract(r io.Reader, opts ImportOptions) (*Map, *ImportStats, error) 
 			for _, mem := range rel.Members {
 				switch mem.Type {
 				case MemberNode:
-					if m.Node(NodeID(mem.Ref)) != nil {
+					if mb.m.hasNode(NodeID(mem.Ref)) {
 						kept = append(kept, mem)
 					}
 				case MemberWay:
-					if m.Way(WayID(mem.Ref)) != nil {
+					if mb.m.Way(WayID(mem.Ref)) != nil {
 						kept = append(kept, mem)
 					}
 				default:
@@ -237,13 +237,12 @@ func ImportExtract(r io.Reader, opts ImportOptions) (*Map, *ImportStats, error) 
 				continue
 			}
 			rel.Members = kept
-			m.AddRelation(rel)
+			mb.AddRelation(rel)
 			stats.RelationsKept++
 		}
 	}
 	finishNodes()
-	m.Compact()
-	return m, stats, nil
+	return mb.Build(), stats, nil
 }
 
 // decodeNodeElement consumes one <node> element from the token stream.

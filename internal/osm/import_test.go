@@ -45,7 +45,7 @@ func TestImportExtractNoClip(t *testing.T) {
 	if m.Way(12) != nil {
 		t.Fatal("degenerate way 12 kept")
 	}
-	rel := m.Relation(20)
+	rel := relationByID(m, 20)
 	if rel == nil || len(rel.Members) != 1 || rel.Members[0].Ref != 10 {
 		t.Fatalf("relation: %+v", rel)
 	}

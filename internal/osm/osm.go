@@ -11,10 +11,8 @@
 package osm
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"openflame/internal/geo"
 )
@@ -141,128 +139,65 @@ type Frame struct {
 
 // Map is a collection of elements with a coordinate frame: "a portion of the
 // spatial namespace independently managed by an organization" (§3).
-// Maps are safe for concurrent use. AddNode, AddWay, AddRelation and
-// Compact are construction-only: they build a map (world generation,
-// import, XML, centralized merging) before anything reads it. Once built,
-// a map is never written in place — the store and the centralized
-// pipeline derive each next state with WithNode and leave the old map
-// intact for the readers still holding it.
+// A Map is immutable once built — a Builder constructs it (world
+// generation, import, XML, centralized merging) and the snapshot decoder
+// loads it — so it is safe for concurrent reads without a lock. The store
+// and the centralized pipeline derive each next state with WithNode and
+// leave the old map intact for the readers still holding it.
 //
-// Node storage is columnar (see columns): the bulk of the nodes live in
-// packed, immutable, ID-sorted arrays; added or replaced nodes land in a
-// small overlay map that compaction folds back into the columns. Node and
-// Nodes return views materialized from the columns — fresh values the
-// caller may read freely but whose mutation never reaches the map.
+// Node storage is columnar (see columns): the nodes live in packed,
+// ID-sorted arrays; a map WithNode derives keeps the nodes it added or
+// replaced in a small overlay until enough accumulate to fold into fresh
+// columns. Node and Nodes return views materialized from the columns —
+// fresh values the caller may read freely but whose mutation never reaches
+// the map.
 type Map struct {
 	Name  string
 	Frame Frame
 
-	mu sync.RWMutex
-	// cols is the packed block; overlay holds nodes added or replaced since
-	// the last compaction (stored by reference, as AddNode documents).
+	// cols is the packed block; overlay holds nodes WithNode added or
+	// replaced since the last fold (stored by reference).
 	cols    *columns
 	overlay map[NodeID]*Node
 	// count is the node population across both layers.
 	count     int
 	ways      map[WayID]*Way
 	relations map[RelationID]*Relation
-	nextNode  NodeID
-	nextWay   WayID
-	nextRel   RelationID
-	// gen counts successful mutations: every write method bumps it under
-	// mu, and a map WithNode derives carries its parent's plus one — the
-	// version the server-side query cache keys on.
+	// gen is the version the server-side query cache keys on: the count
+	// of successful adds for a built map, its parent's plus one for a map
+	// WithNode derives.
 	gen uint64
 	// mapped is the memory-mapped snapshot file backing cols when
 	// LoadSnapshotFileIndexed mapped it; nil otherwise.
 	mapped []byte
 }
 
-// Generation returns the map's mutation counter: zero for a fresh map,
-// monotonically increasing by one per successful mutation (adds and
-// replacements). A rejected way does not bump it.
-func (m *Map) Generation() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.gen
-}
+// Generation returns the map's version: the number of successful adds
+// that built it (a rejected way does not count), plus one per WithNode
+// that derived it.
+func (m *Map) Generation() uint64 { return m.gen }
 
-// NewMap creates an empty map.
-func NewMap(name string, frame Frame) *Map {
+// newMapFromColumns wires a prebuilt packed block straight into a Map —
+// the bulk-load path of the snapshot v2 reader and the streaming importer.
+// Ways and relations are adopted by reference.
+func newMapFromColumns(name string, frame Frame, cols *columns,
+	ways map[WayID]*Way, relations map[RelationID]*Relation) *Map {
 	return &Map{
 		Name:      name,
 		Frame:     frame,
-		cols:      emptyColumns(),
-		overlay:   make(map[NodeID]*Node),
-		ways:      make(map[WayID]*Way),
-		relations: make(map[RelationID]*Relation),
-	}
-}
-
-// newMapFromColumns wires a prebuilt packed block straight into a Map —
-// the bulk-load path used by the snapshot v2 reader and the streaming
-// importer. Ways and relations are adopted by reference.
-func newMapFromColumns(name string, frame Frame, cols *columns,
-	ways map[WayID]*Way, relations map[RelationID]*Relation) *Map {
-	m := &Map{
-		Name:      name,
-		Frame:     frame,
 		cols:      cols,
-		overlay:   make(map[NodeID]*Node),
 		count:     cols.len(),
 		ways:      ways,
 		relations: relations,
 	}
-	if m.ways == nil {
-		m.ways = make(map[WayID]*Way)
-	}
-	if m.relations == nil {
-		m.relations = make(map[RelationID]*Relation)
-	}
-	if n := cols.len(); n > 0 {
-		m.nextNode = NodeID(cols.ids[n-1])
-	}
-	for id := range m.ways {
-		if id > m.nextWay {
-			m.nextWay = id
-		}
-	}
-	for id := range m.relations {
-		if id > m.nextRel {
-			m.nextRel = id
-		}
-	}
-	return m
 }
 
-// hasNodeLocked reports whether id is present, caller holds mu (read or
-// write).
-func (m *Map) hasNodeLocked(id NodeID) bool {
+// hasNode reports whether id is present.
+func (m *Map) hasNode(id NodeID) bool {
 	if _, ok := m.overlay[id]; ok {
 		return true
 	}
 	return m.cols.find(id) >= 0
-}
-
-// AddNode inserts a node, allocating an ID if n.ID is zero, and returns the
-// ID. The node is stored by reference (until the next compaction packs it
-// into the columns); adding an existing ID replaces that node.
-func (m *Map) AddNode(n *Node) NodeID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n.ID == 0 {
-		m.nextNode++
-		n.ID = m.nextNode
-	} else if n.ID > m.nextNode {
-		m.nextNode = n.ID
-	}
-	if !m.hasNodeLocked(n.ID) {
-		m.count++
-	}
-	m.overlay[n.ID] = n
-	m.gen++
-	m.maybeCompactLocked()
-	return n.ID
 }
 
 // WithNode returns a new map holding m's content with n added (or, for an
@@ -271,10 +206,8 @@ func (m *Map) AddNode(n *Node) NodeID {
 // and copies only the small overlay, so its cost is bounded by
 // compactMinPending, not by the map's size; once the overlay reaches that
 // count it folds into fresh columns. Its generation is m's plus one. n must
-// carry an ID, and neither map may be written in place afterwards.
+// carry an ID and is stored by reference.
 func (m *Map) WithNode(n *Node) *Map {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := &Map{
 		Name:      m.Name,
 		Frame:     m.Frame,
@@ -283,123 +216,54 @@ func (m *Map) WithNode(n *Node) *Map {
 		count:     m.count,
 		ways:      m.ways,
 		relations: m.relations,
-		nextNode:  max(m.nextNode, n.ID),
-		nextWay:   m.nextWay,
-		nextRel:   m.nextRel,
 		gen:       m.gen + 1,
 		mapped:    m.mapped,
 	}
 	for id, on := range m.overlay {
 		out.overlay[id] = on
 	}
-	if !m.hasNodeLocked(n.ID) {
+	if !m.hasNode(n.ID) {
 		out.count++
 	}
 	out.overlay[n.ID] = n
 	if len(out.overlay) >= compactMinPending {
-		out.compactLocked()
+		out.fold()
 	}
 	return out
 }
 
-// AddWay inserts a way, allocating an ID if w.ID is zero. All referenced
-// nodes must already exist.
-func (m *Map) AddWay(w *Way) (WayID, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, nid := range w.NodeIDs {
-		if !m.hasNodeLocked(nid) {
-			return 0, fmt.Errorf("osm: way references missing node %d", nid)
-		}
-	}
-	if w.ID == 0 {
-		m.nextWay++
-		w.ID = m.nextWay
-	} else if w.ID > m.nextWay {
-		m.nextWay = w.ID
-	}
-	m.ways[w.ID] = w
-	m.gen++
-	return w.ID, nil
-}
-
-// AddRelation inserts a relation, allocating an ID if r.ID is zero.
-func (m *Map) AddRelation(r *Relation) RelationID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if r.ID == 0 {
-		m.nextRel++
-		r.ID = m.nextRel
-	} else if r.ID > m.nextRel {
-		m.nextRel = r.ID
-	}
-	m.relations[r.ID] = r
-	m.gen++
-	return r.ID
-}
-
 // Node returns the node with the given ID, or nil. The result is a view:
 // reading it is always safe, but writes to it never reach the map — use
-// AddNode (same ID) to replace a node's content.
+// WithNode (same ID) to derive a map with the node replaced.
 func (m *Map) Node(id NodeID) *Node {
-	m.mu.RLock()
 	if n, ok := m.overlay[id]; ok {
-		m.mu.RUnlock()
 		return n
 	}
-	cols := m.cols
-	m.mu.RUnlock()
-	// cols is immutable once published: materialize outside the lock.
-	i := cols.find(id)
-	if i < 0 {
-		return nil
+	if i := m.cols.find(id); i >= 0 {
+		return m.cols.node(i)
 	}
-	return cols.node(i)
+	return nil
 }
 
 // Way returns the way with the given ID, or nil.
-func (m *Map) Way(id WayID) *Way {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.ways[id]
-}
-
-// Relation returns the relation with the given ID, or nil.
-func (m *Map) Relation(id RelationID) *Relation {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.relations[id]
-}
+func (m *Map) Way(id WayID) *Way { return m.ways[id] }
 
 // NodeCount returns the number of nodes.
-func (m *Map) NodeCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.count
-}
+func (m *Map) NodeCount() int { return m.count }
 
 // WayCount returns the number of ways.
-func (m *Map) WayCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.ways)
-}
+func (m *Map) WayCount() int { return len(m.ways) }
 
 // RelationCount returns the number of relations.
-func (m *Map) RelationCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.relations)
-}
+func (m *Map) RelationCount() int { return len(m.relations) }
 
 // Nodes calls fn for each node in ascending ID order. Returning false stops
 // the iteration. The walk is O(n): the packed columns are sorted by
-// construction, so only the (small, compaction-bounded) overlay is sorted
-// per call — never the full key set. fn receives views; it must not retain
-// assumptions of pointer identity across walks, and the iteration sees one
-// consistent snapshot of membership as of the call.
+// construction, so only the (small, fold-bounded) overlay is sorted per
+// call — never the full key set. fn receives views; it must not retain
+// assumptions of pointer identity across walks.
 func (m *Map) Nodes(fn func(*Node) bool) {
-	cols, ov := m.nodeSnapshot()
+	cols, ov := m.cols, m.sortedOverlay()
 	oi, vi := 0, 0
 	for oi < cols.len() || vi < len(ov) {
 		if vi == len(ov) || (oi < cols.len() && cols.ids[oi] < int64(ov[vi].ID)) {
@@ -419,39 +283,28 @@ func (m *Map) Nodes(fn func(*Node) bool) {
 	}
 }
 
-// nodeSnapshot captures a consistent view of the node layers: the packed
-// block (immutable) and the overlay sorted by ID. Taken under RLock; safe
-// to iterate after release.
-func (m *Map) nodeSnapshot() (*columns, []*Node) {
-	m.mu.RLock()
-	cols := m.cols
-	var ov []*Node
-	if len(m.overlay) > 0 {
-		ov = make([]*Node, 0, len(m.overlay))
-		for _, n := range m.overlay {
-			ov = append(ov, n)
-		}
+// sortedOverlay returns the overlay's nodes sorted by ID.
+func (m *Map) sortedOverlay() []*Node {
+	if len(m.overlay) == 0 {
+		return nil
 	}
-	m.mu.RUnlock()
+	ov := make([]*Node, 0, len(m.overlay))
+	for _, n := range m.overlay {
+		ov = append(ov, n)
+	}
 	sort.Slice(ov, func(i, j int) bool { return ov[i].ID < ov[j].ID })
-	return cols, ov
+	return ov
 }
 
 // Ways calls fn for each way in ascending ID order.
 func (m *Map) Ways(fn func(*Way) bool) {
-	m.mu.RLock()
 	ids := make([]WayID, 0, len(m.ways))
 	for id := range m.ways {
 		ids = append(ids, id)
 	}
-	m.mu.RUnlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		w := m.Way(id)
-		if w == nil {
-			continue
-		}
-		if !fn(w) {
+		if !fn(m.ways[id]) {
 			return
 		}
 	}
@@ -459,40 +312,28 @@ func (m *Map) Ways(fn func(*Way) bool) {
 
 // Relations calls fn for each relation in ascending ID order.
 func (m *Map) Relations(fn func(*Relation) bool) {
-	m.mu.RLock()
 	ids := make([]RelationID, 0, len(m.relations))
 	for id := range m.relations {
 		ids = append(ids, id)
 	}
-	m.mu.RUnlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		r := m.Relation(id)
-		if r == nil {
-			continue
-		}
-		if !fn(r) {
+		if !fn(m.relations[id]) {
 			return
 		}
 	}
 }
 
 // WayNodes resolves a way's node IDs to nodes (views), skipping dangling
-// references (AddWay refuses them, but a decoded snapshot may carry them).
+// references (a Builder refuses them, but a decoded snapshot may carry
+// them).
 func (m *Map) WayNodes(w *Way) []*Node {
 	out := make([]*Node, 0, len(w.NodeIDs))
-	m.mu.RLock()
-	cols := m.cols
 	for _, id := range w.NodeIDs {
-		if n, ok := m.overlay[id]; ok {
+		if n := m.Node(id); n != nil {
 			out = append(out, n)
-			continue
-		}
-		if i := cols.find(id); i >= 0 {
-			out = append(out, cols.node(i))
 		}
 	}
-	m.mu.RUnlock()
 	return out
 }
 
@@ -532,7 +373,7 @@ func rotate(p geo.Point, deg float64) geo.Point {
 // NodePosition, so local maps are bounded via their anchor).
 func (m *Map) Bounds() geo.Rect {
 	r := geo.EmptyRect()
-	cols, ov := m.nodeSnapshot()
+	cols, ov := m.cols, m.sortedOverlay()
 	// Packed entries shadowed by an overlay replacement must not
 	// contribute their (stale) position.
 	var skip map[NodeID]struct{}

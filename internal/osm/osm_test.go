@@ -11,18 +11,30 @@ import (
 
 func geodeticMap(t testing.TB) *Map {
 	t.Helper()
-	m := NewMap("downtown", Frame{Kind: FrameGeodetic})
-	a := m.AddNode(&Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}, Tags: Tags{TagName: "Corner A"}})
-	b := m.AddNode(&Node{Pos: geo.LatLng{Lat: 40.4410, Lng: -79.9950}})
-	c := m.AddNode(&Node{Pos: geo.LatLng{Lat: 40.4420, Lng: -79.9940}, Tags: Tags{TagAmenity: "cafe", TagName: "Bean There"}})
-	if _, err := m.AddWay(&Way{NodeIDs: []NodeID{a, b, c}, Tags: Tags{TagHighway: "residential", TagName: "Main St"}}); err != nil {
+	mb := NewBuilder("downtown", Frame{Kind: FrameGeodetic})
+	a := mb.AddNode(&Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}, Tags: Tags{TagName: "Corner A"}})
+	b := mb.AddNode(&Node{Pos: geo.LatLng{Lat: 40.4410, Lng: -79.9950}})
+	c := mb.AddNode(&Node{Pos: geo.LatLng{Lat: 40.4420, Lng: -79.9940}, Tags: Tags{TagAmenity: "cafe", TagName: "Bean There"}})
+	if _, err := mb.AddWay(&Way{NodeIDs: []NodeID{a, b, c}, Tags: Tags{TagHighway: "residential", TagName: "Main St"}}); err != nil {
 		t.Fatal(err)
 	}
-	m.AddRelation(&Relation{
+	mb.AddRelation(&Relation{
 		Members: []Member{{Type: MemberNode, Ref: int64(a), Role: "entrance"}, {Type: MemberWay, Ref: 1, Role: "street"}},
 		Tags:    Tags{"type": "street_complex"},
 	})
-	return m
+	return mb.Build()
+}
+
+// relationByID finds a relation through the ordered walk.
+func relationByID(m *Map, id RelationID) *Relation {
+	var out *Relation
+	m.Relations(func(r *Relation) bool {
+		if r.ID == id {
+			out = r
+		}
+		return out == nil
+	})
+	return out
 }
 
 func TestAddAndGet(t *testing.T) {
@@ -44,26 +56,26 @@ func TestAddAndGet(t *testing.T) {
 	if got := len(m.WayNodes(w)); got != 3 {
 		t.Fatalf("WayNodes = %d", got)
 	}
-	r := m.Relation(1)
+	r := relationByID(m, 1)
 	if r == nil || len(r.Members) != 2 {
 		t.Fatalf("relation 1 = %+v", r)
 	}
 }
 
 func TestIDAllocation(t *testing.T) {
-	m := NewMap("x", Frame{})
-	id1 := m.AddNode(&Node{Pos: geo.LatLng{Lat: 1, Lng: 1}})
+	b := NewBuilder("x", Frame{})
+	id1 := b.AddNode(&Node{Pos: geo.LatLng{Lat: 1, Lng: 1}})
 	// Explicit high ID advances the allocator.
-	m.AddNode(&Node{ID: 100, Pos: geo.LatLng{Lat: 2, Lng: 2}})
-	id3 := m.AddNode(&Node{Pos: geo.LatLng{Lat: 3, Lng: 3}})
+	b.AddNode(&Node{ID: 100, Pos: geo.LatLng{Lat: 2, Lng: 2}})
+	id3 := b.AddNode(&Node{Pos: geo.LatLng{Lat: 3, Lng: 3}})
 	if id1 != 1 || id3 != 101 {
 		t.Fatalf("ids: %d, %d", id1, id3)
 	}
 }
 
 func TestAddWayMissingNode(t *testing.T) {
-	m := NewMap("x", Frame{})
-	if _, err := m.AddWay(&Way{NodeIDs: []NodeID{42}}); err == nil {
+	b := NewBuilder("x", Frame{})
+	if _, err := b.AddWay(&Way{NodeIDs: []NodeID{42}}); err == nil {
 		t.Fatal("way with missing node accepted")
 	}
 }
@@ -101,8 +113,9 @@ func TestBoundsGeodetic(t *testing.T) {
 
 func TestLocalFramePositions(t *testing.T) {
 	anchor := geo.LatLng{Lat: 40.44, Lng: -79.99}
-	m := NewMap("store", Frame{Kind: FrameLocal, Anchor: anchor})
-	id := m.AddNode(&Node{Local: geo.Point{X: 100, Y: 0}})
+	b := NewBuilder("store", Frame{Kind: FrameLocal, Anchor: anchor})
+	id := b.AddNode(&Node{Local: geo.Point{X: 100, Y: 0}})
+	m := b.Build()
 	n := m.Node(id)
 	pos := m.NodePosition(n)
 	// 100m east of the anchor.
@@ -117,8 +130,9 @@ func TestLocalFramePositions(t *testing.T) {
 func TestLocalFrameWithBearing(t *testing.T) {
 	anchor := geo.LatLng{Lat: 40.44, Lng: -79.99}
 	// Local +Y axis points 90° (east): a node at local (0, 100) sits east.
-	m := NewMap("store", Frame{Kind: FrameLocal, Anchor: anchor, AnchorBearingDeg: 90})
-	id := m.AddNode(&Node{Local: geo.Point{X: 0, Y: 100}})
+	b := NewBuilder("store", Frame{Kind: FrameLocal, Anchor: anchor, AnchorBearingDeg: 90})
+	id := b.AddNode(&Node{Local: geo.Point{X: 0, Y: 100}})
+	m := b.Build()
 	pos := m.NodePosition(m.Node(id))
 	if brg := geo.InitialBearing(anchor, pos); math.Abs(brg-90) > 1 {
 		t.Fatalf("bearing = %v, want ~90", brg)
@@ -136,8 +150,7 @@ func TestLocalPositionOfGeodeticMap(t *testing.T) {
 }
 
 func TestFindNodesAndPortals(t *testing.T) {
-	m := geodeticMap(t)
-	m.AddNode(&Node{Pos: geo.LatLng{Lat: 40.443, Lng: -79.993},
+	m := geodeticMap(t).WithNode(&Node{ID: 4, Pos: geo.LatLng{Lat: 40.443, Lng: -79.993},
 		Tags: Tags{TagPortalID: "door-1", TagName: "Front Door"}})
 	cafes := m.FindNodes(func(n *Node) bool { return n.Tags.Get(TagAmenity) == "cafe" })
 	if len(cafes) != 1 || cafes[0].Tags.Get(TagName) != "Bean There" {
@@ -206,7 +219,7 @@ func TestXMLRoundTripGeodetic(t *testing.T) {
 	if len(w.NodeIDs) != 3 || w.NodeIDs[0] != 1 {
 		t.Fatalf("way refs: %v", w.NodeIDs)
 	}
-	r := got.Relation(1)
+	r := relationByID(got, 1)
 	if len(r.Members) != 2 || r.Members[0].Role != "entrance" || r.Members[0].Type != MemberNode {
 		t.Fatalf("relation: %+v", r)
 	}
@@ -214,8 +227,9 @@ func TestXMLRoundTripGeodetic(t *testing.T) {
 
 func TestXMLRoundTripLocalFrame(t *testing.T) {
 	anchor := geo.LatLng{Lat: 40.44, Lng: -79.99}
-	m := NewMap("grocery", Frame{Kind: FrameLocal, Anchor: anchor, AnchorBearingDeg: 15})
-	m.AddNode(&Node{Local: geo.Point{X: 12.5, Y: -3.25}, Tags: Tags{TagProduct: "seaweed"}})
+	b := NewBuilder("grocery", Frame{Kind: FrameLocal, Anchor: anchor, AnchorBearingDeg: 15})
+	b.AddNode(&Node{Local: geo.Point{X: 12.5, Y: -3.25}, Tags: Tags{TagProduct: "seaweed"}})
+	m := b.Build()
 	var buf bytes.Buffer
 	if err := m.WriteXML(&buf); err != nil {
 		t.Fatal(err)
@@ -253,30 +267,45 @@ func TestReadXMLRejectsBadDocs(t *testing.T) {
 }
 
 func TestGenerationMonotonic(t *testing.T) {
-	m := NewMap("gen", Frame{Kind: FrameGeodetic})
-	if g := m.Generation(); g != 0 {
-		t.Fatalf("fresh map generation = %d", g)
+	if g := NewBuilder("gen", Frame{}).Build().Generation(); g != 0 {
+		t.Fatalf("empty map generation = %d", g)
 	}
-	a := m.AddNode(&Node{Pos: geo.LatLng{Lat: 1, Lng: 1}})
-	b := m.AddNode(&Node{Pos: geo.LatLng{Lat: 2, Lng: 2}})
-	if g := m.Generation(); g != 2 {
+	two := NewBuilder("gen", Frame{Kind: FrameGeodetic})
+	two.AddNode(&Node{Pos: geo.LatLng{Lat: 1, Lng: 1}})
+	two.AddNode(&Node{Pos: geo.LatLng{Lat: 2, Lng: 2}})
+	if g := two.Build().Generation(); g != 2 {
 		t.Fatalf("after 2 adds generation = %d", g)
 	}
-	w, err := m.AddWay(&Way{NodeIDs: []NodeID{a, b}})
-	if err != nil {
-		t.Fatal(err)
+
+	// withWay builds two nodes and a way over them; extra mutates the
+	// builder further before Build.
+	withWay := func(extra func(b *Builder, w WayID)) (*Map, NodeID) {
+		b := NewBuilder("gen", Frame{Kind: FrameGeodetic})
+		a := b.AddNode(&Node{Pos: geo.LatLng{Lat: 1, Lng: 1}})
+		c := b.AddNode(&Node{Pos: geo.LatLng{Lat: 2, Lng: 2}})
+		w, err := b.AddWay(&Way{NodeIDs: []NodeID{a, c}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra(b, w)
+		return b.Build(), a
 	}
-	if g := m.Generation(); g != 3 {
-		t.Fatalf("after way add generation = %d", g)
+	rejectWay := func(b *Builder, _ WayID) {
+		if _, err := b.AddWay(&Way{NodeIDs: []NodeID{999}}); err == nil {
+			t.Fatal("dangling way accepted")
+		}
+	}
+	if m, _ := withWay(func(*Builder, WayID) {}); m.Generation() != 3 {
+		t.Fatalf("after way add generation = %d", m.Generation())
 	}
 	// A failed mutation must not bump.
-	if _, err := m.AddWay(&Way{NodeIDs: []NodeID{999}}); err == nil {
-		t.Fatal("dangling way accepted")
+	if m, _ := withWay(rejectWay); m.Generation() != 3 {
+		t.Fatalf("failed mutation bumped generation to %d", m.Generation())
 	}
-	if g := m.Generation(); g != 3 {
-		t.Fatalf("failed mutation bumped generation to %d", g)
-	}
-	m.AddRelation(&Relation{Members: []Member{{Type: MemberWay, Ref: int64(w)}}})
+	m, a := withWay(func(b *Builder, w WayID) {
+		rejectWay(b, w)
+		b.AddRelation(&Relation{Members: []Member{{Type: MemberWay, Ref: int64(w)}}})
+	})
 	if g := m.Generation(); g != 4 {
 		t.Fatalf("after relation generation = %d", g)
 	}

@@ -126,8 +126,4 @@ func readVersion(r io.Reader) (int, error) {
 }
 
 // Mapped reports whether the map's columns alias a memory-mapped snapshot.
-func (m *Map) Mapped() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.mapped != nil
-}
+func (m *Map) Mapped() bool { return m.mapped != nil }

@@ -20,25 +20,25 @@ var goldenPath = filepath.Join("testdata", "snap_v2_indexed.golden")
 // and a per-node update version — every section kind snapshot v2 writes.
 func goldenFixture(t testing.TB) (*osm.Map, map[osm.NodeID]uint64) {
 	t.Helper()
-	m := osm.NewMap("golden-town", osm.Frame{Kind: osm.FrameLocal,
+	mb := osm.NewBuilder("golden-town", osm.Frame{Kind: osm.FrameLocal,
 		Anchor: geo.LatLng{Lat: 40.4433, Lng: -79.9436}, AnchorBearingDeg: 17.5})
-	a := m.AddNode(&osm.Node{Local: geo.Point{X: 0, Y: 0}, Tags: osm.Tags{osm.TagName: "Entrance", "door": "main"}})
-	b := m.AddNode(&osm.Node{Local: geo.Point{X: 12.5, Y: 3}, Tags: osm.Tags{osm.TagName: "Roasted Seaweed", "shop": "grocery"}})
-	c := m.AddNode(&osm.Node{Local: geo.Point{X: 12.5, Y: 18}})
-	d := m.AddNode(&osm.Node{Local: geo.Point{X: -4, Y: 18}, Tags: osm.Tags{osm.TagName: "Checkout"}})
-	if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, b, c}, Tags: osm.Tags{osm.TagHighway: "corridor", osm.TagName: "Aisle 1"}}); err != nil {
+	a := mb.AddNode(&osm.Node{Local: geo.Point{X: 0, Y: 0}, Tags: osm.Tags{osm.TagName: "Entrance", "door": "main"}})
+	b := mb.AddNode(&osm.Node{Local: geo.Point{X: 12.5, Y: 3}, Tags: osm.Tags{osm.TagName: "Roasted Seaweed", "shop": "grocery"}})
+	c := mb.AddNode(&osm.Node{Local: geo.Point{X: 12.5, Y: 18}})
+	d := mb.AddNode(&osm.Node{Local: geo.Point{X: -4, Y: 18}, Tags: osm.Tags{osm.TagName: "Checkout"}})
+	if _, err := mb.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, b, c}, Tags: osm.Tags{osm.TagHighway: "corridor", osm.TagName: "Aisle 1"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{c, d}}); err != nil {
+	if _, err := mb.AddWay(&osm.Way{NodeIDs: []osm.NodeID{c, d}}); err != nil {
 		t.Fatal(err)
 	}
-	m.AddRelation(&osm.Relation{Members: []osm.Member{
+	mb.AddRelation(&osm.Relation{Members: []osm.Member{
 		{Type: osm.MemberWay, Ref: 1, Role: "main"},
 		{Type: osm.MemberNode, Ref: int64(d), Role: "exit"},
 	}, Tags: osm.Tags{"type": "route"}})
 	// One version and one relation tag: the trailer gob-encodes both maps
 	// in map iteration order, so more entries would make the bytes vary.
-	return m, map[osm.NodeID]uint64{d: 9}
+	return mb.Build(), map[osm.NodeID]uint64{d: 9}
 }
 
 func goldenXML(t *testing.T, m *osm.Map) []byte {

@@ -24,7 +24,7 @@ const sentinelLat = 40.412345678901
 // token).
 func indexFixture(t testing.TB) (*Map, *IndexData) {
 	t.Helper()
-	m := NewMap("idx-town", Frame{Kind: FrameGeodetic})
+	mb := NewBuilder("idx-town", Frame{Kind: FrameGeodetic})
 	positions := []geo.LatLng{
 		{Lat: sentinelLat, Lng: -79.9960},
 		{Lat: 40.4410, Lng: -79.9958},
@@ -33,11 +33,12 @@ func indexFixture(t testing.TB) (*Map, *IndexData) {
 	}
 	ids := make([]NodeID, len(positions))
 	for i, pos := range positions {
-		ids[i] = m.AddNode(&Node{Pos: pos, Tags: Tags{TagName: "n"}})
+		ids[i] = mb.AddNode(&Node{Pos: pos, Tags: Tags{TagName: "n"}})
 	}
-	if _, err := m.AddWay(&Way{NodeIDs: ids[:3], Tags: Tags{TagHighway: "residential"}}); err != nil {
+	if _, err := mb.AddWay(&Way{NodeIDs: ids[:3], Tags: Tags{TagHighway: "residential"}}); err != nil {
 		t.Fatal(err)
 	}
+	m := mb.Build()
 
 	nodeEnts := make([]rtree.Entry[NodeID], len(ids))
 	bounds := geo.EmptyRect()

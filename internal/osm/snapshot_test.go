@@ -13,16 +13,16 @@ import (
 )
 
 func snapshotFixture(t testing.TB) *Map {
-	m := NewMap("snap-town", Frame{Kind: FrameLocal,
+	mb := NewBuilder("snap-town", Frame{Kind: FrameLocal,
 		Anchor: geo.LatLng{Lat: 40.44, Lng: -79.99}, AnchorBearingDeg: 12})
-	a := m.AddNode(&Node{Local: geo.Point{X: 1, Y: 2}, Tags: Tags{TagName: "A"}})
-	b := m.AddNode(&Node{Local: geo.Point{X: 3, Y: 4}})
-	if _, err := m.AddWay(&Way{NodeIDs: []NodeID{a, b}, Tags: Tags{TagHighway: "corridor"}}); err != nil {
+	a := mb.AddNode(&Node{Local: geo.Point{X: 1, Y: 2}, Tags: Tags{TagName: "A"}})
+	b := mb.AddNode(&Node{Local: geo.Point{X: 3, Y: 4}})
+	if _, err := mb.AddWay(&Way{NodeIDs: []NodeID{a, b}, Tags: Tags{TagHighway: "corridor"}}); err != nil {
 		t.Fatal(err)
 	}
-	m.AddRelation(&Relation{Members: []Member{{Type: MemberWay, Ref: 1, Role: "main"}},
+	mb.AddRelation(&Relation{Members: []Member{{Type: MemberWay, Ref: 1, Role: "main"}},
 		Tags: Tags{"type": "route"}})
-	return m
+	return mb.Build()
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -46,14 +46,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if n.Local != (geo.Point{X: 1, Y: 2}) || n.Tags.Get(TagName) != "A" {
 		t.Fatalf("node: %+v", n)
 	}
-	r := got.Relation(1)
+	r := relationByID(got, 1)
 	if len(r.Members) != 1 || r.Members[0].Role != "main" {
 		t.Fatalf("relation: %+v", r)
-	}
-	// IDs continue correctly after reload.
-	id := got.AddNode(&Node{Local: geo.Point{X: 9, Y: 9}})
-	if id != 3 {
-		t.Fatalf("post-reload allocation = %d", id)
 	}
 }
 
@@ -88,19 +83,20 @@ func TestSnapshotVersionCheck(t *testing.T) {
 
 func BenchmarkSnapshotVsXML(b *testing.B) {
 	// Snapshot encode/decode should beat XML decisively on a larger map.
-	m := NewMap("bench", Frame{Kind: FrameGeodetic})
+	mb := NewBuilder("bench", Frame{Kind: FrameGeodetic})
 	var prev NodeID
 	for i := 0; i < 2000; i++ {
-		id := m.AddNode(&Node{Pos: geo.LatLng{Lat: 40 + float64(i)*1e-5, Lng: -80},
+		id := mb.AddNode(&Node{Pos: geo.LatLng{Lat: 40 + float64(i)*1e-5, Lng: -80},
 			Tags: Tags{TagName: "node"}})
 		if i > 0 {
-			if _, err := m.AddWay(&Way{NodeIDs: []NodeID{prev, id},
+			if _, err := mb.AddWay(&Way{NodeIDs: []NodeID{prev, id},
 				Tags: Tags{TagHighway: "residential"}}); err != nil {
 				b.Fatal(err)
 			}
 		}
 		prev = id
 	}
+	m := mb.Build()
 	b.Run("snapshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -143,8 +139,9 @@ func hostileSnapshots(t testing.TB) (probe, trailer []byte) {
 	if err := newTestGobEncoder(&pre).Encode(snapshot{Version: 1, NodeVers: vers}); err != nil {
 		t.Fatal(err)
 	}
-	m := NewMap("hostile", Frame{Kind: FrameGeodetic})
-	m.AddNode(&Node{ID: 42, Pos: geo.LatLng{Lat: 40.44, Lng: -79.99}})
+	mb := NewBuilder("hostile", Frame{Kind: FrameGeodetic})
+	mb.AddNode(&Node{ID: 42, Pos: geo.LatLng{Lat: 40.44, Lng: -79.99}})
+	m := mb.Build()
 	var file, tr bytes.Buffer
 	if err := m.WriteSnapshotVersionsIndexed(&file, map[NodeID]uint64{42: 43}, nil); err != nil {
 		t.Fatal(err)

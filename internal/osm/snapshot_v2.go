@@ -77,12 +77,11 @@ var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // format, carrying per-node update versions (nil writes none) and, after
 // the trailer, the persisted serving index (see snapshot_index.go),
 // fingerprinted against the node/way sections it was built from; idx nil
-// writes no index. The overlay is merged into the written columns, not
-// into the map: writing leaves the map untouched, so a served view can be
-// saved while it serves.
+// writes no index. The overlay of a map WithNode derived is merged into the
+// written columns, not into the map: writing leaves the map untouched, so
+// a served view can be saved while it serves.
 func (m *Map) WriteSnapshotVersionsIndexed(w io.Writer, vers map[NodeID]uint64, idx *IndexData) error {
-	m.mu.RLock()
-	cols := m.packedLocked()
+	cols := m.packed()
 	ways := make([]*Way, 0, len(m.ways))
 	for _, way := range m.ways {
 		ways = append(ways, way)
@@ -91,7 +90,6 @@ func (m *Map) WriteSnapshotVersionsIndexed(w io.Writer, vers map[NodeID]uint64, 
 	for _, rel := range m.relations {
 		rels = append(rels, rel)
 	}
-	m.mu.RUnlock()
 	sort.Slice(ways, func(i, j int) bool { return ways[i].ID < ways[j].ID })
 	sort.Slice(rels, func(i, j int) bool { return rels[i].ID < rels[j].ID })
 

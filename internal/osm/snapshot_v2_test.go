@@ -77,13 +77,13 @@ func TestLoadSnapshotFile(t *testing.T) {
 	if !reflect.DeepEqual(gotVers, vers) {
 		t.Fatalf("NodeVers: got %v want %v", gotVers, vers)
 	}
-	// A mapped world must stay fully writable: mutations land in the
-	// overlay and compaction copies out of the mapping.
+	// A mapped world must stay fully derivable: a WithNode write lands in
+	// the overlay and folding copies out of the mapping.
 	if got.Mapped() {
-		id := got.AddNode(&Node{Local: geo.Point{X: 5, Y: 5}, Tags: Tags{TagName: "new"}})
-		got.Compact()
-		if n := got.Node(id); n == nil || n.Tags.Get(TagName) != "new" {
-			t.Fatal("mutation on mapped world lost after compaction")
+		next := got.WithNode(&Node{ID: 99, Local: geo.Point{X: 5, Y: 5}, Tags: Tags{TagName: "new"}})
+		next.fold()
+		if n := next.Node(99); n == nil || n.Tags.Get(TagName) != "new" {
+			t.Fatal("write derived from a mapped world lost after the fold")
 		}
 	}
 }
@@ -94,7 +94,6 @@ func TestLoadSnapshotFile(t *testing.T) {
 // copy.
 func TestSnapshotWriteLeavesMapUntouched(t *testing.T) {
 	base := snapshotFixture(t)
-	base.Compact()
 	added := &Node{ID: 7, Local: geo.Point{X: 5, Y: 6}, Tags: Tags{TagName: "Kiosk"}}
 	replaced := &Node{ID: 2, Local: geo.Point{X: 3, Y: 4}, Tags: Tags{"shop": "grocery"}}
 	served := base.WithNode(added).WithNode(replaced)
@@ -111,7 +110,7 @@ func TestSnapshotWriteLeavesMapUntouched(t *testing.T) {
 	}
 
 	compacted := base.WithNode(added).WithNode(replaced)
-	compacted.Compact()
+	compacted.fold()
 	var want bytes.Buffer
 	if err := compacted.WriteSnapshotVersionsIndexed(&want, nil, nil); err != nil {
 		t.Fatal(err)

@@ -8,23 +8,22 @@ import (
 )
 
 func walkFixture(b testing.TB, n int) *Map {
-	m := NewMap("walk", Frame{Kind: FrameGeodetic})
+	mb := NewBuilder("walk", Frame{Kind: FrameGeodetic})
 	for i := 0; i < n; i++ {
-		m.AddNode(&Node{
+		mb.AddNode(&Node{
 			Pos:  geo.LatLng{Lat: 40 + float64(i)*1e-6, Lng: -80},
 			Tags: Tags{TagName: fmt.Sprintf("POI %d", i), TagAmenity: "bench"},
 		})
 	}
-	m.Compact()
-	return m
+	return mb.Build()
 }
 
 func TestNodesWalkAscending(t *testing.T) {
-	m := walkFixture(t, 3000)
 	// Mix in overlay entries (a replacement and an addition) so the merge
 	// path is the one under test, not just the packed fast path.
-	m.AddNode(&Node{ID: 1500, Pos: geo.LatLng{Lat: 41, Lng: -80}, Tags: Tags{TagName: "replaced"}})
-	m.AddNode(&Node{Pos: geo.LatLng{Lat: 42, Lng: -80}})
+	m := walkFixture(t, 3000).
+		WithNode(&Node{ID: 1500, Pos: geo.LatLng{Lat: 41, Lng: -80}, Tags: Tags{TagName: "replaced"}}).
+		WithNode(&Node{ID: 3001, Pos: geo.LatLng{Lat: 42, Lng: -80}})
 	var prev NodeID
 	count := 0
 	m.Nodes(func(n *Node) bool {

@@ -162,7 +162,7 @@ func ReadXML(r io.Reader) (*Map, error) {
 	if doc.Frame == "local" {
 		frame.Kind = FrameLocal
 	}
-	m := NewMap(doc.Name, frame)
+	b := NewBuilder(doc.Name, frame)
 	for _, xn := range doc.Nodes {
 		n := &Node{
 			ID:   NodeID(xn.ID),
@@ -172,14 +172,14 @@ func ReadXML(r io.Reader) (*Map, error) {
 		if xn.X != nil && xn.Y != nil {
 			n.Local = geo.Point{X: *xn.X, Y: *xn.Y}
 		}
-		m.AddNode(n)
+		b.AddNode(n)
 	}
 	for _, xw := range doc.Ways {
 		w := &Way{ID: WayID(xw.ID), Tags: xmlToTags(xw.Tags)}
 		for _, nd := range xw.Nds {
 			w.NodeIDs = append(w.NodeIDs, NodeID(nd.Ref))
 		}
-		if _, err := m.AddWay(w); err != nil {
+		if _, err := b.AddWay(w); err != nil {
 			return nil, err
 		}
 	}
@@ -199,7 +199,7 @@ func ReadXML(r io.Reader) (*Map, error) {
 			}
 			rel.Members = append(rel.Members, Member{Type: typ, Ref: mem.Ref, Role: mem.Role})
 		}
-		m.AddRelation(rel)
+		b.AddRelation(rel)
 	}
-	return m, nil
+	return b.Build(), nil
 }

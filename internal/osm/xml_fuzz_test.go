@@ -15,13 +15,14 @@ import (
 // document, truncations of each, and an empty document; they run as
 // ordinary tests under `go test`.
 func FuzzReadOSMXML(f *testing.F) {
-	local := NewMap("grocery", Frame{Kind: FrameLocal,
+	lb := NewBuilder("grocery", Frame{Kind: FrameLocal,
 		Anchor: geo.LatLng{Lat: 40.44, Lng: -79.99}, AnchorBearingDeg: 15})
-	a := local.AddNode(&Node{Local: geo.Point{X: 12.5, Y: -3.25}, Tags: Tags{TagProduct: "seaweed"}})
-	b := local.AddNode(&Node{Local: geo.Point{X: 2, Y: 7}})
-	if _, err := local.AddWay(&Way{NodeIDs: []NodeID{a, b}, Tags: Tags{TagHighway: "corridor"}}); err != nil {
+	a := lb.AddNode(&Node{Local: geo.Point{X: 12.5, Y: -3.25}, Tags: Tags{TagProduct: "seaweed"}})
+	b := lb.AddNode(&Node{Local: geo.Point{X: 2, Y: 7}})
+	if _, err := lb.AddWay(&Way{NodeIDs: []NodeID{a, b}, Tags: Tags{TagHighway: "corridor"}}); err != nil {
 		f.Fatal(err)
 	}
+	local := lb.Build()
 	for _, m := range []*Map{geodeticMap(f), local} {
 		var buf bytes.Buffer
 		if err := m.WriteXML(&buf); err != nil {

@@ -14,14 +14,15 @@ import (
 // ForEachPostingMatch test; what remains here is result materialization,
 // which scales with matches, not with index size.
 func BenchmarkSearch(b *testing.B) {
-	m := osm.NewMap("bench", osm.Frame{Kind: osm.FrameGeodetic})
+	mb := osm.NewBuilder("bench", osm.Frame{Kind: osm.FrameGeodetic})
 	for i := 0; i < 20_000; i++ {
 		tags := osm.Tags{osm.TagName: fmt.Sprintf("Block %d", i)}
 		if i%100 == 0 {
 			tags = osm.Tags{osm.TagName: fmt.Sprintf("Bench Cafe %d", i), osm.TagAmenity: "cafe"}
 		}
-		m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40 + float64(i)*1e-5, Lng: -80}, Tags: tags})
+		mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40 + float64(i)*1e-5, Lng: -80}, Tags: tags})
 	}
+	m := mb.Build()
 	se := New(store.New(m))
 	near := geo.LatLng{Lat: 40.05, Lng: -80}
 	b.ReportAllocs()

@@ -10,15 +10,16 @@ import (
 
 func cafeStore(t *testing.T) *store.Store {
 	t.Helper()
-	m := osm.NewMap("town", osm.Frame{Kind: osm.FrameGeodetic})
+	mb := osm.NewBuilder("town", osm.Frame{Kind: osm.FrameGeodetic})
 	add := func(lat, lng float64, tags osm.Tags) {
-		m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: lat, Lng: lng}, Tags: tags})
+		mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: lat, Lng: lng}, Tags: tags})
 	}
 	add(40.4405, -79.9950, osm.Tags{osm.TagName: "Bean There Cafe", osm.TagAmenity: "cafe"})
 	add(40.4425, -79.9948, osm.Tags{osm.TagName: "Second Cup Cafe", osm.TagAmenity: "cafe"})
 	add(40.4600, -79.9700, osm.Tags{osm.TagName: "Far Away Cafe", osm.TagAmenity: "cafe"})
 	add(40.4410, -79.9952, osm.Tags{osm.TagName: "Corner Grocery", osm.TagShop: "grocery"})
 	add(40.4411, -79.9953, osm.Tags{osm.TagName: "Seaweed Shelf", osm.TagProduct: "roasted seaweed"})
+	m := mb.Build()
 	return store.New(m)
 }
 

@@ -21,7 +21,7 @@ import (
 func attachTown(t testing.TB, nodes int) *osm.Map {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	m := osm.NewMap("attach-town", osm.Frame{Kind: osm.FrameGeodetic})
+	mb := osm.NewBuilder("attach-town", osm.Frame{Kind: osm.FrameGeodetic})
 	kinds := []string{"cafe", "library", "pharmacy", "bakery"}
 	var ids []osm.NodeID
 	for i := 0; i < nodes; i++ {
@@ -32,7 +32,7 @@ func attachTown(t testing.TB, nodes int) *osm.Map {
 		if i%50 == 0 {
 			tags[osm.TagPortalID] = fmt.Sprintf("portal-%d", i)
 		}
-		ids = append(ids, m.AddNode(&osm.Node{
+		ids = append(ids, mb.AddNode(&osm.Node{
 			Pos: geo.LatLng{
 				Lat: 40.44 + rng.Float64()*0.02,
 				Lng: -80.00 + rng.Float64()*0.02,
@@ -42,12 +42,12 @@ func attachTown(t testing.TB, nodes int) *osm.Map {
 	}
 	// Stride 5 over 4-node ways leaves every fifth node way-free.
 	for i := 0; i+3 < len(ids); i += 5 {
-		if _, err := m.AddWay(&osm.Way{NodeIDs: ids[i : i+4],
+		if _, err := mb.AddWay(&osm.Way{NodeIDs: ids[i : i+4],
 			Tags: osm.Tags{osm.TagHighway: "residential"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return m
+	return mb.Build()
 }
 
 // attachFixture indexes attachTown from scratch, persists the index through
@@ -321,6 +321,89 @@ func TestViewIsolation(t *testing.T) {
 	}
 	if readsOf(v) != before || !reflect.DeepEqual(v.ChangesSince(0, 0), log) || v.Seq != 0 {
 		t.Fatal("a write changed what an earlier view answers")
+	}
+}
+
+// pinnedWrites is how many writes the pinned view of TestViewWalkAcrossFold
+// holds in its map's overlay.
+const pinnedWrites = 10
+
+// TestViewWalkAcrossFold: one reader walks a pinned view's map — Node,
+// Nodes, WayNodes, Bounds — while the writer applies more distinct-node tag
+// writes than compactMinPending, so a WithNode fold lands mid-walk. The
+// pinned map already holds an overlay of its own. An osm.Map takes no
+// lock, so under -race this checks that deriving the next map never writes
+// what the pinned one reads, and every walk must answer exactly the pinned
+// generation.
+func TestViewWalkAcrossFold(t *testing.T) {
+	_, s := attachFixture(t, 1200)
+	ids := s.View().TokenPostings("place")
+	if len(ids) <= compactMinPending+pinnedWrites {
+		t.Fatalf("fixture has %d nodes, need more than %d", len(ids), compactMinPending+pinnedWrites)
+	}
+	rename := func(i int, id osm.NodeID) {
+		if !s.UpdateNodeTags(id, osm.Tags{osm.TagName: fmt.Sprintf("Renamed %d", i)}) {
+			t.Fatalf("update of %d refused", id)
+		}
+	}
+	for i, id := range ids[:pinnedWrites] {
+		rename(i, id)
+	}
+	v := s.View()
+	m := v.Map()
+	if st := m.StorageStats(); st.OverlayNodes != pinnedWrites {
+		t.Fatalf("pinned map has %d overlay nodes, want %d", st.OverlayNodes, pinnedWrites)
+	}
+	walk := func() string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "gen %d bounds %v\n", m.Generation(), m.Bounds())
+		m.Nodes(func(n *osm.Node) bool {
+			fmt.Fprintf(&b, "node %d %v %v %v\n", n.ID, n.Pos, n.Tags, m.Node(n.ID).Tags)
+			return true
+		})
+		m.Ways(func(w *osm.Way) bool {
+			for _, n := range m.WayNodes(w) {
+				fmt.Fprintf(&b, "way %d %d %v\n", w.ID, n.ID, n.Pos)
+			}
+			return true
+		})
+		return b.String()
+	}
+	want := walk()
+	if m.Generation() != v.Gen {
+		t.Fatalf("view generation %d, its map's %d", v.Gen, m.Generation())
+	}
+
+	done := make(chan struct{})
+	walks := make(chan int)
+	go func() {
+		n := 0
+		defer func() { walks <- n }()
+		for {
+			if got := walk(); got != want {
+				t.Error("a walk of the pinned view saw another generation")
+				return
+			}
+			n++
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for i, id := range ids[pinnedWrites:] {
+		rename(pinnedWrites+i, id)
+	}
+	close(done)
+	if n := <-walks; n == 0 {
+		t.Fatal("the reader finished no walk")
+	}
+	if st := s.View().Map().StorageStats(); st.OverlayNodes >= compactMinPending {
+		t.Fatalf("the writes never folded: %d pending", st.OverlayNodes)
+	}
+	if walk() != want {
+		t.Fatal("the pinned view changed after the writes")
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 
 func changelogFixture(t *testing.T) (*Store, osm.NodeID) {
 	t.Helper()
-	m := osm.NewMap("log-test", osm.Frame{Kind: osm.FrameGeodetic})
-	id := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.44, Lng: -79.99},
+	mb := osm.NewBuilder("log-test", osm.Frame{Kind: osm.FrameGeodetic})
+	id := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.44, Lng: -79.99},
 		Tags: osm.Tags{"name": "Shelf A"}})
+	m := mb.Build()
 	s := New(m)
 	return s, id
 }

@@ -48,13 +48,14 @@ func TestForEachPostingMatchMerge(t *testing.T) {
 }
 
 func TestTokenPostingsSorted(t *testing.T) {
-	m := osm.NewMap("sorted", osm.Frame{Kind: osm.FrameGeodetic})
+	mb := osm.NewBuilder("sorted", osm.Frame{Kind: osm.FrameGeodetic})
 	// Insert with descending positions in space but ascending IDs; then
 	// update a middle node so the copy-on-write insert path runs too.
 	for i := 0; i < 50; i++ {
-		m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40, Lng: -80 + float64(i)*1e-4},
+		mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40, Lng: -80 + float64(i)*1e-4},
 			Tags: osm.Tags{osm.TagName: "alpha"}})
 	}
+	m := mb.Build()
 	s := New(m)
 	if !s.UpdateNodeTags(25, osm.Tags{osm.TagName: "beta"}) {
 		t.Fatal("update failed")
@@ -77,15 +78,16 @@ func TestTokenPostingsSorted(t *testing.T) {
 // vector and one cursor vector per call, nothing per posting. The old
 // implementation allocated and rehashed a map[NodeID]int per query.
 func TestForEachPostingMatchAllocsPin(t *testing.T) {
-	m := osm.NewMap("pin", osm.Frame{Kind: osm.FrameGeodetic})
+	mb := osm.NewBuilder("pin", osm.Frame{Kind: osm.FrameGeodetic})
 	for i := 0; i < 2000; i++ {
 		name := fmt.Sprintf("Node %d alpha", i)
 		if i%2 == 0 {
 			name += " beta"
 		}
-		m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40 + float64(i)*1e-5, Lng: -80},
+		mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40 + float64(i)*1e-5, Lng: -80},
 			Tags: osm.Tags{osm.TagName: name}})
 	}
+	m := mb.Build()
 	s := New(m).View()
 	tokens := []string{"alpha", "beta"}
 	count := 0
@@ -101,15 +103,16 @@ func TestForEachPostingMatchAllocsPin(t *testing.T) {
 }
 
 func BenchmarkForEachPostingMatch(b *testing.B) {
-	m := osm.NewMap("bench", osm.Frame{Kind: osm.FrameGeodetic})
+	mb := osm.NewBuilder("bench", osm.Frame{Kind: osm.FrameGeodetic})
 	for i := 0; i < 10_000; i++ {
 		name := fmt.Sprintf("Node %d alpha", i)
 		if i%3 == 0 {
 			name += " beta"
 		}
-		m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40 + float64(i)*1e-5, Lng: -80},
+		mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40 + float64(i)*1e-5, Lng: -80},
 			Tags: osm.Tags{osm.TagName: name}})
 	}
+	m := mb.Build()
 	s := New(m).View()
 	tokens := []string{"alpha", "beta"}
 	b.ReportAllocs()

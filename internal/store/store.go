@@ -277,13 +277,10 @@ func (v *View) PersistedIndex() *osm.IndexData {
 	return idx
 }
 
-// Map returns the view's map, for READ-ONLY use (position lookups,
-// iteration, FindNodes). It holds exactly the writes through Seq and never
-// changes: later writes derive new maps (osm.Map.WithNode) and leave this
-// one alone. Calling its construction-only write methods — AddNode,
-// AddWay, AddRelation, Compact — is forbidden: the map shares its
-// columns, ways and relations with every other view, and a direct write
-// would also bypass the indexes and generation the caches key on.
+// Map returns the view's map (position lookups, iteration, FindNodes). It
+// holds exactly the writes through Seq and never changes: an osm.Map is
+// immutable, and later writes derive new maps (osm.Map.WithNode) that
+// leave this one alone.
 func (v *View) Map() *osm.Map { return v.m }
 
 // Bounds returns the geodetic bounding rectangle of the indexed content.

@@ -12,23 +12,23 @@ import (
 
 func townMap(t *testing.T) *osm.Map {
 	t.Helper()
-	m := osm.NewMap("town", osm.Frame{Kind: osm.FrameGeodetic})
+	mb := osm.NewBuilder("town", osm.Frame{Kind: osm.FrameGeodetic})
 	// Street: three nodes going north along lng -79.996.
-	a := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}})
-	b := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4410, Lng: -79.9960}})
-	c := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4420, Lng: -79.9960}})
-	if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, b, c},
+	a := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}})
+	b := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4410, Lng: -79.9960}})
+	c := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4420, Lng: -79.9960}})
+	if _, err := mb.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, b, c},
 		Tags: osm.Tags{osm.TagHighway: "residential", osm.TagName: "Forbes Avenue"}}); err != nil {
 		t.Fatal(err)
 	}
 	// POIs.
-	m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4405, Lng: -79.9950},
+	mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4405, Lng: -79.9950},
 		Tags: osm.Tags{osm.TagAmenity: "cafe", osm.TagName: "Bean There Cafe"}})
-	m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4415, Lng: -79.9952},
+	mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4415, Lng: -79.9952},
 		Tags: osm.Tags{osm.TagShop: "grocery", osm.TagName: "Corner Grocery"}})
-	m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4425, Lng: -79.9948},
+	mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4425, Lng: -79.9948},
 		Tags: osm.Tags{osm.TagAmenity: "cafe", osm.TagName: "Second Cup"}})
-	return m
+	return mb.Build()
 }
 
 func TestNodesInRect(t *testing.T) {
@@ -219,8 +219,9 @@ func strings0(xs []string) string {
 
 func TestLocalFrameStore(t *testing.T) {
 	anchor := geo.LatLng{Lat: 40.44, Lng: -79.99}
-	m := osm.NewMap("indoor", osm.Frame{Kind: osm.FrameLocal, Anchor: anchor})
-	m.AddNode(&osm.Node{Local: geo.Point{X: 10, Y: 10}, Tags: osm.Tags{osm.TagProduct: "seaweed"}})
+	mb := osm.NewBuilder("indoor", osm.Frame{Kind: osm.FrameLocal, Anchor: anchor})
+	mb.AddNode(&osm.Node{Local: geo.Point{X: 10, Y: 10}, Tags: osm.Tags{osm.TagProduct: "seaweed"}})
+	m := mb.Build()
 	s := New(m).View()
 	hits := s.NearestNodes(anchor, 1, 100)
 	if len(hits) != 1 {

@@ -85,25 +85,25 @@ func TestCovering(t *testing.T) {
 
 func townMap(t *testing.T) *osm.Map {
 	t.Helper()
-	m := osm.NewMap("town", osm.Frame{Kind: osm.FrameGeodetic})
-	a := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}})
-	b := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4420, Lng: -79.9940}})
-	if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, b},
+	mb := osm.NewBuilder("town", osm.Frame{Kind: osm.FrameGeodetic})
+	a := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4400, Lng: -79.9960}})
+	b := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4420, Lng: -79.9940}})
+	if _, err := mb.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, b},
 		Tags: osm.Tags{osm.TagHighway: "primary", osm.TagName: "Forbes"}}); err != nil {
 		t.Fatal(err)
 	}
 	// A building square.
 	var ring []osm.NodeID
 	for _, d := range [][2]float64{{40.4405, -79.9955}, {40.4405, -79.9950}, {40.4409, -79.9950}, {40.4409, -79.9955}} {
-		ring = append(ring, m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: d[0], Lng: d[1]}}))
+		ring = append(ring, mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: d[0], Lng: d[1]}}))
 	}
 	ring = append(ring, ring[0])
-	if _, err := m.AddWay(&osm.Way{NodeIDs: ring, Tags: osm.Tags{osm.TagBuilding: "yes"}}); err != nil {
+	if _, err := mb.AddWay(&osm.Way{NodeIDs: ring, Tags: osm.Tags{osm.TagBuilding: "yes"}}); err != nil {
 		t.Fatal(err)
 	}
-	m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4407, Lng: -79.9952},
+	mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.4407, Lng: -79.9952},
 		Tags: osm.Tags{osm.TagName: "Corner Grocery", osm.TagShop: "grocery"}})
-	return m
+	return mb.Build()
 }
 
 func TestRenderProducesContent(t *testing.T) {
@@ -195,13 +195,13 @@ func TestPrerender(t *testing.T) {
 func TestStitchOverlaysIndoorOnOutdoor(t *testing.T) {
 	outdoor := townMap(t)
 	// Indoor map anchored inside the building.
-	indoor := osm.NewMap("store", osm.Frame{
+	indoorB := osm.NewBuilder("store", osm.Frame{
 		Kind:   osm.FrameLocal,
 		Anchor: geo.LatLng{Lat: 40.4406, Lng: -79.9954},
 	})
-	a := indoor.AddNode(&osm.Node{Local: geo.Point{X: 0, Y: 0}})
-	b := indoor.AddNode(&osm.Node{Local: geo.Point{X: 20, Y: 0}})
-	if _, err := indoor.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, b},
+	a := indoorB.AddNode(&osm.Node{Local: geo.Point{X: 0, Y: 0}})
+	b := indoorB.AddNode(&osm.Node{Local: geo.Point{X: 20, Y: 0}})
+	if _, err := indoorB.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, b},
 		Tags: osm.Tags{osm.TagHighway: "corridor", osm.TagIndoor: "yes"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +212,7 @@ func TestStitchOverlaysIndoorOnOutdoor(t *testing.T) {
 
 	c := FromLatLng(geo.LatLng{Lat: 40.4406, Lng: -79.9954}, 17)
 	base := NewRenderer(outdoor, style).Render(c)
+	indoor := indoorB.Build()
 	over := NewRenderer(indoor, indoorStyle).Render(c)
 	overCount := over.CountNonBackground(indoorStyle.Background)
 	if overCount == 0 {
@@ -231,16 +232,17 @@ func TestStitchEmpty(t *testing.T) {
 }
 
 func BenchmarkRenderTileZ16(b *testing.B) {
-	m := osm.NewMap("bench", osm.Frame{Kind: osm.FrameGeodetic})
+	mb := osm.NewBuilder("bench", osm.Frame{Kind: osm.FrameGeodetic})
 	// A denser map: 20 streets.
 	for i := 0; i < 20; i++ {
-		a := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.44 + float64(i)*0.0002, Lng: -79.998}})
-		bb := m.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.44 + float64(i)*0.0002, Lng: -79.992}})
-		if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, bb},
+		a := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.44 + float64(i)*0.0002, Lng: -79.998}})
+		bb := mb.AddNode(&osm.Node{Pos: geo.LatLng{Lat: 40.44 + float64(i)*0.0002, Lng: -79.992}})
+		if _, err := mb.AddWay(&osm.Way{NodeIDs: []osm.NodeID{a, bb},
 			Tags: osm.Tags{osm.TagHighway: "residential"}}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	m := mb.Build()
 	r := NewRenderer(m, DefaultStyle())
 	c := FromLatLng(geo.LatLng{Lat: 40.442, Lng: -79.995}, 16)
 	b.ResetTimer()

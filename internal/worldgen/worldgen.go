@@ -76,11 +76,12 @@ func ordinal(n int) string {
 	return fmt.Sprintf("%d%s", n, suffix)
 }
 
-// GenCity generates the outdoor map: a street grid with named streets and
-// avenues, intersection nodes, and tagged POIs with addresses.
-func GenCity(p CityParams) *osm.Map {
+// genCity starts the outdoor map: a street grid with named streets and
+// avenues, intersection nodes, and tagged POIs with addresses. It returns
+// the builder and the intersection nodes, indexed [y][x].
+func genCity(p CityParams) (*osm.Builder, [][]osm.NodeID) {
 	rng := rand.New(rand.NewSource(p.Seed))
-	m := osm.NewMap("city", osm.Frame{Kind: osm.FrameGeodetic, Anchor: p.Origin})
+	b := osm.NewBuilder("city", osm.Frame{Kind: osm.FrameGeodetic, Anchor: p.Origin})
 
 	nodeAt := func(dxMeters, dyMeters float64) geo.LatLng {
 		return geo.Offset(geo.Offset(p.Origin, dyMeters, 0), dxMeters, 90)
@@ -91,7 +92,7 @@ func GenCity(p CityParams) *osm.Map {
 		grid[y] = make([]osm.NodeID, p.BlocksX+1)
 		for x := 0; x <= p.BlocksX; x++ {
 			pos := nodeAt(float64(x)*p.BlockMeters, float64(y)*p.BlockMeters)
-			grid[y][x] = m.AddNode(&osm.Node{Pos: pos})
+			grid[y][x] = b.AddNode(&osm.Node{Pos: pos})
 		}
 	}
 	// East-west streets.
@@ -100,7 +101,7 @@ func GenCity(p CityParams) *osm.Map {
 		for x := 0; x <= p.BlocksX; x++ {
 			ids = append(ids, grid[y][x])
 		}
-		if _, err := m.AddWay(&osm.Way{NodeIDs: ids, Tags: osm.Tags{
+		if _, err := b.AddWay(&osm.Way{NodeIDs: ids, Tags: osm.Tags{
 			osm.TagHighway: "residential", osm.TagName: StreetName(y)}}); err != nil {
 			panic(err)
 		}
@@ -111,7 +112,7 @@ func GenCity(p CityParams) *osm.Map {
 		for y := 0; y <= p.BlocksY; y++ {
 			ids = append(ids, grid[y][x])
 		}
-		if _, err := m.AddWay(&osm.Way{NodeIDs: ids, Tags: osm.Tags{
+		if _, err := b.AddWay(&osm.Way{NodeIDs: ids, Tags: osm.Tags{
 			osm.TagHighway: "residential", osm.TagName: AvenueName(x)}}); err != nil {
 			panic(err)
 		}
@@ -125,7 +126,7 @@ func GenCity(p CityParams) *osm.Map {
 				dx := (float64(bx) + 0.2 + 0.6*rng.Float64()) * p.BlockMeters
 				dy := (float64(by) + 0.2 + 0.6*rng.Float64()) * p.BlockMeters
 				num := 100*by + 2*bx + 1
-				m.AddNode(&osm.Node{
+				b.AddNode(&osm.Node{
 					Pos: nodeAt(dx, dy),
 					Tags: osm.Tags{
 						osm.TagName:    fmt.Sprintf("%s %s", poiAdjectives[i], poiNouns[j]),
@@ -139,7 +140,7 @@ func GenCity(p CityParams) *osm.Map {
 			}
 		}
 	}
-	return m
+	return b, grid
 }
 
 // StoreParams configures one indoor store map.
@@ -216,12 +217,12 @@ func GenStore(p StoreParams) *IndoorBundle {
 	if p.AnchorErrorMeters > 0 {
 		anchor = geo.Offset(anchor, math.Abs(rng.NormFloat64())*p.AnchorErrorMeters, rng.Float64()*360)
 	}
-	m := osm.NewMap(p.Name, osm.Frame{
+	b := osm.NewBuilder(p.Name, osm.Frame{
 		Kind:             osm.FrameLocal,
 		Anchor:           anchor,
 		AnchorBearingDeg: p.BearingDeg + rng.NormFloat64()*p.AnchorErrorBearingDeg,
 	})
-	bundle := &IndoorBundle{Map: m, PortalID: portalID}
+	bundle := &IndoorBundle{PortalID: portalID}
 
 	halfW := p.WidthMeters / 2
 	// Walls (closed building ring).
@@ -231,16 +232,16 @@ func GenStore(p StoreParams) *IndoorBundle {
 	}
 	var wallIDs []osm.NodeID
 	for _, c := range corners {
-		wallIDs = append(wallIDs, m.AddNode(&osm.Node{Local: c}))
+		wallIDs = append(wallIDs, b.AddNode(&osm.Node{Local: c}))
 	}
 	wallIDs = append(wallIDs, wallIDs[0])
-	if _, err := m.AddWay(&osm.Way{NodeIDs: wallIDs, Tags: osm.Tags{
+	if _, err := b.AddWay(&osm.Way{NodeIDs: wallIDs, Tags: osm.Tags{
 		osm.TagBuilding: "retail", osm.TagName: p.Name, osm.TagIndoor: "yes"}}); err != nil {
 		panic(err)
 	}
 
 	// Entrance node (portal) and front corridor at y=2.
-	entrance := m.AddNode(&osm.Node{Local: geo.Point{X: 0, Y: 0}, Tags: osm.Tags{
+	entrance := b.AddNode(&osm.Node{Local: geo.Point{X: 0, Y: 0}, Tags: osm.Tags{
 		osm.TagName: p.Name + " Entrance", osm.TagPortalID: portalID, osm.TagIndoor: "yes",
 		osm.TagLevel: "0"}})
 	bundle.EntranceNode = entrance
@@ -256,29 +257,29 @@ func GenStore(p StoreParams) *IndoorBundle {
 	stairX := -halfW + 3
 	for fl := 0; fl < floors; fl++ {
 		level := fmt.Sprintf("%d", fl)
-		frontLeft := m.AddNode(&osm.Node{Local: geo.Point{X: -halfW + 2, Y: frontY},
+		frontLeft := b.AddNode(&osm.Node{Local: geo.Point{X: -halfW + 2, Y: frontY},
 			Tags: osm.Tags{osm.TagLevel: level}})
-		frontRight := m.AddNode(&osm.Node{Local: geo.Point{X: halfW - 2, Y: frontY},
+		frontRight := b.AddNode(&osm.Node{Local: geo.Point{X: halfW - 2, Y: frontY},
 			Tags: osm.Tags{osm.TagLevel: level}})
-		entranceFront := m.AddNode(&osm.Node{Local: geo.Point{X: 0, Y: frontY},
+		entranceFront := b.AddNode(&osm.Node{Local: geo.Point{X: 0, Y: frontY},
 			Tags: osm.Tags{osm.TagLevel: level}})
 		if fl == 0 {
-			if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{entrance, entranceFront},
+			if _, err := b.AddWay(&osm.Way{NodeIDs: []osm.NodeID{entrance, entranceFront},
 				Tags: osm.Tags{osm.TagHighway: "corridor", osm.TagIndoor: "yes", osm.TagLevel: level}}); err != nil {
 				panic(err)
 			}
 		}
-		if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{frontLeft, entranceFront, frontRight},
+		if _, err := b.AddWay(&osm.Way{NodeIDs: []osm.NodeID{frontLeft, entranceFront, frontRight},
 			Tags: osm.Tags{osm.TagHighway: "corridor", osm.TagIndoor: "yes", osm.TagLevel: level,
 				osm.TagName: fmt.Sprintf("Front Corridor L%d", fl)}}); err != nil {
 			panic(err)
 		}
 		// Stair landing joins this floor's front corridor.
-		landing := m.AddNode(&osm.Node{
+		landing := b.AddNode(&osm.Node{
 			Local: geo.Point{X: stairX + float64(fl)*1.5, Y: frontY + 1.5},
 			Tags:  osm.Tags{osm.TagLevel: level, osm.TagName: fmt.Sprintf("%s Stairs L%d", p.Name, fl)}})
 		landings = append(landings, landing)
-		if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{frontLeft, landing},
+		if _, err := b.AddWay(&osm.Way{NodeIDs: []osm.NodeID{frontLeft, landing},
 			Tags: osm.Tags{osm.TagHighway: "corridor", osm.TagIndoor: "yes", osm.TagLevel: level}}); err != nil {
 			panic(err)
 		}
@@ -287,18 +288,18 @@ func GenStore(p StoreParams) *IndoorBundle {
 		for a := 0; a < p.Aisles; a++ {
 			frac := (float64(a) + 0.5) / float64(p.Aisles)
 			x := -halfW + 2 + frac*(p.WidthMeters-4)
-			bottom := m.AddNode(&osm.Node{Local: geo.Point{X: x, Y: frontY},
+			bottom := b.AddNode(&osm.Node{Local: geo.Point{X: x, Y: frontY},
 				Tags: osm.Tags{osm.TagLevel: level}})
-			top := m.AddNode(&osm.Node{Local: geo.Point{X: x, Y: p.DepthMeters - 2},
+			top := b.AddNode(&osm.Node{Local: geo.Point{X: x, Y: p.DepthMeters - 2},
 				Tags: osm.Tags{osm.TagLevel: level}})
 			aisleName := fmt.Sprintf("Aisle %d", fl*p.Aisles+a+1)
-			if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{bottom, top}, Tags: osm.Tags{
+			if _, err := b.AddWay(&osm.Way{NodeIDs: []osm.NodeID{bottom, top}, Tags: osm.Tags{
 				osm.TagHighway: "aisle", osm.TagIndoor: "yes", osm.TagName: aisleName,
 				osm.TagLevel: level}}); err != nil {
 				panic(err)
 			}
 			// Join the aisle bottom into the front corridor.
-			if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{entranceFront, bottom},
+			if _, err := b.AddWay(&osm.Way{NodeIDs: []osm.NodeID{entranceFront, bottom},
 				Tags: osm.Tags{osm.TagHighway: "corridor", osm.TagIndoor: "yes", osm.TagLevel: level}}); err != nil {
 				panic(err)
 			}
@@ -309,7 +310,7 @@ func GenStore(p StoreParams) *IndoorBundle {
 				yFrac := (float64(s) + 0.5) / float64(p.ProductsPerAisle)
 				y := frontY + yFrac*(p.DepthMeters-4)
 				shelfName := fmt.Sprintf("%s shelf", product)
-				m.AddNode(&osm.Node{Local: geo.Point{X: x + 0.8, Y: y}, Tags: osm.Tags{
+				b.AddNode(&osm.Node{Local: geo.Point{X: x + 0.8, Y: y}, Tags: osm.Tags{
 					osm.TagName: shelfName, osm.TagProduct: product,
 					osm.TagIndoor: "yes", osm.TagLevel: level,
 				}})
@@ -319,7 +320,7 @@ func GenStore(p StoreParams) *IndoorBundle {
 	}
 	// Stairs connect consecutive landings.
 	for fl := 1; fl < floors; fl++ {
-		if _, err := m.AddWay(&osm.Way{NodeIDs: []osm.NodeID{landings[fl-1], landings[fl]},
+		if _, err := b.AddWay(&osm.Way{NodeIDs: []osm.NodeID{landings[fl-1], landings[fl]},
 			Tags: osm.Tags{osm.TagHighway: "steps", osm.TagIndoor: "yes",
 				osm.TagName: fmt.Sprintf("Stairs %d-%d", fl-1, fl)}}); err != nil {
 			panic(err)
@@ -366,6 +367,7 @@ func GenStore(p StoreParams) *IndoorBundle {
 	bundle.Correspondences = append(bundle.Correspondences, align.Correspondence{
 		Local: geo.Point{X: 0, Y: 0}, World: p.Entrance,
 	})
+	bundle.Map = b.Build()
 	return bundle
 }
 
@@ -415,8 +417,8 @@ var storeNames = []string{
 // corners, and links each store's entrance portal to the street network via
 // an outdoor footway.
 func GenWorld(p WorldParams) *World {
-	city := GenCity(p.City)
-	w := &World{Outdoor: city, OutdoorPortals: make(map[string]osm.NodeID)}
+	city, grid := genCity(p.City)
+	w := &World{OutdoorPortals: make(map[string]osm.NodeID)}
 	rng := rand.New(rand.NewSource(p.StoreSeed))
 	used := make(map[[2]int]bool)
 	for i := 0; i < p.NumStores; i++ {
@@ -449,19 +451,21 @@ func GenWorld(p WorldParams) *World {
 		w.Stores = append(w.Stores, bundle)
 
 		// Outdoor presence: a POI node at the entrance (sparse knowledge),
-		// tagged with the shared portal ID, plus a footway to the corner.
-		cornerNode := nearestCityNode(city, corner)
+		// tagged with the shared portal ID, plus a footway to the grid
+		// intersection nearest the corner: the corner itself, or the
+		// origin's lone node in a city with no blocks.
 		portalNode := city.AddNode(&osm.Node{Pos: entrance, Tags: osm.Tags{
 			osm.TagName: name, osm.TagShop: "grocery",
 			osm.TagPortalID: bundle.PortalID,
 			osm.TagAddr:     fmt.Sprintf("%d %s", 100*by+bx, StreetName(by)),
 		}})
 		w.OutdoorPortals[bundle.PortalID] = portalNode
-		if _, err := city.AddWay(&osm.Way{NodeIDs: []osm.NodeID{cornerNode, portalNode},
+		if _, err := city.AddWay(&osm.Way{NodeIDs: []osm.NodeID{grid[min(by, p.City.BlocksY)][min(bx, p.City.BlocksX)], portalNode},
 			Tags: osm.Tags{osm.TagHighway: "footway"}}); err != nil {
 			panic(err)
 		}
 	}
+	w.Outdoor = city.Build()
 	return w
 }
 
@@ -470,21 +474,6 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// nearestCityNode finds the closest existing node in the city map to ll
-// (linear scan; generation-time only).
-func nearestCityNode(m *osm.Map, ll geo.LatLng) osm.NodeID {
-	var best osm.NodeID
-	bestD := math.Inf(1)
-	m.Nodes(func(n *osm.Node) bool {
-		if d := geo.DistanceMeters(m.NodePosition(n), ll); d < bestD {
-			bestD = d
-			best = n.ID
-		}
-		return true
-	})
-	return best
 }
 
 // Products returns the full product list available to generators, for tests

@@ -11,7 +11,7 @@ import (
 
 func TestGenCityStructure(t *testing.T) {
 	p := DefaultCityParams()
-	m := GenCity(p)
+	m := GenWorld(WorldParams{City: p}).Outdoor
 	// (BlocksX+1)*(BlocksY+1) intersections + POIs.
 	wantIntersections := (p.BlocksX + 1) * (p.BlocksY + 1)
 	wantPOIs := p.BlocksX * p.BlocksY * p.POIPerBlock
@@ -31,8 +31,8 @@ func TestGenCityStructure(t *testing.T) {
 }
 
 func TestGenCityDeterministic(t *testing.T) {
-	a := GenCity(DefaultCityParams())
-	b := GenCity(DefaultCityParams())
+	a := GenWorld(WorldParams{City: DefaultCityParams()}).Outdoor
+	b := GenWorld(WorldParams{City: DefaultCityParams()}).Outdoor
 	if a.NodeCount() != b.NodeCount() {
 		t.Fatal("node counts differ across runs")
 	}
@@ -51,7 +51,7 @@ func TestGenCityDeterministic(t *testing.T) {
 }
 
 func TestGenCityRoutable(t *testing.T) {
-	m := GenCity(DefaultCityParams())
+	m := GenWorld(WorldParams{City: DefaultCityParams()}).Outdoor
 	g := graph.FromOSM(m, graph.FootProfile)
 	if g.NumNodes() < 80 {
 		t.Fatalf("graph nodes = %d", g.NumNodes())
@@ -201,6 +201,30 @@ func TestGenWorldDistinctCorners(t *testing.T) {
 			t.Fatalf("two stores at %s", key)
 		}
 		seen[key] = true
+	}
+}
+
+// A city with no blocks has one intersection; a store placed in it links
+// its footway to that node rather than indexing past the grid.
+func TestGenWorldNoBlocks(t *testing.T) {
+	p := DefaultWorldParams()
+	p.City.BlocksX, p.City.BlocksY = 0, 0
+	p.NumStores = 1
+	w := GenWorld(p)
+	portal := w.OutdoorPortals[w.Stores[0].PortalID]
+	if w.Outdoor.Node(portal) == nil {
+		t.Fatal("no outdoor portal node")
+	}
+	var linked bool
+	w.Outdoor.Ways(func(way *osm.Way) bool {
+		if way.Tags.Get(osm.TagHighway) == "footway" {
+			ns := w.Outdoor.WayNodes(way)
+			linked = len(ns) == 2 && ns[1].ID == portal
+		}
+		return !linked
+	})
+	if !linked {
+		t.Fatal("portal footway does not reach the lone intersection")
 	}
 }
 

@@ -72,7 +72,7 @@ func e19Fixtures() {
 	e19World.once.Do(func() {
 		p := worldgen.DefaultCityParams()
 		p.BlocksX, p.BlocksY = 20, 20
-		e19World.city = worldgen.GenCity(p)
+		e19World.city = worldgen.GenWorld(worldgen.WorldParams{City: p}).Outdoor
 		e19World.city.Nodes(func(n *osm.Node) bool {
 			e19World.positions = append(e19World.positions, e19World.city.NodePosition(n))
 			e19World.nodeIDs = append(e19World.nodeIDs, n.ID)

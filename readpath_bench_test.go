@@ -14,7 +14,7 @@ import (
 // time on one server.
 
 func BenchmarkE15_HotQuery(b *testing.B) {
-	city := worldgen.GenCity(worldgen.DefaultCityParams())
+	city := worldgen.GenWorld(worldgen.WorldParams{City: worldgen.DefaultCityParams()}).Outdoor
 	for _, mode := range []struct {
 		name    string
 		entries int
