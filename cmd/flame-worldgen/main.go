@@ -143,6 +143,9 @@ func (o *options) run() (*worldgen.World, error) {
 	params.City.BlocksY = o.blocks
 	params.NumStores = o.stores
 	params.StoreSeed = o.seed + 10
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
 
 	w := worldgen.GenWorld(params)
 	if err := os.MkdirAll(o.out, 0o755); err != nil {

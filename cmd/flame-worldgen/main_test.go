@@ -3,7 +3,9 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"openflame/internal/geo"
 	"openflame/internal/osm"
@@ -53,6 +55,30 @@ func TestRunWritesWorld(t *testing.T) {
 	st := w.Outdoor.StorageStats()
 	if st.Nodes == 0 || st.BytesPerNode <= 0 || st.InternedStrings == 0 {
 		t.Fatalf("storage stats degenerate: %+v", st)
+	}
+}
+
+// TestRunRefusesTooManyStores: a request for more stores than the city has
+// interior corners is refused with an error that says how many fit, and
+// nothing is written.
+func TestRunRefusesTooManyStores(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "w")
+	o := &options{out: dir, stores: 2, blocks: 2, seed: 7}
+	done := make(chan error, 1)
+	go func() {
+		_, err := o.run()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "room for 1") {
+			t.Fatalf("2 stores in a 2x2-block city: err = %v, want a refusal saying 1 fits", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run with more stores than corners did not return")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("refused run created %s (%v)", dir, err)
 	}
 }
 

@@ -42,7 +42,7 @@ import (
 // ReverseGeocodeV2, LocalizeV2, RouteV2, DiscoverV2, InfoV2, TilePNGV2 —
 // taking variadic CallOptions (WithMaxServers, WithTimeout,
 // WithConsistency, WithSession; see options.go). Every sub-query is its own
-// HTTP request; the servers' /v1/batch endpoint serves other clients.
+// HTTP request to the service's endpoint.
 type Client struct {
 	disc *discovery.Client
 	http *http.Client

@@ -114,8 +114,8 @@ func (r *Resolver) CacheLen() int {
 }
 
 // LookupCtx resolves name/typ iteratively, consulting the cache first.
-// Cancellation aborts the resolution between (and, for context-aware
-// transports, during) upstream round trips.
+// Cancellation aborts the resolution between and during upstream round
+// trips.
 func (r *Resolver) LookupCtx(ctx context.Context, name string, typ uint16) ([]RR, error) {
 	name = CanonicalName(name)
 	if len(name) > 255 {
@@ -227,7 +227,7 @@ func (r *Resolver) queryAny(ctx context.Context, servers []string, name string, 
 		r.stats.UpstreamQueries++
 		r.mu.Unlock()
 		req := &Message{ID: id, Questions: []Question{{Name: name, Type: typ, Class: ClassIN}}}
-		resp, err := exchange(ctx, r.exchanger, addr, req)
+		resp, err := r.exchanger.ExchangeContext(ctx, addr, req)
 		if err != nil {
 			lastErr = err
 			continue

@@ -239,7 +239,7 @@ func TestUDPServerEndToEnd(t *testing.T) {
 	defer srv.Close()
 	ex := UDPExchanger{}
 	req := &Message{ID: 99, Questions: []Question{{Name: "cell.loc.flame.arpa.", Type: TypeTXT, Class: ClassIN}}}
-	resp, err := ex.Exchange(srv.Addr(), req)
+	resp, err := ex.ExchangeContext(context.Background(), srv.Addr(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestUDPTruncationFallsBackToTCP(t *testing.T) {
 	defer srv.Close()
 	ex := UDPExchanger{}
 	req := &Message{ID: 7, Questions: []Question{{Name: "big.loc.flame.arpa.", Type: TypeTXT, Class: ClassIN}}}
-	resp, err := ex.Exchange(srv.Addr(), req)
+	resp, err := ex.ExchangeContext(context.Background(), srv.Addr(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,38 +235,19 @@ func chaseCNAME(zone *Zone, answers []RR, qtype uint16, depth int) []RR {
 	return chaseCNAME(zone, append(answers, more...), qtype, depth-1)
 }
 
-// Exchanger performs one DNS round trip to the given server address.
+// Exchanger performs one DNS round trip to the given server address,
+// aborting it when ctx is cancelled — so cancellation interrupts a round
+// trip already on the wire, not only the resolution between round trips.
 // Implementations: UDPExchanger (real sockets, with TCP fallback on
 // truncation) and MemExchanger (in-process).
 type Exchanger interface {
-	Exchange(addr string, req *Message) (*Message, error)
-}
-
-// ContextExchanger is an Exchanger that can abort an in-flight round trip
-// when the context is cancelled. The resolver uses it when available, so
-// implementing it is optional but lets cancellation interrupt a round trip
-// already on the wire rather than only between round trips.
-type ContextExchanger interface {
 	ExchangeContext(ctx context.Context, addr string, req *Message) (*Message, error)
-}
-
-// exchange routes through ExchangeContext when the transport supports it.
-func exchange(ctx context.Context, ex Exchanger, addr string, req *Message) (*Message, error) {
-	if cex, ok := ex.(ContextExchanger); ok {
-		return cex.ExchangeContext(ctx, addr, req)
-	}
-	return ex.Exchange(addr, req)
 }
 
 // UDPExchanger sends queries over UDP with TCP retry on truncation.
 type UDPExchanger struct{}
 
-// Exchange implements Exchanger.
-func (e UDPExchanger) Exchange(addr string, req *Message) (*Message, error) {
-	return e.ExchangeContext(context.Background(), addr, req)
-}
-
-// ExchangeContext implements ContextExchanger: the context deadline (or
+// ExchangeContext implements Exchanger: the context deadline (or
 // cancellation) is applied to the socket as an I/O deadline.
 func (UDPExchanger) ExchangeContext(ctx context.Context, addr string, req *Message) (*Message, error) {
 	wire, err := req.Pack()
@@ -382,12 +363,7 @@ func (m *MemExchanger) Register(addr string, zone *Zone) {
 // ExchangeCount returns the number of exchanges performed.
 func (m *MemExchanger) ExchangeCount() int64 { return m.count.Load() }
 
-// Exchange implements Exchanger.
-func (m *MemExchanger) Exchange(addr string, req *Message) (*Message, error) {
-	return m.ExchangeContext(context.Background(), addr, req)
-}
-
-// ExchangeContext implements ContextExchanger. The Delay hook itself is not
+// ExchangeContext implements Exchanger. The Delay hook itself is not
 // interruptible, but cancellation is observed before and after it so a
 // cancelled resolution never proceeds to serve from the zone.
 func (m *MemExchanger) ExchangeContext(ctx context.Context, addr string, req *Message) (*Message, error) {

@@ -10,13 +10,13 @@ import (
 	"openflame/internal/wire"
 )
 
-// FuzzServiceDecode throws any bytes at any service name through the
-// service table's lookup and decode — the only way a request body enters
-// the server. It must never panic, and the status a request earns before
-// compute is exactly one of 404 (no such read service), 400 (malformed
-// body) or 200 (a typed request whose envelope can be taken). Seeds are the
-// request shapes the HTTP tests post, plus malformed ones; they run as
-// ordinary tests under `go test`.
+// FuzzServiceDecode throws any bytes at any service name through a lookup
+// over the service table and that row's decode — the only way a request
+// body enters the server. It must never panic, and the status a request
+// earns before compute is exactly one of 404 (no such read service), 400
+// (malformed body) or 200 (a typed request whose envelope can be taken).
+// Seeds are the request shapes the HTTP tests post, plus malformed ones;
+// they run as ordinary tests under `go test`.
 func FuzzServiceDecode(f *testing.F) {
 	near := geo.LatLng{Lat: 40.441, Lng: -79.9916}
 	rc := &wire.ReadConsistency{Marks: []wire.SessionMark{{Origin: "city-0", Log: 7, Seq: 3}}}
@@ -46,7 +46,12 @@ func FuzzServiceDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, name string, body []byte) {
 		status := http.StatusOK
-		svc := lookupService(wire.Service(name))
+		var svc *service
+		for i := range services {
+			if string(services[i].name) == name {
+				svc = &services[i]
+			}
+		}
 		if svc == nil {
 			status = http.StatusNotFound
 		} else if req, err := svc.decode(body); err != nil {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"openflame/internal/admission"
-	"openflame/internal/fanout"
 	"openflame/internal/store"
 	"openflame/internal/tiles"
 	"openflame/internal/wire"
@@ -104,8 +103,7 @@ func (p *Policy) Allow(svc wire.Service, user, app string) bool {
 
 // service is one row of the read-service table — everything the HTTP layer
 // knows about one of the six read services, in the one place they are
-// enumerated. The mux, the dedicated endpoints and /v1/batch are all driven
-// from it.
+// enumerated. The mux and the dedicated endpoints are driven from it.
 type service struct {
 	name wire.Service
 	path string // the dedicated POST endpoint
@@ -156,25 +154,14 @@ func newService[Req, Resp any, PReq interface {
 }
 
 // cached routes a service's compute through the query cache: the single
-// compute path shared by the dedicated endpoints, /v1/batch and the watch
-// hub, so all of them hit the same entries. ctx rides into the cache layer:
+// compute path shared by the dedicated endpoints and the watch hub, so both
+// hit the same entries. ctx rides into the cache layer:
 // a cancelled request never starts a compute and a singleflight follower
 // detaches instead of waiting on a leader whose answer it will never send.
 func cached[Req, Resp any](svc wire.Service, compute func(*Server, *store.View, Req) Resp) func(*Server, context.Context, *store.View, Req) Resp {
 	return func(s *Server, ctx context.Context, v *store.View, req Req) Resp {
 		return cachedQuery(ctx, s, v, svc, req, func(v *store.View, r Req) Resp { return compute(s, v, r) })
 	}
-}
-
-// lookupService finds a table row by service name (nil = not a read
-// service).
-func lookupService(name wire.Service) *service {
-	for i := range services {
-		if services[i].name == name {
-			return &services[i]
-		}
-	}
-	return nil
 }
 
 // Handler returns the server's HTTP interface. Every request honors its
@@ -196,7 +183,6 @@ func (s *Server) Handler() http.Handler {
 	for i := range services {
 		mux.HandleFunc(services[i].path, s.admit(s.jsonEndpoint(&services[i])))
 	}
-	mux.HandleFunc("/v1/batch", s.admit(s.handleBatch))
 	// /v1/watch holds a connection for the subscription's lifetime, so it
 	// sits behind the hub's watcher bound instead of the request admission
 	// gate (a stream is not a request). It falls under the search policy: a
@@ -266,8 +252,7 @@ func (sr shedResponse) write(w http.ResponseWriter) {
 }
 
 // decodeJSON decodes the first JSON value in body, tolerating trailing
-// data exactly as the pre-batch endpoints (json.Decoder on the request
-// body) always did.
+// data as a json.Decoder reading the request body would.
 func decodeJSON(body []byte, v interface{}) error {
 	return json.NewDecoder(bytes.NewReader(body)).Decode(v)
 }
@@ -298,64 +283,83 @@ func (s *Server) refuseStale(w http.ResponseWriter, msg string) {
 	_ = json.NewEncoder(w).Encode(wire.ErrorResponse{Error: msg, Session: &m})
 }
 
-// The read pipeline, shared by the dedicated endpoints and /v1/batch
-// items. ctx is re-checked between stages, so a caller that hung up
+// jsonEndpoint serves one table row's dedicated POST endpoint: the §5.3
+// policy guard, the bounded body read, then the read pipeline.
+func (s *Server) jsonEndpoint(svc *service) http.HandlerFunc {
+	return s.guard(svc.policy, func(w http.ResponseWriter, r *http.Request) {
+		if body, ok := readBody(w, r); ok {
+			s.read(w, r, svc, body)
+		}
+	})
+}
+
+// read is the read pipeline: it answers body, one request for svc, in
+// stages. ctx is re-checked between stages, so a caller that hung up
 // mid-pipeline earns 503 immediately and never starts the next stage:
 //
-//	decode    — a malformed body earns 400.
-//	freshness — the session envelope is stripped off the request (the
-//	            compute path, and with it the query cache key, never sees
-//	            it) and gates the read: a replica behind a requested mark
-//	            answers wire.StatusStaleReplica after the anti-entropy
-//	            grace. A wait abandoned by cancellation answers 503, not
-//	            412 — the replica was not proven stale.
-//	pin       — the caller loads ONE store view, after freshness, so it
-//	            holds every write the gate vouched for. A dedicated endpoint
-//	            stamps X-Flame-Generation and the ETag from it and
-//	            revalidates (a lagging replica refuses before it could call
-//	            the reader's cached copy current); a batch pins one view
-//	            for all its items.
-//	compute   — the service's table row, over the pinned view.
-//	mark      — a sessioned answer carries the pinned view's mark, which
-//	            claims exactly the writes the answer reflects.
-//
-// admitRead runs decode and freshness; http.StatusOK means the request may
-// be answered.
-func (s *Server) admitRead(ctx context.Context, svc *service, body []byte) (wire.ConsistencyCarrier, *wire.ReadConsistency, int, string) {
+//	decode     — a malformed body earns 400. Only a request that decodes
+//	             is ETagged, so a malformed body never earns a 304.
+//	freshness  — the session envelope is stripped off the request (the
+//	             compute path, and with it the query cache key, never sees
+//	             it) and gates the read: a replica behind a requested mark
+//	             answers wire.StatusStaleReplica after the anti-entropy
+//	             grace. A wait abandoned by cancellation answers 503, not
+//	             412 — the replica was not proven stale.
+//	pin        — ONE store view is loaded, after freshness, so it holds
+//	             every write the gate vouched for; X-Flame-Generation and
+//	             the ETag (map generation + request hash) are stamped from
+//	             it.
+//	revalidate — an If-None-Match naming the ETag earns 304 without
+//	             computing anything. It runs after freshness, so a lagging
+//	             replica refuses before it could call the reader's cached
+//	             copy current.
+//	compute    — the service's table row over the pinned view, off the
+//	             handler goroutine (see await).
+//	mark       — a sessioned answer carries the pinned view's mark, which
+//	             claims exactly the writes the answer reflects.
+func (s *Server) read(w http.ResponseWriter, r *http.Request, svc *service, body []byte) {
+	ctx := r.Context()
 	req, err := svc.decode(body)
 	if err != nil {
-		return nil, nil, http.StatusBadRequest, "bad request body: " + err.Error()
+		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
 	}
 	if ctx.Err() != nil {
-		return nil, nil, http.StatusServiceUnavailable, "request cancelled"
+		httpError(w, http.StatusServiceUnavailable, "request cancelled")
+		return
 	}
 	rc := req.TakeConsistency()
 	if !s.WaitFresh(ctx, rc) {
 		if ctx.Err() != nil {
-			return nil, nil, http.StatusServiceUnavailable, "request cancelled"
+			httpError(w, http.StatusServiceUnavailable, "request cancelled")
+			return
 		}
-		return nil, nil, wire.StatusStaleReplica, s.staleError(rc)
+		s.refuseStale(w, s.staleError(rc))
+		return
 	}
-	return req, rc, http.StatusOK, ""
-}
-
-// answer runs compute and mark over the pinned view v. It returns what an
-// answerFunc does.
-func (s *Server) answer(ctx context.Context, svc *service, v *store.View, req wire.ConsistencyCarrier, rc *wire.ReadConsistency) (interface{}, int, string) {
-	if ctx.Err() != nil {
-		return nil, http.StatusServiceUnavailable, "request cancelled"
+	view := s.store.View()
+	etag := etagFor(view.Gen, string(svc.name), r.Header.Get(HeaderUser), r.Header.Get(HeaderApp), body)
+	stamp(w, view.Gen, etag)
+	if notModified(r, etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
-	resp := svc.compute(s, ctx, v, req)
-	if ctx.Err() != nil {
-		// A detached singleflight follower carries a zero value; never
-		// dress it up as a 200.
-		return nil, http.StatusServiceUnavailable, "request cancelled"
-	}
-	if rc != nil {
-		m := s.markAt(v.Seq)
-		resp.SetSession(&m)
-	}
-	return resp, http.StatusOK, ""
+	respond(w, r, func() (interface{}, int, string) {
+		if ctx.Err() != nil {
+			return nil, http.StatusServiceUnavailable, "request cancelled"
+		}
+		resp := svc.compute(s, ctx, view, req)
+		if ctx.Err() != nil {
+			// A detached singleflight follower carries a zero value; never
+			// dress it up as a 200.
+			return nil, http.StatusServiceUnavailable, "request cancelled"
+		}
+		if rc != nil {
+			m := s.markAt(view.Seq)
+			resp.SetSession(&m)
+		}
+		return resp, http.StatusOK, ""
+	})
 }
 
 // stamp sets the generation and entity-tag headers of a read answered from
@@ -363,176 +367,6 @@ func (s *Server) answer(ctx context.Context, svc *service, v *store.View, req wi
 func stamp(w http.ResponseWriter, gen uint64, etag string) {
 	w.Header().Set(HeaderGeneration, strconv.FormatUint(gen, 10))
 	w.Header().Set("ETag", etag)
-}
-
-// jsonEndpoint serves one table row's dedicated POST endpoint: the §5.3
-// policy guard, then the read pipeline; the pinned view's generation and
-// ETag are stamped on the response, and If-None-Match revalidation — a
-// request whose ETag (map generation + request hash) still matches earns
-// 304 without recomputing anything — runs before the compute, which runs
-// off the handler goroutine (see await). Only requests that decode
-// successfully are ETagged — a malformed body always earns its 400, never
-// a 304.
-func (s *Server) jsonEndpoint(svc *service) http.HandlerFunc {
-	return s.guard(svc.policy, func(w http.ResponseWriter, r *http.Request) {
-		body, ok := readBody(w, r, maxBodyBytes)
-		if !ok {
-			return
-		}
-		ctx := r.Context()
-		req, rc, status, msg := s.admitRead(ctx, svc, body)
-		var v interface{}
-		if status == http.StatusOK {
-			view := s.store.View()
-			etag := etagFor(view.Gen, string(svc.name), r.Header.Get(HeaderUser), r.Header.Get(HeaderApp), body)
-			stamp(w, view.Gen, etag)
-			if notModified(r, etag) {
-				status = http.StatusNotModified
-			} else {
-				v, status, msg = await(ctx, func() (interface{}, int, string) {
-					return s.answer(ctx, svc, view, req, rc)
-				})
-			}
-		}
-		switch status {
-		case http.StatusOK:
-			writeJSON(w, v)
-		case http.StatusNotModified:
-			w.WriteHeader(status)
-		case wire.StatusStaleReplica:
-			s.refuseStale(w, msg)
-		default:
-			httpError(w, status, msg)
-		}
-	})
-}
-
-// handleBatch serves POST /v1/batch: up to wire.MaxBatchItems heterogeneous
-// sub-requests answered in one round trip with per-sub-request status, so
-// one denied or malformed item never voids the others' answers. Every item
-// is answered from one view, pinned after every item's freshness gate, so
-// BatchResponse.Generation is exact for the whole batch.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Context().Err() != nil {
-		httpError(w, http.StatusServiceUnavailable, "request cancelled")
-		return
-	}
-	body, ok := readBody(w, r, maxBatchBodyBytes)
-	if !ok {
-		return
-	}
-	var breq wire.BatchRequest
-	if err := decodeJSON(body, &breq); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if len(breq.Items) > wire.MaxBatchItems {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d items exceeds the limit of %d", len(breq.Items), wire.MaxBatchItems))
-		return
-	}
-	user, app := r.Header.Get(HeaderUser), r.Header.Get(HeaderApp)
-	// The 304 short-circuit must not outrank session consistency: a batch
-	// whose items carry marks gets per-item freshness decisions (412s
-	// included), never a whole-batch "your copy is current" from a replica
-	// that may be lagging — mirroring the freshness-before-ETag order of
-	// the dedicated endpoints. notModified first: the probe decode only
-	// runs for actual conditional requests.
-	gen := s.Generation()
-	if etag := etagFor(gen, "batch", user, app, body); notModified(r, etag) && !batchCarriesConsistency(breq) {
-		stamp(w, gen, etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	v, status, msg := await(r.Context(), func() (interface{}, int, string) {
-		// Items run on a bounded pool: a batch of N route expansions costs
-		// max, not sum. Slots are index-aligned, so parallel completion
-		// cannot reorder results.
-		items := make([]batchSlot, len(breq.Items))
-		fanout.ForEach(r.Context(), len(breq.Items), 0, func(ctx context.Context, i int) {
-			items[i] = s.admitItem(ctx, breq.Items[i], user, app)
-		})
-		view := s.store.View()
-		resp := wire.BatchResponse{Generation: view.Gen, Results: make([]wire.BatchItemResult, len(items))}
-		fanout.ForEach(r.Context(), len(items), 0, func(ctx context.Context, i int) {
-			resp.Results[i] = s.answerItem(ctx, view, items[i])
-		})
-		return resp, http.StatusOK, ""
-	})
-	if status != http.StatusOK {
-		httpError(w, status, msg)
-		return
-	}
-	gen = v.(wire.BatchResponse).Generation
-	stamp(w, gen, etagFor(gen, "batch", user, app, body))
-	writeJSON(w, v)
-}
-
-// batchCarriesConsistency reports whether any item body carries a session
-// envelope (a cheap probe decode; malformed bodies read as envelope-less
-// and earn their per-item 400 downstream).
-func batchCarriesConsistency(breq wire.BatchRequest) bool {
-	for _, it := range breq.Items {
-		var probe struct {
-			Consistency *json.RawMessage `json:"consistency"`
-		}
-		if err := decodeJSON(it.Body, &probe); err == nil && probe.Consistency != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// batchSlot is one batch item between the two halves of the read
-// pipeline: admitted (svc set) or already answered (res).
-type batchSlot struct {
-	svc *service
-	req wire.ConsistencyCarrier
-	rc  *wire.ReadConsistency
-	res wire.BatchItemResult
-}
-
-// admitItem runs the first half of one batch sub-request, mirroring the
-// dedicated endpoint's order: unknown service 404, then policy 403, then
-// decode 400 and stale-replica 412. Item bodies are full service requests,
-// so session envelopes ride through batches unchanged: a stale item fails
-// alone (the client re-runs it per-call against a sibling) and a fresh
-// item's response body carries the updated mark.
-func (s *Server) admitItem(ctx context.Context, it wire.BatchItem, user, app string) batchSlot {
-	svc := lookupService(it.Service)
-	if svc == nil {
-		return batchSlot{res: wire.BatchItemResult{
-			Status: http.StatusNotFound,
-			Error:  fmt.Sprintf("unknown service %q", it.Service),
-		}}
-	}
-	if !s.auth.Allow(svc.policy, user, app) {
-		return batchSlot{res: wire.BatchItemResult{
-			Status: http.StatusForbidden,
-			Error:  fmt.Sprintf("access to %s denied by policy", it.Service),
-		}}
-	}
-	req, rc, status, msg := s.admitRead(ctx, svc, it.Body)
-	if status != http.StatusOK {
-		return batchSlot{res: wire.BatchItemResult{Status: status, Error: msg}}
-	}
-	return batchSlot{svc: svc, req: req, rc: rc}
-}
-
-// answerItem answers an admitted batch item over the batch's view.
-func (s *Server) answerItem(ctx context.Context, v *store.View, it batchSlot) wire.BatchItemResult {
-	if it.svc == nil {
-		return it.res
-	}
-	resp, status, msg := s.answer(ctx, it.svc, v, it.req, it.rc)
-	if status != http.StatusOK {
-		return wire.BatchItemResult{Status: status, Error: msg}
-	}
-	b, err := json.Marshal(resp)
-	if err != nil {
-		return wire.BatchItemResult{Status: http.StatusInternalServerError, Error: err.Error()}
-	}
-	return wire.BatchItemResult{Status: http.StatusOK, Body: b}
 }
 
 // handleChanges serves GET /v1/changes?since=N — the anti-entropy pull
@@ -700,8 +534,7 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	h := fnv.New64a()
 	_, _ = h.Write(png)
 	etag := fmt.Sprintf("%q", fmt.Sprintf("t-%016x", h.Sum64()))
-	w.Header().Set(HeaderGeneration, strconv.FormatUint(v.Gen, 10))
-	w.Header().Set("ETag", etag)
+	stamp(w, v.Gen, etag)
 	if notModified(r, etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -716,16 +549,16 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 }
 
 // readBody enforces POST and returns the raw request body (needed intact
-// for ETag hashing before any decode), bounded by limit bytes: a body past
+// for ETag hashing before any decode), bounded by maxBodyBytes: a body past
 // the cap stops reading mid-stream and earns 413, so an oversized (or
-// unbounded, Content-Length-less) POST costs at most limit bytes of memory
+// unbounded, Content-Length-less) POST costs at most the cap in memory
 // instead of everything the client cares to send.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return nil, false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		var mbe *http.MaxBytesError

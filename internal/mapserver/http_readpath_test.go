@@ -2,7 +2,6 @@ package mapserver
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 
 	"openflame/internal/osm"
 	"openflame/internal/tiles"
-	"openflame/internal/wire"
 )
 
 func postRaw(t *testing.T, url string, body string, hdr map[string]string) *http.Response {
@@ -79,134 +77,6 @@ func TestHTTPGenerationHeaderAndETag304(t *testing.T) {
 	}
 	if b, _ := io.ReadAll(res3.Body); !bytes.Equal(b, payload) {
 		t.Fatalf("same query at new generation changed unexpectedly:\n%s\n%s", payload, b)
-	}
-}
-
-func TestHTTPBatchHeterogeneousWithPartialFailure(t *testing.T) {
-	srv := cachedCityServer(t, 64)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	breq := wire.BatchRequest{Items: []wire.BatchItem{
-		{Service: wire.SvcGeocode, Body: json.RawMessage(`{"query":"3rd Street","limit":1}`)},
-		{Service: wire.SvcSearch, Body: json.RawMessage(`{"query":"3rd Street","limit":1}`)},
-		{Service: "espresso", Body: json.RawMessage(`{}`)},
-		{Service: wire.SvcRoute, Body: json.RawMessage(`{"from":"not-a-position"}`)},
-	}}
-	bb, _ := json.Marshal(breq)
-	res := postRaw(t, ts.URL+"/v1/batch", string(bb), nil)
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d", res.StatusCode)
-	}
-	var bresp wire.BatchResponse
-	if err := json.NewDecoder(res.Body).Decode(&bresp); err != nil {
-		t.Fatal(err)
-	}
-	if bresp.Generation != srv.Generation() {
-		t.Fatalf("batch generation %d, server at %d", bresp.Generation, srv.Generation())
-	}
-	if len(bresp.Results) != 4 {
-		t.Fatalf("%d results for 4 items", len(bresp.Results))
-	}
-	wantStatus := []int{200, 200, 404, 400}
-	for i, want := range wantStatus {
-		if bresp.Results[i].Status != want {
-			t.Fatalf("item %d status %d, want %d (%s)", i, bresp.Results[i].Status, want, bresp.Results[i].Error)
-		}
-	}
-	// The successful items decode to the same answers the dedicated
-	// endpoints give.
-	var got wire.GeocodeResponse
-	if err := json.Unmarshal(bresp.Results[0].Body, &got); err != nil {
-		t.Fatal(err)
-	}
-	want := srv.Geocode(wire.GeocodeRequest{Query: "3rd Street", Limit: 1})
-	gb, _ := json.Marshal(got)
-	wb, _ := json.Marshal(want)
-	if !bytes.Equal(gb, wb) {
-		t.Fatalf("batched geocode differs from dedicated endpoint:\n%s\n%s", gb, wb)
-	}
-}
-
-func TestHTTPBatchPerItemPolicy(t *testing.T) {
-	// Search is public; routing requires a cmu.edu user — per-item, a
-	// denied sub-request must not void the allowed one.
-	auth := &Policy{
-		Default: Rule{Public: true},
-		PerService: map[wire.Service]Rule{
-			wire.SvcRoute: {UserDomains: []string{"cmu.edu"}},
-		},
-	}
-	city := cachedCityServer(t, 0)
-	srv, err := New(Config{Name: "gated", Map: city.cfg.Map, Auth: auth})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	breq := wire.BatchRequest{Items: []wire.BatchItem{
-		{Service: wire.SvcSearch, Body: json.RawMessage(`{"query":"3rd Street"}`)},
-		{Service: wire.SvcRoute, Body: json.RawMessage(`{"from":{"lat":1,"lng":1},"to":{"lat":1,"lng":1}}`)},
-		// routematrix is guarded by the route policy.
-		{Service: wire.SvcRouteMatrix, Body: json.RawMessage(`{"fromNodes":[],"toNodes":[]}`)},
-	}}
-	bb, _ := json.Marshal(breq)
-
-	res := postRaw(t, ts.URL+"/v1/batch", string(bb), map[string]string{HeaderUser: "eve@evil.example"})
-	defer res.Body.Close()
-	var bresp wire.BatchResponse
-	if err := json.NewDecoder(res.Body).Decode(&bresp); err != nil {
-		t.Fatal(err)
-	}
-	if bresp.Results[0].Status != 200 || bresp.Results[1].Status != 403 || bresp.Results[2].Status != 403 {
-		t.Fatalf("statuses = %d/%d/%d, want 200/403/403",
-			bresp.Results[0].Status, bresp.Results[1].Status, bresp.Results[2].Status)
-	}
-
-	res2 := postRaw(t, ts.URL+"/v1/batch", string(bb), map[string]string{HeaderUser: "alice@cmu.edu"})
-	defer res2.Body.Close()
-	var bresp2 wire.BatchResponse
-	if err := json.NewDecoder(res2.Body).Decode(&bresp2); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range bresp2.Results {
-		if r.Status != 200 {
-			t.Fatalf("authorized item %d status %d (%s)", i, r.Status, r.Error)
-		}
-	}
-}
-
-func TestHTTPBatchRejectsOversizeAndBadBody(t *testing.T) {
-	srv := cachedCityServer(t, 0)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	items := make([]wire.BatchItem, wire.MaxBatchItems+1)
-	for i := range items {
-		items[i] = wire.BatchItem{Service: wire.SvcSearch, Body: json.RawMessage(`{}`)}
-	}
-	bb, _ := json.Marshal(wire.BatchRequest{Items: items})
-	res := postRaw(t, ts.URL+"/v1/batch", string(bb), nil)
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversize batch status %d, want 400", res.StatusCode)
-	}
-
-	res2 := postRaw(t, ts.URL+"/v1/batch", `{nope`, nil)
-	defer res2.Body.Close()
-	if res2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed batch status %d, want 400", res2.StatusCode)
-	}
-
-	res3, err := http.Get(ts.URL + "/v1/batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res3.Body.Close()
-	if res3.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET batch status %d, want 405", res3.StatusCode)
 	}
 }
 

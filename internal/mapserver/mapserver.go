@@ -76,14 +76,11 @@ type Config struct {
 	MaxInFlight int
 }
 
-// Request-body caps: far above any legitimate service request (point
-// queries, route endpoints, localization cues) while keeping the memory one
-// connection can pin to single-digit megabytes. An oversize POST is refused
-// with 413 after reading at most the cap, never buffered whole.
-const (
-	maxBodyBytes      = 1 << 20 // 1 MiB per service request
-	maxBatchBodyBytes = 8 << 20 // 8 MiB for a full batch, up to wire.MaxBatchItems sub-requests
-)
+// maxBodyBytes caps a request body at 1 MiB: far above any legitimate
+// service request (point queries, route endpoints, localization cues)
+// while bounding the memory one connection can pin. An oversize POST is
+// refused with 413 after reading at most the cap, never buffered whole.
+const maxBodyBytes = 1 << 20
 
 // coveragePadMeters pads the registration region derived from the map
 // bounds, modelling fuzzy boundaries (§3).

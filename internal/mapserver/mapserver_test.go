@@ -356,6 +356,17 @@ func TestHTTPEndpoints(t *testing.T) {
 	if res.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET search status %d", res.StatusCode)
 	}
+
+	// Every read has one dedicated endpoint; there is no batch endpoint.
+	res, err = http.Post(ts.URL+"/v1/batch", "application/json",
+		strings.NewReader(`{"items":[{"service":"search","body":{"query":"x"}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/batch status %d, want 404", res.StatusCode)
+	}
 }
 
 func TestAuthPolicyLevels(t *testing.T) {

@@ -177,8 +177,7 @@ func TestHTTPQueueAdmitsWhenSlotFrees(t *testing.T) {
 
 // TestHTTPOversizePostRejected413 pins the body-cap regression: a multi-MB
 // POST is cut off at the cap (bounded memory — MaxBytesReader stops
-// reading at limit+1) and refused with 413, on both the single-query and
-// the batch endpoint.
+// reading at limit+1) and refused with 413.
 func TestHTTPOversizePostRejected413(t *testing.T) {
 	srv, err := New(Config{Name: "city", Map: cityMap()})
 	if err != nil {
@@ -197,14 +196,6 @@ func TestHTTPOversizePostRejected413(t *testing.T) {
 	var e wire.ErrorResponse
 	if err := json.NewDecoder(res.Body).Decode(&e); err != nil || !strings.Contains(e.Error, "byte limit") {
 		t.Fatalf("413 body = %+v, %v", e, err)
-	}
-
-	// 9 MiB against the 8 MiB default batch cap.
-	batch := `{"items":[{"service":"geocode","body":{"query":"` + strings.Repeat("y", 9<<20) + `"}}]}`
-	res2 := postRaw(t, ts.URL+"/v1/batch", batch, nil)
-	defer res2.Body.Close()
-	if res2.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("9MiB batch POST answered %d, want 413", res2.StatusCode)
 	}
 
 	res3 := postRaw(t, ts.URL+"/geocode", `{"query":"3rd Street","limit":1}`, nil)

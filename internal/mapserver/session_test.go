@@ -190,56 +190,6 @@ func TestHTTPSessionMarks(t *testing.T) {
 	}
 }
 
-// TestBatchItemsCarrySessionMarks: envelopes ride inside batch item
-// bodies — a stale item fails alone with 412 while its sibling items
-// answer, and fresh items' response bodies carry updated marks.
-func TestBatchItemsCarrySessionMarks(t *testing.T) {
-	srv := cityServer(t)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	id := namedNodeID(t, srv)
-	if !srv.ApplyInventoryUpdate(id, osm.Tags{osm.TagName: "Batch Bakery"}) {
-		t.Fatal("update failed")
-	}
-
-	fresh := wire.SearchRequest{Query: "Batch", Limit: 5}
-	fresh.SetConsistency(mark1("city", srv.ChangeSeq()))
-	stale := wire.SearchRequest{Query: "Batch", Limit: 5}
-	stale.SetConsistency(mark1("elsewhere", 42))
-	fb, _ := json.Marshal(fresh)
-	sb, _ := json.Marshal(stale)
-	status, body := postSession(t, ts, "/v1/batch", wire.BatchRequest{Items: []wire.BatchItem{
-		{Service: wire.SvcSearch, Body: fb},
-		{Service: wire.SvcSearch, Body: sb},
-	}})
-	if status != http.StatusOK {
-		t.Fatalf("batch status = %d", status)
-	}
-	var bresp wire.BatchResponse
-	if err := json.Unmarshal(body, &bresp); err != nil {
-		t.Fatal(err)
-	}
-	if len(bresp.Results) != 2 {
-		t.Fatalf("results = %d", len(bresp.Results))
-	}
-	if bresp.Results[0].Status != http.StatusOK {
-		t.Fatalf("fresh item status = %d (%s)", bresp.Results[0].Status, bresp.Results[0].Error)
-	}
-	var sresp wire.SearchResponse
-	if err := json.Unmarshal(bresp.Results[0].Body, &sresp); err != nil {
-		t.Fatal(err)
-	}
-	if sresp.Session == nil || sresp.Session.Origin != "city" || sresp.Session.Seq < srv.ChangeSeq() {
-		t.Fatalf("fresh item mark = %+v", sresp.Session)
-	}
-	if bresp.Results[1].Status != wire.StatusStaleReplica {
-		t.Fatalf("stale item status = %d, want %d", bresp.Results[1].Status, wire.StatusStaleReplica)
-	}
-	if !strings.Contains(bresp.Results[1].Error, "stale replica") {
-		t.Fatalf("stale item error = %q", bresp.Results[1].Error)
-	}
-}
-
 // TestSessionEnvelopeInvisibleToCache: the same query with and without a
 // session envelope shares one cache entry — the envelope is stripped
 // before the compute path, so sessions cannot fragment (or poison) the

@@ -68,7 +68,7 @@ func (s *Server) WatchStats() watch.Stats { return s.hub.Stats() }
 // minutes would pin a request-admission slot forever. Its own bound is the
 // hub's watcher limit, shed with the same 429/Retry-After discipline.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r, maxBodyBytes)
+	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}

@@ -4,8 +4,6 @@
 package wire
 
 import (
-	"encoding/json"
-
 	"openflame/internal/geo"
 	"openflame/internal/loc"
 	"openflame/internal/search"
@@ -91,9 +89,9 @@ type SessionMark struct {
 }
 
 // ConsistencyEnvelope is embedded in every read request: the optional
-// session-consistency field rides inside the request body, so it crosses
-// batch boundaries intact (each BatchItem body is a full request). Absent
-// (nil) it marshals to nothing — legacy requests are byte-identical.
+// session-consistency field rides inside the request body, beside the
+// query it gates. Absent (nil) it marshals to nothing — legacy requests
+// are byte-identical.
 type ConsistencyEnvelope struct {
 	Consistency *ReadConsistency `json:"consistency,omitempty"`
 }
@@ -335,42 +333,4 @@ type ChangesResponse struct {
 	// new head has already overtaken the old cursor — and restarts its
 	// drain from zero, discarding positions against the old incarnation.
 	LogID uint64 `json:"logId,omitempty"`
-}
-
-// MaxBatchItems bounds one batch request; servers reject larger batches
-// outright so a single POST cannot queue unbounded compute.
-const MaxBatchItems = 64
-
-// BatchItem is one sub-request of a batched call: the service to invoke
-// and its request body, encoded exactly as it would be POSTed to the
-// service's own endpoint.
-type BatchItem struct {
-	Service Service         `json:"service"`
-	Body    json.RawMessage `json:"body,omitempty"`
-}
-
-// BatchRequest carries up to MaxBatchItems heterogeneous sub-requests that
-// the server executes in one round trip (POST /v1/batch). Items are
-// independent: one failing does not affect the others.
-type BatchRequest struct {
-	Items []BatchItem `json:"items"`
-}
-
-// BatchItemResult is one sub-request's outcome. Status carries the HTTP
-// status the sub-request would have received on its own endpoint (200 with
-// Body set, or 400/403/404 with Error set) — per-sub-request status, so a
-// partially failing batch still returns every successful answer.
-type BatchItemResult struct {
-	Status int             `json:"status"`
-	Error  string          `json:"error,omitempty"`
-	Body   json.RawMessage `json:"body,omitempty"`
-}
-
-// BatchResponse answers a batch: one result per item, index-aligned with
-// the request. Every item is answered from one store view, and Generation
-// is that view's map generation: each answer reflects exactly the writes
-// of this generation.
-type BatchResponse struct {
-	Generation uint64            `json:"generation"`
-	Results    []BatchItemResult `json:"results"`
 }

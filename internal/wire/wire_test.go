@@ -67,46 +67,3 @@ func TestRouteResponseOmitsEmptyPoints(t *testing.T) {
 		t.Fatalf("resp = %+v", resp)
 	}
 }
-
-func TestBatchTypesRoundTrip(t *testing.T) {
-	req := BatchRequest{Items: []BatchItem{
-		{Service: SvcGeocode, Body: json.RawMessage(`{"query":"3rd Street"}`)},
-		{Service: SvcRouteMatrix, Body: json.RawMessage(`{"fromNodes":[1],"toNodes":[2]}`)},
-	}}
-	b, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got BatchRequest
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Items) != 2 || got.Items[0].Service != SvcGeocode || got.Items[1].Service != SvcRouteMatrix {
-		t.Fatalf("round trip lost items: %+v", got)
-	}
-	// Sub-request bodies survive verbatim (modulo JSON compaction).
-	var g GeocodeRequest
-	if err := json.Unmarshal(got.Items[0].Body, &g); err != nil {
-		t.Fatal(err)
-	}
-	if g.Query != "3rd Street" {
-		t.Fatalf("body = %+v", g)
-	}
-
-	resp := BatchResponse{Generation: 42, Results: []BatchItemResult{
-		{Status: 200, Body: json.RawMessage(`{"results":[]}`)},
-		{Status: 403, Error: "denied"},
-	}}
-	b, err = json.Marshal(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotResp BatchResponse
-	if err := json.Unmarshal(b, &gotResp); err != nil {
-		t.Fatal(err)
-	}
-	if gotResp.Generation != 42 || len(gotResp.Results) != 2 ||
-		gotResp.Results[1].Status != 403 || gotResp.Results[1].Error != "denied" {
-		t.Fatalf("round trip: %+v", gotResp)
-	}
-}

@@ -394,6 +394,18 @@ type WorldParams struct {
 	StoreSeed int64
 }
 
+// Validate reports whether the stores fit the city. Each store takes a
+// distinct interior street corner, and a city of BlocksX×BlocksY blocks
+// has max(BlocksX−1,1)·max(BlocksY−1,1) of them.
+func (p WorldParams) Validate() error {
+	corners := maxInt(p.City.BlocksX-1, 1) * maxInt(p.City.BlocksY-1, 1)
+	if p.NumStores > corners {
+		return fmt.Errorf("worldgen: %d stores do not fit a %dx%d-block city: it has room for %d, one per interior corner",
+			p.NumStores, p.City.BlocksX, p.City.BlocksY, corners)
+	}
+	return nil
+}
+
 // DefaultWorldParams returns an 8x8-block city with 3 stores.
 func DefaultWorldParams() WorldParams {
 	return WorldParams{City: DefaultCityParams(), NumStores: 3, StoreSeed: 11}
@@ -415,8 +427,12 @@ var storeNames = []string{
 
 // GenWorld generates the outdoor city, places stores at distinct street
 // corners, and links each store's entrance portal to the street network via
-// an outdoor footway.
+// an outdoor footway. It panics with Validate's error when the stores do
+// not fit the city.
 func GenWorld(p WorldParams) *World {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	city, grid := genCity(p.City)
 	w := &World{OutdoorPortals: make(map[string]osm.NodeID)}
 	rng := rand.New(rand.NewSource(p.StoreSeed))

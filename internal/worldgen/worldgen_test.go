@@ -1,7 +1,10 @@
 package worldgen
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"openflame/internal/align"
 	"openflame/internal/geo"
@@ -201,6 +204,29 @@ func TestGenWorldDistinctCorners(t *testing.T) {
 			t.Fatalf("two stores at %s", key)
 		}
 		seen[key] = true
+	}
+}
+
+// More stores than interior corners cannot be placed: GenWorld panics
+// with a message saying how many fit, and does so at once rather than
+// searching for a free corner for ever. A 2x2-block city has one interior
+// corner.
+func TestGenWorldRefusesOverfullCity(t *testing.T) {
+	p := DefaultWorldParams()
+	p.City.BlocksX, p.City.BlocksY = 2, 2
+	p.NumStores = 2
+	done := make(chan string, 1)
+	go func() {
+		defer func() { done <- fmt.Sprint(recover()) }()
+		GenWorld(p)
+	}()
+	select {
+	case msg := <-done:
+		if !strings.Contains(msg, "room for 1") {
+			t.Fatalf("GenWorld panic = %q, want it to say how many stores fit", msg)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("GenWorld with more stores than corners did not return")
 	}
 }
 
